@@ -40,9 +40,9 @@ from .extensions import (
 )
 from .matkernel import (
     TakagiFactorization,
-    min_singular_real,
     pinv,
     psd_sqrt,
+    singularity,
     takagi,
 )
 from .numrange import (
@@ -102,7 +102,6 @@ __all__ = [
     "is_normal",
     "is_selfadjoint",
     "make_conjugation",
-    "min_singular_real",
     "minimal_span",
     "modulus",
     "moore_penrose",
@@ -115,6 +114,7 @@ __all__ = [
     "psd_sqrt",
     "rank_link",
     "realify",
+    "singularity",
     "spectrum_crosscheck",
     "standard_conjugation",
     "takagi",

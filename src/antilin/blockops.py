@@ -38,12 +38,7 @@ from .antiop import (
     unrealify,
 )
 from .errors import DimensionMismatch, PivotSingular
-from .matkernel import (
-    SING_TOL,
-    min_singular_real,
-    singularity_threshold,
-    spectral_norm,
-)
+from .matkernel import SING_TOL, numerical_rank, singularity, spectral_norm
 from .spectra import antilinear_spectrum, is_in_spectrum
 
 SELECTORS = ("S1", "S2", "T1", "T2")
@@ -102,20 +97,22 @@ def invert_real_linear(
     if op.dim_in != op.dim_out:
         raise DimensionMismatch(f"{pivot_name} must be square to invert")
     r = realify(op)
-    smin = min_singular_real(r)
-    if smin <= singularity_threshold(r, tol):
+    smin, threshold = singularity(r, tol)
+    if smin <= threshold:
         raise PivotSingular(pivot_name, smin)
     return unrealify(np.linalg.inv(r)), smin
 
 
 @dataclass(frozen=True, eq=False)
 class ComplementResult:
-    """A Schur or quadratic complement evaluated at ``mu``."""
+    """A Schur or quadratic complement evaluated at ``mu``, with the inverse
+    of its pivot."""
 
     op: RealLinearOperator
     selector: str
     mu: complex
     pivot_condition: float
+    pivot_inverse: RealLinearOperator
 
 
 def complement(
@@ -150,7 +147,9 @@ def complement(
         op = f - compose(e.shifted(mu), compose(inv, a.shifted(mu)))
     else:
         raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
-    return ComplementResult(op=op, selector=selector, mu=mu, pivot_condition=cond)
+    return ComplementResult(
+        op=op, selector=selector, mu=mu, pivot_condition=cond, pivot_inverse=inv
+    )
 
 
 def _block2(op11, op12, op21, op22) -> RealLinearOperator:
@@ -185,32 +184,26 @@ def verify_factorization(
     z_nm = RealLinearOperator.zero(n, m)
     z_mn = RealLinearOperator.zero(m, n)
 
+    if selector not in SELECTORS:
+        raise ValueError(f"unknown factorization {selector!r}; expected one of {SELECTORS}")
+    comp = complement(blk, selector, mu, tol)
+    inv = comp.pivot_inverse
     if selector == "S2":
-        comp = complement(blk, "S2", mu, tol)
-        inv, _ = invert_real_linear(a.shifted(mu), "A - mu", tol)
         left = _block2(i_n, z_nm, compose(f, inv), i_m)
         mid = _block2(a.shifted(mu), z_nm, z_mn, comp.op)
         right = _block2(i_n, compose(inv, b), z_mn, i_m)
     elif selector == "S1":
-        comp = complement(blk, "S1", mu, tol)
-        inv, _ = invert_real_linear(e.shifted(mu), "E - mu", tol)
         left = _block2(i_n, compose(b, inv), z_mn, i_m)
         mid = _block2(comp.op, z_nm, z_mn, e.shifted(mu))
         right = _block2(i_n, z_nm, compose(inv, f), i_m)
     elif selector == "T2":
-        comp = complement(blk, "T2", mu, tol)
-        inv, _ = invert_real_linear(f, "F", tol)
         left = _block2(i_n, compose(a.shifted(mu), inv), z_mn, i_m)
         mid = _block2(RealLinearOperator.zero(n, n), comp.op, f, RealLinearOperator.zero(m, m))
         right = _block2(i_n, compose(inv, e.shifted(mu)), z_mn, i_m)
-    elif selector == "T1":
-        comp = complement(blk, "T1", mu, tol)
-        inv, _ = invert_real_linear(b, "B", tol)
+    else:
         left = _block2(i_n, z_nm, compose(e.shifted(mu), inv), i_m)
         mid = _block2(RealLinearOperator.zero(n, n), b, comp.op, RealLinearOperator.zero(m, m))
         right = _block2(i_n, z_nm, compose(inv, a.shifted(mu)), i_m)
-    else:
-        raise ValueError(f"unknown factorization {selector!r}; expected one of {SELECTORS}")
 
     rhs = compose(left, compose(mid, right)).shifted(-mu)
     flat = RealLinearOperator.from_antilinear(blk.flatten())
@@ -223,8 +216,6 @@ class ScanEntry:
     selector: str
     member_block: Optional[bool]
     member_complement: Optional[bool]
-    kernel_block: Optional[bool]
-    kernel_complement: Optional[bool]
     skipped_reason: Optional[str] = None
 
     @property
@@ -233,12 +224,7 @@ class ScanEntry:
 
     @property
     def agrees(self) -> bool:
-        if self.skipped:
-            return True
-        return (
-            self.member_block == self.member_complement
-            and self.kernel_block == self.kernel_complement
-        )
+        return self.skipped or self.member_block == self.member_complement
 
 
 @dataclass(frozen=True)
@@ -262,11 +248,6 @@ class ScanReport:
         return not self.disagreements
 
 
-def _kernel_positive(r: np.ndarray, tol: float) -> bool:
-    s = np.linalg.svd(r, compute_uv=False)
-    return bool(s.size and s[-1] <= singularity_threshold(r, tol))
-
-
 def correspondence_scan(
     blk: BlockAntilinearMatrix,
     samples: Sequence[complex],
@@ -279,48 +260,33 @@ def correspondence_scan(
     For each sample ``mu`` and each selector whose pivot is invertible at
     ``mu``: membership of ``mu`` in the spectrum of the flattened block
     matrix must coincide with membership of 0 in the spectrum of the
-    complement, and likewise for the point-spectrum predicate (nontrivial
-    kernel), recorded separately.  Samples whose pivot is singular are
-    skipped with the reason kept in the entry.
+    complement.  In finite dimension that is also the point-spectrum
+    (nontrivial kernel) correspondence, see
+    :data:`~antilin.spectra.CLASSIFICATION_NOTE`.  Samples whose pivot is
+    singular are skipped with the reason kept in the entry.
     """
     flat = blk.flatten()
     entries = []
     for mu in samples:
         mu = complex(mu)
         in_flat = is_in_spectrum(flat, mu, tol)
-        r_flat = realify(RealLinearOperator.from_antilinear(flat).shifted(mu))
-        ker_flat = _kernel_positive(r_flat, tol)
         for sel in selectors:
             try:
                 comp = complement(blk, sel, mu, tol)
-            except PivotSingular as exc:
+            except (PivotSingular, DimensionMismatch) as exc:
                 entries.append(
                     ScanEntry(
                         mu=mu, selector=sel,
                         member_block=None, member_complement=None,
-                        kernel_block=None, kernel_complement=None,
                         skipped_reason=str(exc),
                     )
                 )
                 continue
-            except DimensionMismatch as exc:
-                entries.append(
-                    ScanEntry(
-                        mu=mu, selector=sel,
-                        member_block=None, member_complement=None,
-                        kernel_block=None, kernel_complement=None,
-                        skipped_reason=str(exc),
-                    )
-                )
-                continue
-            r_comp = realify(comp.op)
-            in_comp = min_singular_real(r_comp) <= singularity_threshold(r_comp, tol)
-            ker_comp = _kernel_positive(r_comp, tol)
+            smin, threshold = singularity(realify(comp.op), tol)
             entries.append(
                 ScanEntry(
                     mu=mu, selector=sel,
-                    member_block=in_flat, member_complement=in_comp,
-                    kernel_block=ker_flat, kernel_complement=ker_comp,
+                    member_block=in_flat, member_complement=smin <= threshold,
                 )
             )
     return ScanReport(entries=tuple(entries))
@@ -401,18 +367,12 @@ def rank_link(
     flat_r = realify(blk.flatten())
     floor = rank_floor_rtol * (1.0 + spectral_norm(flat_r))
 
-    def rank_of(r: np.ndarray) -> int:
-        if r.size == 0:
-            return 0
-        s = np.linalg.svd(r, compute_uv=False)
-        return int(np.count_nonzero(s > floor))
-
-    rank_flat = rank_of(flat_r)
+    rank_flat = numerical_rank(flat_r, rank_rtol=0.0, floor=floor)
 
     a_rl = RealLinearOperator.from_antilinear(blk.a)
     inv_a, _ = invert_real_linear(a_rl, "A", tol)  # raises PivotSingular if 0 not in rho(A)
     s2 = complement(blk, "S2", 0.0, tol)
-    rank_s2 = rank_of(realify(s2.op))
+    rank_s2 = numerical_rank(realify(s2.op), rank_rtol=0.0, floor=floor)
     primal = rank_flat == 2 * blk.n + rank_s2
     f_rel = spectral_norm(
         realify(compose(RealLinearOperator.from_antilinear(blk.f), inv_a))
@@ -425,7 +385,7 @@ def rank_link(
     except PivotSingular:
         pass
     else:
-        rank_s1 = rank_of(realify(s1.op))
+        rank_s1 = numerical_rank(realify(s1.op), rank_rtol=0.0, floor=floor)
         dual = rank_flat == 2 * blk.m + rank_s1
 
     return RankLinkReport(

@@ -46,7 +46,7 @@ from .io import InvalidOperatorFile, dump_payload, load_operator
 from .matkernel import range_projector, spectral_norm
 from .numrange import nr_disk, nr_value, sample_sup, witness_disk, witness_segment
 from .reporting import Report, emit_csv, emit_json
-from .spectra import antilinear_spectrum, spectrum_crosscheck
+from .spectra import CLASSIFICATION_NOTE, antilinear_spectrum, spectrum_crosscheck
 
 BASE_TOLERANCES = {
     "pairing": 1e-10,
@@ -236,7 +236,7 @@ def cmd_spectrum(args, report: Report) -> None:
     report.summary["clamped_eigenvalues"] = [_cx(z) for z in check.clamped]
     report.summary["members_tested"] = check.members_tested
     report.summary["nonmembers_tested"] = check.nonmembers_tested
-    report.summary["classification"] = antilinear_spectrum(t).note
+    report.summary["classification"] = CLASSIFICATION_NOTE
 
 
 def cmd_numrange(args, report: Report) -> None:

@@ -1,18 +1,20 @@
-"""Dense complex matrix kernel: Takagi, psd square root, pseudoinverse.
+"""Dense complex matrix kernel: Takagi, psd square root, pseudoinverse,
+and the package's singularity and rank decisions.
 
 SVD and Hermitian eigendecompositions are delegated to LAPACK through
-numpy/scipy.  The routines here add the policy layers on top of them:
-symmetry and positivity guards, degenerate-cluster handling in the Takagi
-factorization, and deterministic rank/singularity cutoffs.
+numpy.  The routines here add the policy layers on top of them: symmetry
+and positivity guards, the zero cluster of the Takagi factorization, and
+deterministic rank/singularity cutoffs.  Each cutoff is applied here and
+nowhere else, and each decision reads one factorization.
 
 Default cutoffs (all overridable per call):
 
-* ``RANK_RTOL``:  singular values below ``RANK_RTOL * max(rows, cols) *
-  sigma_max`` are treated as zero.
+* ``RANK_RTOL``:  singular values at or below ``RANK_RTOL * max(rows, cols)
+  * sigma_max`` are treated as zero.
 * ``SING_TOL``:   a square real matrix counts as singular when its smallest
-  singular value is at most ``SING_TOL * (1 + ||m||)``.
-* ``GROUP_RTOL``: singular values closer than ``GROUP_RTOL * max(1, sigma_max)``
-  are treated as one degenerate cluster inside :func:`takagi`.
+  singular value is at most ``SING_TOL * (1 + sigma_max)``.
+* ``GROUP_RTOL``: Takagi values at or below ``GROUP_RTOL * max(1, sigma_max)``
+  form the zero cluster inside :func:`takagi`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotHermitian, NotPsd, NotSymmetric
 
@@ -62,16 +63,21 @@ class TakagiFactorization:
         return self.u @ np.diag(self.sigma) @ self.u.T
 
 
-def takagi(b, sym_rtol: float = 1e-10, group_rtol: float = GROUP_RTOL) -> TakagiFactorization:
+def takagi(b, sym_rtol: float = 1e-10) -> TakagiFactorization:
     """Takagi factorization of a complex symmetric matrix.
 
     Computes unitary ``u`` and nonnegative descending ``sigma`` with
     ``b = u @ diag(sigma) @ u.T``.  ``sigma`` equals the singular values
-    of ``b``.  Built from the SVD ``b = W S V*``: the unitary
-    ``M = W* conj(V)`` is block diagonal over clusters of equal singular
-    values, and ``u = W sqrtm(M)`` computed clusterwise.  Clusters closer
-    than ``group_rtol * max(1, sigma_max)`` are rotated together, which is
-    what makes repeated singular values safe.
+    of ``b``.  Built from one ``eigh`` of the real symmetric realification
+    ``H = [[Re b, Im b], [Im b, -Re b]]`` (Horn & Johnson, *Matrix
+    Analysis*, 4.4): ``b conj(u) = s u`` with ``u = x + i y`` reads
+    ``H (x; y) = s (x; y)``, and ``(x; y) -> (-y; x)`` maps the
+    ``s``-eigenspace onto the ``-s`` one.  So the ``n`` largest eigenvalues
+    of ``H`` are ``sigma``, and for ``s > 0`` their eigenvectors give
+    orthonormal Takagi vectors, repeated values included.  Values in the
+    zero cluster ``s <= GROUP_RTOL * max(1, sigma_max)`` contribute nothing
+    to the reconstruction; their columns complete ``u`` to a unitary with
+    the QR of ``[u_+ | I]``.
 
     Raises:
         NotSymmetric: if ``||b - b.T|| > sym_rtol * (1 + ||b||)``.
@@ -82,28 +88,18 @@ def takagi(b, sym_rtol: float = 1e-10, group_rtol: float = GROUP_RTOL) -> Takagi
     if spectral_norm(b - b.T) > sym_rtol * (1.0 + scale):
         raise NotSymmetric("input is not complex symmetric within tolerance")
     bs = 0.5 * (b + b.T)
-
-    w, s, vh = np.linalg.svd(bs)
-    v = vh.conj().T
     n = bs.shape[0]
-    u = np.zeros((n, n), dtype=complex)
 
-    tau = group_rtol * max(1.0, float(s[0]) if n else 0.0)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and s[stop - 1] - s[stop] <= tau:
-            stop += 1
-        idx = slice(start, stop)
-        if s[start] <= tau:
-            # zero cluster contributes nothing to the reconstruction
-            u[:, idx] = w[:, idx]
-        else:
-            m = w[:, idx].conj().T @ v[:, idx].conj()
-            u[:, idx] = w[:, idx] @ scipy.linalg.sqrtm(m)
-        start = stop
-
-    return TakagiFactorization(u=u, sigma=s.copy())
+    vals, vecs = np.linalg.eigh(np.block([[bs.real, bs.imag], [bs.imag, -bs.real]]))
+    sigma = np.clip(vals[n:][::-1], 0.0, None)
+    top = vecs[:, n:][:, ::-1]
+    tau = GROUP_RTOL * max(1.0, float(sigma[0]) if n else 0.0)
+    k = int(np.count_nonzero(sigma > tau))
+    u = top[:n, :k] + 1j * top[n:, :k]
+    if k < n:
+        q, _ = np.linalg.qr(np.hstack([u, np.eye(n)]), mode="complete")
+        u = np.hstack([u, q[:, k:]])
+    return TakagiFactorization(u=u, sigma=sigma)
 
 
 def psd_sqrt(h, rtol: float = 1e-10) -> np.ndarray:
@@ -144,18 +140,33 @@ def pinv(a, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     return np.linalg.pinv(a, rcond=rank_rtol * max(a.shape))
 
 
-def min_singular_real(m) -> float:
-    """Smallest singular value of a square real matrix."""
+def singularity(m, tol: float = SING_TOL) -> tuple[float, float]:
+    """Smallest singular value of a square real matrix and the cutoff
+    ``tol * (1 + sigma_max)`` at or below which it counts as singular.
+
+    Both come from one SVD; an empty matrix gives ``(0.0, tol)``.
+    """
     m = np.asarray(m, dtype=float)
-    _require_square(m, "min_singular_real input")
+    _require_square(m, "singularity input")
     if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+        return 0.0, tol
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[-1]), tol * (1.0 + float(s[0]))
 
 
-def singularity_threshold(m, tol: float = SING_TOL) -> float:
-    """Cutoff below which ``min_singular_real(m)`` counts as singular."""
-    return tol * (1.0 + spectral_norm(m))
+def _rank_cutoff(s: np.ndarray, shape, rank_rtol: float, floor: float = 0.0) -> tuple[float, int]:
+    """Cutoff ``max(rank_rtol * max(shape) * sigma_max, floor)`` and the
+    number of the descending singular values ``s`` above it."""
+    tau = max(rank_rtol * max(shape) * (float(s[0]) if s.size else 0.0), floor)
+    return tau, int(np.count_nonzero(s > tau))
+
+
+def ranked_svd(a, rank_rtol: float = RANK_RTOL) -> tuple:
+    """Full SVD ``a = w @ diag(s) @ vh`` with the package rank decision
+    applied to it: returns ``(w, s, vh, cutoff, rank)``."""
+    a = np.asarray(a)
+    w, s, vh = np.linalg.svd(a)
+    return (w, s, vh) + _rank_cutoff(s, a.shape, rank_rtol)
 
 
 def numerical_rank(a, rank_rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
@@ -167,9 +178,7 @@ def numerical_rank(a, rank_rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
     a = np.asarray(a)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    tau = max(rank_rtol * max(a.shape) * float(s[0]), floor)
-    return int(np.count_nonzero(s > tau))
+    return _rank_cutoff(np.linalg.svd(a, compute_uv=False), a.shape, rank_rtol, floor)[1]
 
 
 def range_projector(a, rank_rtol: float = RANK_RTOL) -> np.ndarray:
@@ -177,8 +186,6 @@ def range_projector(a, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return np.zeros((a.shape[0], a.shape[0]), dtype=complex)
-    w, s, _ = np.linalg.svd(a)
-    tau = rank_rtol * max(a.shape) * (float(s[0]) if s.size else 0.0)
-    r = int(np.count_nonzero(s > tau))
+    w, _, _, _, r = ranked_svd(a, rank_rtol)
     wr = w[:, :r]
     return wr @ wr.conj().T

@@ -25,7 +25,7 @@ import numpy as np
 
 from .antiop import AntilinearOperator, Composable, coerce, realify
 from .errors import DimensionMismatch
-from .matkernel import SING_TOL, min_singular_real, singularity_threshold
+from .matkernel import SING_TOL, singularity
 
 DEDUP_ATOL = 1e-7
 
@@ -45,8 +45,8 @@ class SpectrumDescription:
     ``radii`` denotes the full circle ``{lambda : |lambda| = r}``; the list is
     ascending and deduplicated within ``DEDUP_ATOL``.  ``clamped`` records
     eigenvalues of ``A conj(A)`` whose slightly negative real part was
-    clamped to zero.  For general real-linear operators only the membership
-    oracle is available (kind ``"membership-only"``).
+    clamped to zero.  General real-linear operators carry no circle
+    structure; only the membership oracle :func:`is_in_spectrum` applies.
     """
 
     radii: tuple
@@ -93,18 +93,6 @@ def antilinear_spectrum(t: AntilinearOperator, tol: float = 1e-8) -> SpectrumDes
     )
 
 
-def describe(op: Composable, tol: float = 1e-8) -> SpectrumDescription:
-    """Spectrum description for any supported operator.
-
-    Square antilinear operators get the circle radii; general real-linear
-    operators carry no circle structure, so only the membership predicate
-    :func:`is_in_spectrum` applies (kind ``"membership-only"``).
-    """
-    if isinstance(op, AntilinearOperator):
-        return antilinear_spectrum(op, tol=tol)
-    return SpectrumDescription(radii=(), kind="membership-only")
-
-
 def is_in_spectrum(op: Composable, lam: complex, tol: float = SING_TOL) -> bool:
     """Definitional membership: ``op - lam`` is not bijective.
 
@@ -112,9 +100,8 @@ def is_in_spectrum(op: Composable, lam: complex, tol: float = SING_TOL) -> bool:
     smallest singular value of ``realify(op - lam)`` against
     ``tol * (1 + ||realify(op - lam)||)``.
     """
-    shifted = coerce(op).shifted(lam)
-    r = realify(shifted)
-    return min_singular_real(r) <= singularity_threshold(r, tol)
+    smin, threshold = singularity(realify(coerce(op).shifted(lam)), tol)
+    return smin <= threshold
 
 
 @dataclass(frozen=True)

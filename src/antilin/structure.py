@@ -29,7 +29,7 @@ import numpy as np
 from . import matkernel
 from .antiop import AntilinearOperator, RealLinearOperator, compose, op_norm
 from .errors import DimensionMismatch, NotNormal
-from .matkernel import RANK_RTOL, pinv, psd_sqrt, spectral_norm
+from .matkernel import RANK_RTOL, pinv, psd_sqrt, ranked_svd, spectral_norm
 
 _NORM_SAMPLING_SEED = 0x5EED
 
@@ -140,11 +140,8 @@ def polar(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> PolarDecomposi
     For T = 0 both factors are zero (empty initial space).
     """
     a = t.canon
-    m, n = a.shape
-    w, s, vh = np.linalg.svd(a)
-    smax = float(s[0]) if s.size else 0.0
-    tau = rank_rtol * max(m, n) * smax
-    r = int(np.count_nonzero(s > tau))
+    n = a.shape[1]
+    w, s, vh, tau, r = ranked_svd(a, rank_rtol)
 
     uc = w[:, :r] @ vh[:r, :]
     v = vh.conj().T
@@ -234,10 +231,7 @@ def moore_penrose(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> MpResu
     """
     a = t.canon
     m, n = a.shape
-    w, s, vh = np.linalg.svd(a)
-    smax = float(s[0]) if s.size else 0.0
-    tau = rank_rtol * max(m, n) * smax
-    r = int(np.count_nonzero(s > tau))
+    w, _, vh, _, r = ranked_svd(a, rank_rtol)
 
     v = vh.conj().T
     qn = v[:, :r].conj()          # orthonormal basis of N(T)^perp

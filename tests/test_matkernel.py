@@ -4,10 +4,11 @@ import pytest
 from antilin.errors import DimensionMismatch, NotHermitian, NotPsd, NotSymmetric
 from antilin.generators import crandn, haar_unitary
 from antilin.matkernel import (
-    min_singular_real,
+    SING_TOL,
     numerical_rank,
     pinv,
     psd_sqrt,
+    singularity,
     spectral_norm,
     takagi,
 )
@@ -72,8 +73,13 @@ class TestTakagi:
             )
 
     def test_degenerate_clusters(self, rng):
-        # engineered repeated singular values force the block rotation path
-        for n, sigma in [(4, [2.0, 2.0, 2.0, 0.5]), (5, [1.0, 1.0, 0.3, 0.3, 0.0])]:
+        # engineered repeated singular values (degenerate eigenspaces of the
+        # realification), and a zero cluster of size 2 next to a tiny value
+        for n, sigma in [
+            (4, [2.0, 2.0, 2.0, 0.5]),
+            (5, [1.0, 1.0, 0.3, 0.3, 0.0]),
+            (4, [1.0, 1e-6, 0.0, 0.0]),
+        ]:
             u = haar_unitary(rng, n)
             b = (u * np.array(sigma)) @ u.T
             b = 0.5 * (b + b.T)
@@ -147,20 +153,25 @@ class TestPinv:
         assert spectral_norm((p @ a).conj().T - p @ a) <= tol
 
 
-class TestMinSingularReal:
+class TestSingularity:
     def test_examples(self):
-        assert min_singular_real(np.eye(2)) == pytest.approx(1.0)
-        assert min_singular_real(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
+        assert singularity(np.eye(2))[0] == pytest.approx(1.0)
+        assert singularity(np.diag([1.0, 0.0]))[0] == pytest.approx(0.0, abs=1e-15)
         # SVD oracle for the realified scalar (P, Q) = (-4/3, 1/3)
         m = np.diag([-1.0, -5.0 / 3.0])
-        assert min_singular_real(m) == pytest.approx(
-            np.linalg.svd(m, compute_uv=False)[-1]
-        )
-        assert min_singular_real(m) == pytest.approx(1.0)
+        smin, threshold = singularity(m)
+        assert smin == pytest.approx(np.linalg.svd(m, compute_uv=False)[-1])
+        assert smin == pytest.approx(1.0)
+        # the threshold scales with the spectral norm 5/3
+        assert threshold == pytest.approx(SING_TOL * (1.0 + 5.0 / 3.0))
+        assert singularity(m, tol=1e-3)[1] == pytest.approx(1e-3 * (1.0 + 5.0 / 3.0))
+
+    def test_empty(self):
+        assert singularity(np.zeros((0, 0))) == (0.0, SING_TOL)
 
     def test_requires_square(self):
         with pytest.raises(DimensionMismatch):
-            min_singular_real(np.zeros((2, 3)))
+            singularity(np.zeros((2, 3)))
 
 
 def test_numerical_rank(rng):

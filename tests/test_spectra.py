@@ -6,7 +6,6 @@ from antilin.errors import DimensionMismatch
 from antilin.spectra import (
     CLASSIFICATION_NOTE,
     antilinear_spectrum,
-    describe,
     is_in_spectrum,
     spectrum_crosscheck,
 )
@@ -43,13 +42,6 @@ class TestCircleRadii:
     def test_note_is_point_spectrum_only(self):
         assert "point spectrum" in CLASSIFICATION_NOTE
         assert antilinear_spectrum(AntilinearOperator(np.eye(2))).note == CLASSIFICATION_NOTE
-
-    def test_describe_dispatch(self):
-        circles = describe(AntilinearOperator(np.eye(2)))
-        assert circles.kind == "antilinear-circles"
-        general = describe(RealLinearOperator(np.eye(2), 0.5 * np.eye(2)))
-        assert general.kind == "membership-only"
-        assert general.radii == ()
 
 
 class TestMembershipOracle:
