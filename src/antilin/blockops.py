@@ -38,7 +38,7 @@ from .antiop import (
     unrealify,
 )
 from .errors import DimensionMismatch, PivotSingular
-from .matkernel import SING_TOL, numerical_rank, singularity, spectral_norm
+from .matkernel import SING_TOL, numerical_rank, scaled_rank, singularity, spectral_norm
 from .spectra import antilinear_spectrum, is_in_spectrum
 
 SELECTORS = ("S1", "S2", "T1", "T2")
@@ -305,7 +305,20 @@ def structured_mu_samples(
     never lands on the measure-zero spectrum, so the on-circle points are
     what exercises the member branch.
     """
-    radii = list(antilinear_spectrum(blk.flatten()).radii)
+    radii = antilinear_spectrum(blk.flatten()).radii
+    return samples_for_radii(radii, rng, phases, gap_phases, random_count)
+
+
+def samples_for_radii(
+    radii: Sequence[float],
+    rng: np.random.Generator,
+    phases: int = 8,
+    gap_phases: int = 4,
+    random_count: int = 50,
+) -> list:
+    """The scan grid of :func:`structured_mu_samples` for circle radii
+    already in hand (ascending, as :func:`antilinear_spectrum` gives them)."""
+    radii = list(radii)
     samples: list[complex] = []
     for r in radii:
         if r <= 1e-9:
@@ -364,18 +377,16 @@ def rank_link(
         PivotSingular: when ``realify(A)`` is singular (the primal identity
             is the required one; the dual is reported when E is invertible).
     """
-    flat_r = realify(blk.flatten())
-    floor = rank_floor_rtol * (1.0 + spectral_norm(flat_r))
+    floor, rank_flat = scaled_rank(realify(blk.flatten()), rank_floor_rtol)
 
-    rank_flat = numerical_rank(flat_r, rank_rtol=0.0, floor=floor)
-
-    a_rl = RealLinearOperator.from_antilinear(blk.a)
-    inv_a, _ = invert_real_linear(a_rl, "A", tol)  # raises PivotSingular if 0 not in rho(A)
-    s2 = complement(blk, "S2", 0.0, tol)
+    try:
+        s2 = complement(blk, "S2", 0.0, tol)  # its pivot A - 0 is A itself
+    except PivotSingular as exc:
+        raise PivotSingular("A", exc.min_singular) from None
     rank_s2 = numerical_rank(realify(s2.op), rank_rtol=0.0, floor=floor)
     primal = rank_flat == 2 * blk.n + rank_s2
     f_rel = spectral_norm(
-        realify(compose(RealLinearOperator.from_antilinear(blk.f), inv_a))
+        realify(compose(RealLinearOperator.from_antilinear(blk.f), s2.pivot_inverse))
     )
 
     rank_s1: Optional[int] = None

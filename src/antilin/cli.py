@@ -36,7 +36,7 @@ from .blockops import (
     complement,
     correspondence_scan,
     rank_link,
-    structured_mu_samples,
+    samples_for_radii,
     verify_factorization,
 )
 from .errors import AntilinError, NotNormal, OutsideRange, PivotSingular
@@ -222,7 +222,7 @@ def cmd_spectrum(args, report: Report) -> None:
     check = spectrum_crosscheck(t, phases=8, radial_grid=1, tol=tols["membership"])
     report.add("crosscheck_disagreements", float(len(check.disagreements)), 0.0)
 
-    eigvals = np.linalg.eigvals(t.canon @ np.conj(t.canon))
+    eigvals = np.array(check.eigenvalues, dtype=complex)
     closure = 0.0
     for mu in eigvals:
         closure = max(
@@ -346,7 +346,8 @@ def cmd_block(args, report: Report) -> None:
                 continue
             report.summary[f"pivot_condition_{sel}_mu{idx}"] = comp.pivot_condition
 
-    samples = structured_mu_samples(blk, rng)
+    radii = list(antilinear_spectrum(blk.flatten()).radii)
+    samples = samples_for_radii(radii, rng)
     scan = correspondence_scan(blk, samples, tol=tols["membership"])
     report.add("scan_disagreements", float(len(scan.disagreements)), 0.0)
     report.summary["scan_points"] = len(scan.entries)
@@ -367,7 +368,7 @@ def cmd_block(args, report: Report) -> None:
         report.summary["rank_flat"] = link.rank_flat
         report.summary["f_relative_bound"] = link.f_rel_bound
 
-    report.summary["radii"] = list(antilinear_spectrum(blk.flatten()).radii)
+    report.summary["radii"] = radii
     report.summary["skipped"] = skipped
 
 

@@ -136,7 +136,10 @@ def minimal_span(
     Words are organized by total degree i + j; the loop stops when a whole
     degree contributes no new direction (sufficient for normal N) or when
     ``i + j`` reaches the cap (2 * ambient dimension by default, never the
-    binding constraint in practice; ``hit_cap`` flags if it ever is).
+    binding constraint in practice; ``hit_cap`` flags if it ever is).  The
+    powers of N and N# are built one degree at a time inside the loop, so
+    a run that stabilizes at degree k composes 2 (k + 1) powers at most,
+    and the cap only bounds the loop: it allocates nothing.
 
     Raises:
         NotNormal: when the ambient operator is not antilinear normal.
@@ -149,18 +152,19 @@ def minimal_span(
     n_op = p.ambient
     ns_op = n_op.adjoint()
 
-    # powers of N and N# in the (P, Q) algebra, indexed by exponent
+    # powers of N and N# in the (P, Q) algebra, indexed by exponent and
+    # extended by one per degree, so only the degrees the loop reaches exist
     n_pows = [RealLinearOperator.identity(big)]
     ns_pows = [RealLinearOperator.identity(big)]
-    for _ in range(cap):
-        n_pows.append(compose(n_op, n_pows[-1]))
-        ns_pows.append(compose(ns_op, ns_pows[-1]))
 
     basis = _Basis(big)
     cols = [p.embed[:, k] for k in range(p.subspace_dim)]
     stabilized = 0
     hit_cap = True
     for degree in range(cap + 1):
+        if degree > 0:
+            n_pows.append(compose(n_op, n_pows[-1]))
+            ns_pows.append(compose(ns_op, ns_pows[-1]))
         grew = False
         for j in range(degree + 1):
             i = degree - j

@@ -181,6 +181,21 @@ def numerical_rank(a, rank_rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
     return _rank_cutoff(np.linalg.svd(a, compute_uv=False), a.shape, rank_rtol, floor)[1]
 
 
+def scaled_rank(a, floor_rtol: float) -> tuple[float, int]:
+    """Cutoff ``floor_rtol * (1 + sigma_max)`` and the rank of ``a`` above
+    it, both from one SVD.
+
+    The cutoff is absolute, so it can rank smaller matrices derived from
+    ``a`` on ``a``'s scale (pass it to :func:`numerical_rank` as ``floor``
+    with ``rank_rtol=0``).
+    """
+    a = np.asarray(a)
+    if a.size == 0:
+        return floor_rtol, 0
+    s = np.linalg.svd(a, compute_uv=False)
+    return _rank_cutoff(s, a.shape, 0.0, floor_rtol * (1.0 + float(s[0])))
+
+
 def range_projector(a, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthogonal projector onto the column space of ``a``."""
     a = np.asarray(a, dtype=complex)

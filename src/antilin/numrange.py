@@ -12,10 +12,17 @@ factorization ``B = U S U.T`` the family ``x = c1 u1 + c2 u2`` has value
 ``x(s) = cos(s) u1 + i sin(s) u2`` sweeps the real segment
 ``[-s2, s1]`` and phase rotation fills the disk.  For ``n = 1`` the set is
 the circle of radius ``|A|`` and 0 is not attained unless ``A = 0``.
+
+The Takagi factorization of the symmetric part is computed once per
+operator object: :func:`nr_disk`, :func:`witness_disk` and the fallback of
+:func:`witness_segment` share it through a private cache keyed weakly on
+the (immutable) operator, so an entry lives exactly as long as the
+operator it describes.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,16 +30,32 @@ import numpy as np
 
 from .antiop import AntilinearOperator
 from .errors import DimensionMismatch, DimensionOne, NotUnit, OutsideRange
-from .matkernel import takagi
+from .matkernel import TakagiFactorization, takagi
 
 UNIT_ATOL = 1e-12
 
+_TAKAGI: "weakref.WeakKeyDictionary[AntilinearOperator, TakagiFactorization]" = (
+    weakref.WeakKeyDictionary()
+)
 
-def _symmetric_part(t: AntilinearOperator) -> np.ndarray:
+
+def _require_square(t: AntilinearOperator) -> None:
     if t.dim_in != t.dim_out:
         raise DimensionMismatch("numerical range requires a square operator")
+
+
+def _symmetric_part(t: AntilinearOperator) -> np.ndarray:
+    _require_square(t)
     a = t.canon
     return 0.5 * (a + a.T)
+
+
+def _takagi_of(t: AntilinearOperator) -> TakagiFactorization:
+    """Takagi factorization of the symmetric part of ``t``, once per operator."""
+    fac = _TAKAGI.get(t)
+    if fac is None:
+        fac = _TAKAGI[t] = takagi(_symmetric_part(t))
+    return fac
 
 
 def nr_value(t: AntilinearOperator, x, atol: float = UNIT_ATOL) -> complex:
@@ -70,8 +93,7 @@ def nr_disk(t: AntilinearOperator) -> NumericalRangeDisk:
     The extremal vector is the leading Takagi vector ``u1`` of the symmetric
     part, for which the value equals the radius exactly.
     """
-    b = _symmetric_part(t)
-    fac = takagi(b)
+    fac = _takagi_of(t)
     radius = float(fac.sigma[0]) if fac.sigma.size else 0.0
     x = fac.u[:, 0].copy()
     return NumericalRangeDisk(
@@ -89,12 +111,11 @@ def witness_disk(t: AntilinearOperator, target: complex, atol: float = 1e-10) ->
         DimensionOne: for n = 1 (only ``|target| = radius`` is achievable).
         OutsideRange: if ``|target| > radius + atol``.
     """
-    b = _symmetric_part(t)
-    n = b.shape[0]
-    if n < 2:
+    _require_square(t)
+    if t.dim_in < 2:
         raise DimensionOne("witness_disk requires dimension at least 2")
     target = complex(target)
-    fac = takagi(b)
+    fac = _takagi_of(t)
     s1, s2 = float(fac.sigma[0]), float(fac.sigma[1])
     if abs(target) > s1 + atol:
         raise OutsideRange(
@@ -175,39 +196,42 @@ def witness_segment(
     t21 = complex(np.vdot(x1, t.apply(x2)))   # <T x2, x1>
     beta = (t12 + t21 - 2.0 * a2 * c) / (a1 - a2)
 
-    def r_of(s: float) -> float:
+    # r_of, s3 and f take a scalar or an array of s, elementwise the same
+    # floating-point operations either way
+    def r_of(s):
         rad = s * s * c * c - s * s + 1.0
-        return -s * c + np.sqrt(max(rad, 0.0))
+        return -s * c + np.sqrt(np.maximum(rad, 0.0))
 
-    def s3(s: float) -> complex:
+    def s3(s):
         return s * s + beta * r_of(s) * s
 
-    def f(s: float) -> float:
-        return float(np.real(s3(s))) - lam
+    def f(s):
+        return np.real(s3(s)) - lam
 
-    # locate a sign change of Re S3 - lam on [0, 1], then bisect
+    # locate the first grid cell that holds a zero or a sign change of
+    # Re S3 - lam on [0, 1], then bisect it
     grid = np.linspace(0.0, 1.0, 1025)
-    vals = [f(s) for s in grid]
+    vals = f(grid)
+    zero = vals[:-1] == 0.0
+    hits = np.flatnonzero(zero | (vals[:-1] * vals[1:] < 0.0))
     bracket = None
-    for k in range(len(grid) - 1):
-        if vals[k] == 0.0:
-            bracket = (grid[k], grid[k])
-            break
-        if vals[k] * vals[k + 1] < 0.0:
-            bracket = (grid[k], grid[k + 1])
-            break
-    if vals[-1] == 0.0 and bracket is None:
+    if hits.size:
+        k = hits[0]
+        bracket = (grid[k], grid[k] if zero[k] else grid[k + 1])
+    elif vals[-1] == 0.0:
         bracket = (grid[-1], grid[-1])
 
     t_param: Optional[float] = None
     if bracket is not None:
         lo, hi = bracket
+        f_lo = f(lo)
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            if f(lo) * f(mid) <= 0.0:
+            f_mid = f(mid)
+            if f_lo * f_mid <= 0.0:
                 hi = mid
             else:
-                lo = mid
+                lo, f_lo = mid, f_mid
         t_param = 0.5 * (lo + hi)
 
     if t_param is not None:

@@ -45,14 +45,17 @@ class SpectrumDescription:
     ``radii`` denotes the full circle ``{lambda : |lambda| = r}``; the list is
     ascending and deduplicated within ``DEDUP_ATOL``.  ``clamped`` records
     eigenvalues of ``A conj(A)`` whose slightly negative real part was
-    clamped to zero.  General real-linear operators carry no circle
-    structure; only the membership oracle :func:`is_in_spectrum` applies.
+    clamped to zero.  ``eigenvalues`` holds every eigenvalue of
+    ``A conj(A)`` the radii were read from, in LAPACK order.  General
+    real-linear operators carry no circle structure; only the membership
+    oracle :func:`is_in_spectrum` applies.
     """
 
     radii: tuple
     kind: str
     clamped: tuple = ()
     note: str = CLASSIFICATION_NOTE
+    eigenvalues: tuple = ()
 
 
 def _dedup(values: Sequence[float], atol: float = DEDUP_ATOL) -> tuple:
@@ -89,7 +92,8 @@ def antilinear_spectrum(t: AntilinearOperator, tol: float = 1e-8) -> SpectrumDes
             re = 0.0
         radii.append(float(np.sqrt(re)))
     return SpectrumDescription(
-        radii=_dedup(radii), kind="antilinear-circles", clamped=tuple(clamped)
+        radii=_dedup(radii), kind="antilinear-circles", clamped=tuple(clamped),
+        eigenvalues=tuple(eigvals),
     )
 
 
@@ -121,9 +125,13 @@ class CrosscheckPoint:
 
 @dataclass(frozen=True)
 class CrosscheckReport:
+    """Probed points of :func:`spectrum_crosscheck`, with the radii, clamped
+    values and eigenvalues of the :func:`antilinear_spectrum` they test."""
+
     radii: tuple
     points: tuple
     clamped: tuple
+    eigenvalues: tuple = ()
 
     @property
     def disagreements(self) -> tuple:
@@ -190,4 +198,7 @@ def spectrum_crosscheck(
                     oracle_member=member,
                 )
             )
-    return CrosscheckReport(radii=tuple(radii), points=tuple(points), clamped=desc.clamped)
+    return CrosscheckReport(
+        radii=tuple(radii), points=tuple(points), clamped=desc.clamped,
+        eigenvalues=desc.eigenvalues,
+    )

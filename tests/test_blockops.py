@@ -169,6 +169,14 @@ class TestEngineeredRank:
 
 
 class TestGuards:
+    def test_rank_link_singular_pivot_names_a(self):
+        with pytest.raises(PivotSingular) as info:
+            rank_link(scalar_block(a=0.0))
+        assert info.value.pivot == "A"
+        assert str(info.value) == (
+            "pivot A is numerically singular (min singular value 0.000e+00)"
+        )
+
     def test_pivot_singular_on_circle(self):
         # mu on the circle of sigma(A) makes the pivot non-invertible
         with pytest.raises(PivotSingular):

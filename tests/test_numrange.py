@@ -119,7 +119,68 @@ class TestWitnessDisk:
             assert abs(nr_value(t, x) - target) <= 1e-8
 
 
+def _scalar_t_param(t, x1, x2, lam):
+    """Reference for witness_segment's root search: the grid scan and the
+    bisection evaluated one Python scalar at a time."""
+    a1, a2 = nr_value(t, x1), nr_value(t, x2)
+    c = float(np.real(np.vdot(x2, x1)))
+    t12 = complex(np.vdot(x2, t.apply(x1)))
+    t21 = complex(np.vdot(x1, t.apply(x2)))
+    beta = (t12 + t21 - 2.0 * a2 * c) / (a1 - a2)
+
+    def f(s):
+        r = -s * c + np.sqrt(max(s * s * c * c - s * s + 1.0, 0.0))
+        return float(np.real(s * s + beta * r * s)) - lam
+
+    grid = np.linspace(0.0, 1.0, 1025)
+    vals = [f(s) for s in grid]
+    bracket = None
+    for k in range(len(grid) - 1):
+        if vals[k] == 0.0:
+            bracket = (grid[k], grid[k])
+            break
+        if vals[k] * vals[k + 1] < 0.0:
+            bracket = (grid[k], grid[k + 1])
+            break
+    if vals[-1] == 0.0 and bracket is None:
+        bracket = (grid[-1], grid[-1])
+    if bracket is None:
+        return None
+    lo, hi = bracket
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if f(lo) * f(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 class TestWitnessPaper:
+    def test_root_search_matches_scalar_reference(self, rng):
+        e1, e2 = np.eye(2)
+        tuples = [(DIAG2I, e1, e2, lam) for lam in (0.0, 0.5, 1.0)]
+        for k in range(60):
+            n = int(rng.integers(2, 7))
+            if k % 2:
+                t = random_antilinear(rng, n)
+                x1, x2 = random_unit(rng, n), random_unit(rng, n)
+            else:
+                g = rng.standard_normal((n, n))
+                t = AntilinearOperator(g + g.T)
+                x1, x2 = rng.standard_normal((2, n))
+                x1, x2 = x1 / np.linalg.norm(x1), x2 / np.linalg.norm(x2)
+            tuples.append((t, x1, x2, float(rng.uniform())))
+        found = 0
+        for t, x1, x2, lam in tuples:
+            res = witness_segment(t, x1, x2, lam)
+            if res.degenerate:
+                continue
+            expect = _scalar_t_param(t, x1, x2, lam)
+            assert res.t_param == expect  # bitwise, None when no bracket
+            found += expect is not None
+        assert found >= 20
+
     def test_orthogonal_pair_halfway(self):
         e1, e2 = np.eye(2)
         res = witness_segment(DIAG2I, e1, e2, 0.5)

@@ -1,0 +1,124 @@
+"""An invocation computes only what it uses.
+
+These tests pin the amount of work, not its result: one Takagi
+factorization per operator in ``numrange``, span powers built only up to
+the degree ``minimal_span`` reaches, one eigensolve per spectrum, and no
+second factoring of the same matrix in ``rank_link``.  None of the savings
+may come from a cache that outlives its operator.
+"""
+
+import contextlib
+import gc
+import io
+import weakref
+
+import numpy as np
+import numpy.linalg._linalg as npl
+
+import antilin.extensions as extensions
+import antilin.numrange as numrange
+from antilin.antiop import AntilinearOperator, RealLinearOperator, compose, realify
+from antilin.blockops import invert_real_linear, rank_link
+from antilin.cli import main
+from antilin.extensions import ExtensionProblem, minimal_span
+from antilin.matkernel import spectral_norm
+
+from conftest import normal_instance, random_block
+
+
+def _counting(monkeypatch, owner, name, calls, record=lambda *a, **k: 1):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def _run(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+def _gen(kind, dim, seed=0, path="op.json", dim2=None):
+    argv = ["gen", "--kind", kind, "--dim", str(dim), "--seed", str(seed), "--output", path]
+    if dim2 is not None:
+        argv += ["--dim2", str(dim2)]
+    assert main(argv) == 0
+    return path
+
+
+def test_numrange_factors_takagi_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _gen("nonnormal", 6)
+    calls = []
+    _counting(monkeypatch, numrange, "takagi", calls)
+    _run(["numrange", "--input", path, "--target", "0.1,0.05"])
+    assert len(calls) == 1
+
+
+def test_no_takagi_cache_across_invocations(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _gen("twisted_normal", 5)
+    counts = []
+    for _ in range(2):
+        calls = []
+        with monkeypatch.context() as m:
+            _counting(m, numrange, "takagi", calls)
+            _run(["numrange", "--input", path])
+        counts.append(len(calls))
+    assert counts == [1, 1]
+
+
+def test_takagi_cache_does_not_keep_the_operator(rng):
+    t = AntilinearOperator(rng.standard_normal((4, 4)))
+    numrange.nr_disk(t)
+    numrange.witness_disk(t, 0.0)
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+
+
+def test_minimal_span_composes_only_reached_powers(rng, monkeypatch):
+    n = 8
+    t = normal_instance(rng, n, "twisted")
+    v, _ = np.linalg.qr(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+    problem = ExtensionProblem(ambient=t, embed=v)
+    powers = []
+    # a power step composes N or N# (antilinear) with the previous power
+    _counting(monkeypatch, extensions, "compose", powers,
+              lambda f, g: isinstance(f, AntilinearOperator))
+    span = minimal_span(problem)
+    assert not span.hit_cap
+    assert sum(powers) <= 2 * (span.stabilized_degree + 1)
+
+
+def test_one_eigensolve_per_spectrum(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    op = _gen("nonnormal", 4)
+    blk = _gen("block", 3, path="blk.json", dim2=2)
+    for argv in (["spectrum", "--input", op], ["block", "--input", blk]):
+        calls = []
+        with monkeypatch.context() as m:
+            _counting(m, np.linalg, "eigvals", calls)
+            _run(argv)
+        assert len(calls) == 1, argv
+
+
+def test_rank_link_factors_flat_matrix_and_pivot_once(rng, monkeypatch):
+    blk = random_block(rng, 2, 3)
+    flat_shape = (10, 10)   # realify of the 5 x 5 flattening
+    pivot_shape = (4, 4)    # realify of A
+    svds, invs = [], []
+    with monkeypatch.context() as m:
+        _counting(m, np.linalg, "svd", svds, lambda a, *r, **k: np.shape(a))
+        _counting(m, npl, "svd", svds, lambda a, *r, **k: np.shape(a))
+        _counting(m, np.linalg, "inv", invs, lambda a, *r, **k: np.shape(a))
+        link = rank_link(blk)
+    assert svds.count(flat_shape) == 1
+    assert invs.count(pivot_shape) == 1
+    a_inv, _ = invert_real_linear(RealLinearOperator.from_antilinear(blk.a), "A")
+    f = RealLinearOperator.from_antilinear(blk.f)
+    assert link.f_rel_bound == spectral_norm(realify(compose(f, a_inv)))

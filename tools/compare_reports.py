@@ -1,0 +1,135 @@
+"""Compare the reports of two antilin source trees.
+
+Usage::
+
+    python tools/compare_reports.py OLD_TREE NEW_TREE
+
+Each tree is a checkout root with the package under ``src/``.  For each
+tree one worker process (with that tree's ``src`` first on ``PYTHONPATH``)
+generates every ``antilin gen`` kind at d = 4, 16, 32 and seeds 0-2
+(``block`` with ``--dim2`` equal to ``--dim``) and runs every subcommand that applies
+to the file: ``block`` on block files, ``inspect``, ``identities``,
+``spectrum``, ``numrange`` and ``extension`` on the rest.  Both workers run
+in fresh directories of the same name, so the relative ``--input`` paths
+inside the reports agree.  The comparison requires equal exit codes, equal
+stdout bytes and equal stderr for every invocation, the generated files
+included.  Exit code 0 when nothing differs, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+OPERATOR_COMMANDS = ("inspect", "identities", "spectrum", "numrange", "extension")
+DIMS = (4, 16, 32)
+SEEDS = (0, 1, 2)
+
+
+def _run(main, argv: list) -> dict:
+    """One in-process invocation.  An exception escaping ``main`` (which
+    the CLI contract forbids) is recorded as exit code ``None`` with its
+    traceback on stderr, so one crash does not hide the other invocations."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            code = None
+            traceback.print_exc()
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def worker() -> list:
+    """Every invocation of one tree, run in process in the current directory."""
+    from antilin.cli import main
+    from antilin.generators import KINDS
+
+    os.makedirs("ops", exist_ok=True)
+    records = []
+    for kind in KINDS:
+        for dim in DIMS:
+            for seed in SEEDS:
+                path = f"ops/{kind}-{dim}-s{seed}.json"
+                gen = ["gen", "--kind", kind, "--dim", str(dim), "--seed", str(seed)]
+                if kind == "block":
+                    gen += ["--dim2", str(dim)]
+                records.append(_run(main, gen))
+                records.append(_run(main, gen + ["--output", path]))
+                cmds = ("block",) if kind == "block" else OPERATOR_COMMANDS
+                for cmd in cmds:
+                    records.append(_run(main, [cmd, "--input", path, "--seed", str(seed)]))
+    return records
+
+
+def run_tree(tree: Path) -> list:
+    src = (tree / "src").resolve()
+    if not (src / "antilin").is_dir():
+        raise SystemExit(f"error: {tree} has no src/antilin")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    with tempfile.TemporaryDirectory() as parent:
+        # same directory name for both trees: reports echo the relative paths
+        work = Path(parent) / "work"
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--worker"],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+    if proc.returncode != 0:
+        raise SystemExit(f"error: worker for {tree} failed:\n{proc.stderr}")
+    payload = json.loads(proc.stdout)
+    if Path(payload["package"]).resolve().parent.parent != src:
+        raise SystemExit(f"error: worker imported antilin from {payload['package']}")
+    return payload["records"]
+
+
+def differences(old: list, new: list) -> list:
+    if [r["argv"] for r in old] != [r["argv"] for r in new]:
+        return ["the two trees ran different invocations"]
+    found = []
+    for a, b in zip(old, new):
+        for field in ("code", "stdout", "stderr"):
+            if a[field] != b[field]:
+                found.append(f"{' '.join(a['argv'])}: {field} differs")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+
+    if args.worker:
+        import antilin
+
+        records = worker()
+        json.dump({"package": antilin.__file__, "records": records}, sys.stdout)
+        return 0
+    if len(args.trees) != 2:
+        parser.error("expected two source trees: OLD_TREE NEW_TREE")
+
+    old = run_tree(args.trees[0])
+    new = run_tree(args.trees[1])
+    found = differences(old, new)
+    codes = [r["code"] for r in old]
+    print(
+        f"{len(old)} invocations (exit 0: {codes.count(0)}, exit 1: {codes.count(1)}, "
+        f"exit 2: {codes.count(2)}, crashed: {codes.count(None)}); {len(found)} differences"
+    )
+    for line in found:
+        print(f"  {line}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
