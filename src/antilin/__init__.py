@@ -40,6 +40,7 @@ from .extensions import (
 )
 from .matkernel import (
     TakagiFactorization,
+    is_singular,
     pinv,
     psd_sqrt,
     singularity,
@@ -101,6 +102,7 @@ __all__ = [
     "is_in_spectrum",
     "is_normal",
     "is_selfadjoint",
+    "is_singular",
     "make_conjugation",
     "minimal_span",
     "modulus",

@@ -26,6 +26,7 @@ and the rank bookkeeping of the factorization at ``mu = 0`` by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,15 @@ from .antiop import (
     unrealify,
 )
 from .errors import DimensionMismatch, PivotSingular
-from .matkernel import SING_TOL, numerical_rank, scaled_rank, singularity, spectral_norm
+from .matkernel import (
+    SING_TOL,
+    is_singular,
+    numerical_rank,
+    scaled_rank,
+    singular_values,
+    singularity,
+    spectral_norm,
+)
 from .spectra import antilinear_spectrum, is_in_spectrum
 
 SELECTORS = ("S1", "S2", "T1", "T2")
@@ -81,38 +90,97 @@ class BlockAntilinearMatrix:
         bot = np.hstack([self.f.canon, self.e.canon])
         return AntilinearOperator(np.vstack([top, bot]))
 
+    @cached_property
+    def flat_singular_values(self) -> np.ndarray:
+        """Singular values of ``realify(self.flatten())``, descending, from
+        one SVD made on first use: :func:`rank_link` ranks the flat matrix
+        with them and the CLI reads the flat norm from ``[0]``."""
+        s = singular_values(realify(self.flatten()))
+        s.setflags(write=False)  # shared by every reader of this block
+        return s
+
 
 def invert_real_linear(
     op: RealLinearOperator, pivot_name: str = "operator", tol: float = SING_TOL
-) -> tuple[RealLinearOperator, float]:
+) -> RealLinearOperator:
     """Inverse of a bijective real-linear operator via its realification.
 
-    Returns the inverse together with the smallest singular value of the
-    realification (the pivot condition).
+    The pivot test is :func:`~antilin.matkernel.is_singular` on
+    ``realify(op)``; a singular pivot is confirmed by
+    :func:`~antilin.matkernel.singularity`, whose exact smallest singular
+    value the error names.
 
     Raises:
-        PivotSingular: when that singular value is at or below
-            ``tol * (1 + ||realify(op)||)``.
+        PivotSingular: when the smallest singular value of the
+            realification is at or below ``tol * (1 + ||realify(op)||)``.
     """
     if op.dim_in != op.dim_out:
         raise DimensionMismatch(f"{pivot_name} must be square to invert")
     r = realify(op)
-    smin, threshold = singularity(r, tol)
-    if smin <= threshold:
-        raise PivotSingular(pivot_name, smin)
-    return unrealify(np.linalg.inv(r)), smin
+    if is_singular(r, tol):
+        raise PivotSingular(pivot_name, singularity(r, tol)[0])
+    return unrealify(np.linalg.inv(r))
 
 
 @dataclass(frozen=True, eq=False)
 class ComplementResult:
-    """A Schur or quadratic complement evaluated at ``mu``, with the inverse
-    of its pivot."""
+    """A Schur or quadratic complement evaluated at ``mu``, with its pivot
+    and the pivot's inverse."""
 
     op: RealLinearOperator
     selector: str
     mu: complex
-    pivot_condition: float
+    pivot: RealLinearOperator
     pivot_inverse: RealLinearOperator
+
+    @cached_property
+    def pivot_condition(self) -> float:
+        """Smallest singular value of ``realify(pivot)``, from one SVD made
+        on first access."""
+        return singularity(realify(self.pivot))[0]
+
+
+def _real_blocks(blk: BlockAntilinearMatrix) -> tuple:
+    """The four blocks as real-linear operators ``(a, b, f, e)``."""
+    return tuple(
+        RealLinearOperator.from_antilinear(x) for x in (blk.a, blk.b, blk.f, blk.e)
+    )
+
+
+def _inverted_pivot(blocks: tuple, selector: str, mu: complex, tol: float) -> tuple:
+    """``(pivot, inverse)`` for the selected complement at ``mu``: the pivot
+    is ``A - mu``, ``E - mu``, ``F`` or ``B``."""
+    a, b, f, e = blocks
+    if selector == "S2":
+        pivot, name = a.shifted(mu), "A - mu"
+    elif selector == "S1":
+        pivot, name = e.shifted(mu), "E - mu"
+    elif selector == "T2":
+        pivot, name = f, "F"
+    elif selector == "T1":
+        pivot, name = b, "B"
+    else:
+        raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
+    return pivot, invert_real_linear(pivot, name, tol)
+
+
+def _complement(
+    blocks: tuple, selector: str, mu: complex, pivot: RealLinearOperator,
+    inv: RealLinearOperator,
+) -> ComplementResult:
+    """The complement for a pivot whose inverse is already in hand."""
+    a, b, f, e = blocks
+    if selector == "S2":
+        op = e.shifted(mu) - compose(f, compose(inv, b))
+    elif selector == "S1":
+        op = a.shifted(mu) - compose(b, compose(inv, f))
+    elif selector == "T2":
+        op = b - compose(a.shifted(mu), compose(inv, e.shifted(mu)))
+    else:
+        op = f - compose(e.shifted(mu), compose(inv, a.shifted(mu)))
+    return ComplementResult(
+        op=op, selector=selector, mu=mu, pivot=pivot, pivot_inverse=inv
+    )
 
 
 def complement(
@@ -128,28 +196,8 @@ def complement(
             (names the pivot and its smallest singular value).
     """
     mu = complex(mu)
-    a = RealLinearOperator.from_antilinear(blk.a)
-    b = RealLinearOperator.from_antilinear(blk.b)
-    f = RealLinearOperator.from_antilinear(blk.f)
-    e = RealLinearOperator.from_antilinear(blk.e)
-
-    if selector == "S2":
-        inv, cond = invert_real_linear(a.shifted(mu), "A - mu", tol)
-        op = e.shifted(mu) - compose(f, compose(inv, b))
-    elif selector == "S1":
-        inv, cond = invert_real_linear(e.shifted(mu), "E - mu", tol)
-        op = a.shifted(mu) - compose(b, compose(inv, f))
-    elif selector == "T2":
-        inv, cond = invert_real_linear(f, "F", tol)
-        op = b - compose(a.shifted(mu), compose(inv, e.shifted(mu)))
-    elif selector == "T1":
-        inv, cond = invert_real_linear(b, "B", tol)
-        op = f - compose(e.shifted(mu), compose(inv, a.shifted(mu)))
-    else:
-        raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
-    return ComplementResult(
-        op=op, selector=selector, mu=mu, pivot_condition=cond, pivot_inverse=inv
-    )
+    blocks = _real_blocks(blk)
+    return _complement(blocks, selector, mu, *_inverted_pivot(blocks, selector, mu, tol))
 
 
 def _block2(op11, op12, op21, op22) -> RealLinearOperator:
@@ -173,20 +221,21 @@ def verify_factorization(
     dimension the identity is exact, so the residual is pure floating-point
     noise.
     """
-    mu = complex(mu)
+    if selector not in SELECTORS:
+        raise ValueError(f"unknown factorization {selector!r}; expected one of {SELECTORS}")
+    return factorization_residual(blk, complement(blk, selector, mu, tol))
+
+
+def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -> float:
+    """The residual of :func:`verify_factorization` for a complement of
+    ``blk`` already in hand (its selector, ``mu`` and pivot inverse)."""
+    selector, mu = comp.selector, comp.mu
     n, m = blk.n, blk.m
-    a = RealLinearOperator.from_antilinear(blk.a)
-    b = RealLinearOperator.from_antilinear(blk.b)
-    f = RealLinearOperator.from_antilinear(blk.f)
-    e = RealLinearOperator.from_antilinear(blk.e)
+    a, b, f, e = _real_blocks(blk)
     i_n = RealLinearOperator.identity(n)
     i_m = RealLinearOperator.identity(m)
     z_nm = RealLinearOperator.zero(n, m)
     z_mn = RealLinearOperator.zero(m, n)
-
-    if selector not in SELECTORS:
-        raise ValueError(f"unknown factorization {selector!r}; expected one of {SELECTORS}")
-    comp = complement(blk, selector, mu, tol)
     inv = comp.pivot_inverse
     if selector == "S2":
         left = _block2(i_n, z_nm, compose(f, inv), i_m)
@@ -264,29 +313,44 @@ def correspondence_scan(
     (nontrivial kernel) correspondence, see
     :data:`~antilin.spectra.CLASSIFICATION_NOTE`.  Samples whose pivot is
     singular are skipped with the reason kept in the entry.
+
+    Both memberships are the verdict of comparing a smallest singular value
+    with ``tol * (1 + norm)``, decided by
+    :func:`~antilin.matkernel.is_singular` (an SVD only where its bracket
+    cannot decide).  The blocks are converted once per scan, and the
+    mu-independent pivots F (T2) and B (T1) are inverted once per scan.
     """
     flat = blk.flatten()
+    blocks = _real_blocks(blk)
+    fixed = {}  # F (T2) and B (T1) do not depend on mu: inverted at first use
     entries = []
     for mu in samples:
         mu = complex(mu)
         in_flat = is_in_spectrum(flat, mu, tol)
         for sel in selectors:
-            try:
-                comp = complement(blk, sel, mu, tol)
-            except (PivotSingular, DimensionMismatch) as exc:
+            inverted = fixed.get(sel)
+            if inverted is None:
+                try:
+                    inverted = _inverted_pivot(blocks, sel, mu, tol)
+                except (PivotSingular, DimensionMismatch) as exc:
+                    inverted = str(exc)  # the skip reason
+                if sel in ("T2", "T1"):
+                    fixed[sel] = inverted
+            if isinstance(inverted, str):
                 entries.append(
                     ScanEntry(
                         mu=mu, selector=sel,
                         member_block=None, member_complement=None,
-                        skipped_reason=str(exc),
+                        skipped_reason=inverted,
                     )
                 )
                 continue
-            smin, threshold = singularity(realify(comp.op), tol)
+            comp = _complement(blocks, sel, mu, *inverted)
             entries.append(
                 ScanEntry(
                     mu=mu, selector=sel,
-                    member_block=in_flat, member_complement=smin <= threshold,
+                    member_block=in_flat,
+                    member_complement=is_singular(realify(comp.op), tol),
                 )
             )
     return ScanReport(entries=tuple(entries))
@@ -377,7 +441,7 @@ def rank_link(
         PivotSingular: when ``realify(A)`` is singular (the primal identity
             is the required one; the dual is reported when E is invertible).
     """
-    floor, rank_flat = scaled_rank(realify(blk.flatten()), rank_floor_rtol)
+    floor, rank_flat = scaled_rank(blk.flat_singular_values, rank_floor_rtol)
 
     try:
         s2 = complement(blk, "S2", 0.0, tol)  # its pivot A - 0 is A itself

@@ -15,6 +15,14 @@ Default cutoffs (all overridable per call):
   singular value is at most ``SING_TOL * (1 + sigma_max)``.
 * ``GROUP_RTOL``: Takagi values at or below ``GROUP_RTOL * max(1, sigma_max)``
   form the zero cluster inside :func:`takagi`.
+
+The singularity verdict is defined by one SVD (:func:`singularity`).
+:func:`is_singular` returns that same verdict more cheaply: a Cholesky
+factorization of the shifted Gram matrix proves "not singular", one linear
+solve proves "singular", and the SVD runs only when neither bound decides.
+The bounds (Weyl's inequality for the SVD's own error; Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., 3.5 for the products and
+Ch. 10 for Cholesky) are derived in its docstring.
 """
 
 from __future__ import annotations
@@ -154,6 +162,106 @@ def singularity(m, tol: float = SING_TOL) -> tuple[float, float]:
     return float(s[-1]), tol * (1.0 + float(s[0]))
 
 
+def is_singular(m, tol: float = SING_TOL) -> bool:
+    """The verdict ``smin <= threshold`` of :func:`singularity`, proved
+    without an SVD whenever a two-sided bracket decides it.
+
+    Notation: ``m`` is n x n, ``F = ||m||_F``, ``eps`` is float64's
+    ``np.finfo(float).eps``, ``s_i`` are the exact singular values of ``m``
+    and ``s^_i`` the ones LAPACK returns.  The SVD is backward stable:
+    ``s^`` are the exact singular values of ``m + E``, so by Weyl
+    ``|s^_i - s_i| <= ||E||_2 <= delta`` with::
+
+        delta = p(n) eps F,   p(n) = 8 n (n + 1).
+
+    Householder bidiagonalization (2n reflectors) has ``||E||_F <= 2 c n^2
+    eps F`` to first order (Higham, Lemma 19.3, its small constant c taken
+    as 2), and the bidiagonal values are then found to relative accuracy
+    ``O(n eps)`` (dqds); p(n) is twice that sum.
+
+    *Not singular.*  Let ``target = tol (1 + F + delta) + delta``.  If
+    ``s_min > target``, then ``s^_min >= s_min - delta > tol (1 + F +
+    delta) >= tol (1 + s^_max)``, as ``s^_max <= s_max + delta <= F +
+    delta``.  To show ``s_min^2 > target^2``, Cholesky-factor ``G =
+    fl(m^T m) - theta I``.  If that succeeds, ``R^T R = G + dG`` is
+    positive definite with ``||dG||_2 <= gamma_{n+1} ||R||_F^2`` (Higham,
+    Thm 10.3) and ``||R||_F^2 <= (1 + O(n eps)) F^2``; forming the product
+    loses ``gamma_n F^2`` (Higham, 3.5) and the shift ``eps (F^2 + theta)``.
+    So ``s_min^2 >= theta - (2n + 2)(1 + O(n eps)) eps (F^2 + theta)``, and::
+
+        theta = target^2 + c1 n eps (F^2 + target^2),   c1 = 16,
+
+    at least twice that loss for every n >= 1, proves it.
+
+    *Singular.*  ``s_min <= ||m x|| / ||x||`` for every ``x != 0``.  For
+    ``x = solve(m, 1)`` (all-ones right-hand side; any x is valid, so the
+    solve's own accuracy does not matter) the computed product is within
+    ``gamma_n F ||x||`` of ``m x``, and the two norms and their ratio add a
+    relative ``(n + 3) eps``, at most ``(n + 3) eps F``.  So ``s^_min <= rho
+    + c2 n eps F + delta`` with ``rho = ||fl(m x)|| / ||x||`` and ``c2 =
+    16``, twice the loss for n >= 1.  And ``s^_max >= s_max - delta >=
+    colmax - delta``, where ``colmax <= s_max`` is the largest column norm.
+    So::
+
+        rho + c2 n eps F + delta < tol (1 + colmax - delta)
+
+    proves ``s^_min <= tol (1 + s^_max)``.
+
+    F and colmax are computed norms; their relative rounding (below
+    ``n^2 eps``) sits inside the factor-two slack of delta and c2 when
+    ``tol < 1``.  The rounding in evaluating the bounds themselves and the
+    cutoff inside :func:`singularity` is covered by a factor ``1 + 32 eps``
+    on theta and ``1 - 16 eps`` on the right-hand side.  The bracket is
+    skipped unless ``0 < tol < 1`` and ``1e-100 < F < 1e100`` (clear of
+    overflow and underflow); a Cholesky that fails and a solve that fails or
+    overflows leave the point undecided.  An undecided point runs
+    :func:`singularity` itself, so the verdict always equals its
+    ``smin <= threshold``.
+    """
+    m = np.asarray(m, dtype=float)
+    _require_square(m, "singularity input")
+    verdict = _singularity_bracket(m, tol)
+    if verdict is None:
+        smin, threshold = singularity(m, tol)
+        return smin <= threshold
+    return verdict
+
+
+def _singularity_bracket(m: np.ndarray, tol: float) -> bool | None:
+    """True or False when the bounds of :func:`is_singular` prove the SVD
+    verdict, None when they cannot."""
+    n = m.shape[0]
+    fro = float(np.linalg.norm(m))
+    if not (0.0 < tol < 1.0 and 1e-100 < fro < 1e100):
+        return None
+    eps = float(np.finfo(float).eps)
+    delta = 8.0 * n * (n + 1) * eps * fro
+    target = tol * (1.0 + fro + delta) + delta
+    theta = (target**2 + 16.0 * n * eps * (fro**2 + target**2)) * (1.0 + 32.0 * eps)
+    gram = m.T @ m
+    gram.flat[:: n + 1] -= theta
+    try:
+        np.linalg.cholesky(gram)
+        return False
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        x = np.linalg.solve(m, np.ones(n))
+    except np.linalg.LinAlgError:
+        return None
+    # a nearly singular m makes x huge; overflow only leaves the point undecided
+    with np.errstate(over="ignore", invalid="ignore"):
+        xnorm = float(np.linalg.norm(x))
+        if not 0.0 < xnorm < np.inf:
+            return None
+        rho = float(np.linalg.norm(m @ x)) / xnorm
+    colmax = float(np.linalg.norm(m, axis=0).max())
+    bound = rho + 16.0 * n * eps * fro + delta
+    if bound < tol * (1.0 + colmax - delta) * (1.0 - 16.0 * eps):
+        return True
+    return None
+
+
 def _rank_cutoff(s: np.ndarray, shape, rank_rtol: float, floor: float = 0.0) -> tuple[float, int]:
     """Cutoff ``max(rank_rtol * max(shape) * sigma_max, floor)`` and the
     number of the descending singular values ``s`` above it."""
@@ -169,6 +277,16 @@ def ranked_svd(a, rank_rtol: float = RANK_RTOL) -> tuple:
     return (w, s, vh) + _rank_cutoff(s, a.shape, rank_rtol)
 
 
+def singular_values(a) -> np.ndarray:
+    """Descending singular values of ``a`` from one ``svd(compute_uv=False)``
+    (empty for an empty matrix).  ``s[0]`` is bitwise
+    :func:`spectral_norm`."""
+    a = np.asarray(a)
+    if a.size == 0:
+        return np.zeros(0)
+    return np.linalg.svd(a, compute_uv=False)
+
+
 def numerical_rank(a, rank_rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
     """Rank of ``a`` counting singular values above the package cutoff.
 
@@ -176,24 +294,19 @@ def numerical_rank(a, rank_rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
     natural scale is inherited from a larger computation.
     """
     a = np.asarray(a)
-    if a.size == 0:
-        return 0
-    return _rank_cutoff(np.linalg.svd(a, compute_uv=False), a.shape, rank_rtol, floor)[1]
+    return _rank_cutoff(singular_values(a), a.shape, rank_rtol, floor)[1]
 
 
-def scaled_rank(a, floor_rtol: float) -> tuple[float, int]:
-    """Cutoff ``floor_rtol * (1 + sigma_max)`` and the rank of ``a`` above
-    it, both from one SVD.
+def scaled_rank(s: np.ndarray, floor_rtol: float) -> tuple[float, int]:
+    """Cutoff ``floor_rtol * (1 + sigma_max)`` and the number of the
+    descending singular values ``s`` (see :func:`singular_values`) above it.
 
     The cutoff is absolute, so it can rank smaller matrices derived from
-    ``a`` on ``a``'s scale (pass it to :func:`numerical_rank` as ``floor``
-    with ``rank_rtol=0``).
+    the factored matrix on its scale (pass it to :func:`numerical_rank` as
+    ``floor`` with ``rank_rtol=0``).
     """
-    a = np.asarray(a)
-    if a.size == 0:
-        return floor_rtol, 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return _rank_cutoff(s, a.shape, 0.0, floor_rtol * (1.0 + float(s[0])))
+    sigma_max = float(s[0]) if s.size else 0.0
+    return _rank_cutoff(s, s.shape, 0.0, floor_rtol * (1.0 + sigma_max))
 
 
 def range_projector(a, rank_rtol: float = RANK_RTOL) -> np.ndarray:

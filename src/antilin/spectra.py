@@ -25,7 +25,7 @@ import numpy as np
 
 from .antiop import AntilinearOperator, Composable, coerce, realify
 from .errors import DimensionMismatch
-from .matkernel import SING_TOL, singularity
+from .matkernel import SING_TOL, is_singular
 
 DEDUP_ATOL = 1e-7
 
@@ -100,12 +100,13 @@ def antilinear_spectrum(t: AntilinearOperator, tol: float = 1e-8) -> SpectrumDes
 def is_in_spectrum(op: Composable, lam: complex, tol: float = SING_TOL) -> bool:
     """Definitional membership: ``op - lam`` is not bijective.
 
-    ``lam`` subtracts from the linear part only.  Decided by comparing the
-    smallest singular value of ``realify(op - lam)`` against
-    ``tol * (1 + ||realify(op - lam)||)``.
+    ``lam`` subtracts from the linear part only.  The verdict is that of
+    comparing the smallest singular value of ``realify(op - lam)`` against
+    ``tol * (1 + ||realify(op - lam)||)``; :func:`~antilin.matkernel.is_singular`
+    proves it from a Cholesky/solve bracket and runs that SVD only when the
+    bracket cannot decide.
     """
-    smin, threshold = singularity(realify(coerce(op).shifted(lam)), tol)
-    return smin <= threshold
+    return is_singular(realify(coerce(op).shifted(lam)), tol)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,14 @@ def random_rank_deficient(rng, m, n, r):
     return AntilinearOperator((w * s) @ v.conj().T)
 
 
+def with_singular_values(rng, s):
+    """Real square ``U diag(s) V^T`` with Haar-random orthogonal U and V."""
+    n = len(s)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.asarray(s, dtype=float)) @ v.T
+
+
 def normal_instance(rng, n, family):
     """Constructive antilinear normal instances (see generators)."""
     if family == "symmetric":

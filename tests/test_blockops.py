@@ -43,7 +43,7 @@ class TestWorkedExample:
         from antilin.blockops import invert_real_linear
 
         a = RealLinearOperator.from_antilinear(AntilinearOperator([[1.0]]))
-        inv, _ = invert_real_linear(a.shifted(2.0), "A - 2")
+        inv = invert_real_linear(a.shifted(2.0), "A - 2")
         for y in (1.0, 1j, 0.7 - 0.2j):
             expect = -np.real(y) - (1j / 3.0) * np.imag(y)
             np.testing.assert_allclose(inv.apply(np.array([y])), [expect], atol=1e-14)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from antilin.errors import DimensionMismatch, NotHermitian, NotPsd, NotSymmetric
 from antilin.generators import crandn, haar_unitary
 from antilin.matkernel import (
     SING_TOL,
+    is_singular,
     numerical_rank,
     pinv,
     psd_sqrt,
@@ -172,6 +176,80 @@ class TestSingularity:
     def test_requires_square(self):
         with pytest.raises(DimensionMismatch):
             singularity(np.zeros((2, 3)))
+
+
+def _svd_verdict(m, tol=SING_TOL) -> bool:
+    smin, threshold = singularity(m, tol)
+    return smin <= threshold
+
+
+def _agreement_corpus():
+    """``(tol, U diag(s) V^T)`` with sigma_max = 2, so the cutoff is
+    ``tol * 3``, and sigma_min placed around it.  At ``tol = 1e-3`` the
+    cutoff, not the rounding allowance, dominates the Cholesky shift."""
+    from conftest import with_singular_values
+
+    rng = np.random.default_rng(2024)
+    for tol in (SING_TOL, 1e-3):
+        cutoff = tol * 3.0
+        for n in (2, 5, 16, 64):
+            middle = list(rng.uniform(0.5, 2.0, size=n - 2))
+            for factor in (1 - 1e-6, 1 + 1e-6, 1 - 1e-2, 1 + 1e-2, 0.0, 1e-6, 1e2, 1e7):
+                yield f"tol={tol} n={n} smin=cutoff*{factor}", (tol, with_singular_values(
+                    rng, [2.0] + middle + [min(cutoff * factor, 1.9)]
+                ))
+            # condition number 1e12, far on the singular side
+            yield f"tol={tol} n={n} kappa=1e12", (
+                tol, with_singular_values(rng, [2.0] + middle + [2e-12])
+            )
+    yield "0x0", (SING_TOL, np.zeros((0, 0)))
+    for a in (0.0, 1e-9, SING_TOL * (1 + 1e-6), 0.5, -3.0):
+        yield f"1x1 {a}", (SING_TOL, np.array([[a]]))
+
+
+CORPUS = dict(_agreement_corpus())
+
+
+class TestIsSingular:
+    """``is_singular`` returns exactly the verdict of ``singularity``."""
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_agrees_with_svd_verdict(self, name):
+        tol, m = CORPUS[name]
+        assert is_singular(m, tol) == _svd_verdict(m, tol)
+
+    @pytest.mark.parametrize("tol", [SING_TOL, 1e-3])
+    def test_corpus_straddles_the_cutoff(self, tol):
+        for n in (2, 5, 16, 64):
+            below = CORPUS[f"tol={tol} n={n} smin=cutoff*{1 - 1e-6}"][1]
+            above = CORPUS[f"tol={tol} n={n} smin=cutoff*{1 + 1e-6}"][1]
+            assert _svd_verdict(below, tol) and not _svd_verdict(above, tol)
+
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6, 1 - 1e-2, 1 + 1e-2])
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    def test_undecided_band_reaches_the_svd(self, monkeypatch, n, factor):
+        # within 1e-2 of the cutoff neither bound decides: the SVD runs once
+        calls = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or original(*a, **k))
+        is_singular(CORPUS[f"tol={SING_TOL} n={n} smin=cutoff*{factor}"][1])
+        assert len(calls) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(0, 6).flatmap(
+            lambda n: arrays(np.float64, (n, n), elements=st.floats(-4.0, 4.0, width=64))
+        ),
+        collapse=st.sampled_from([None, 0.0, 1e-12, 1e-9, 3e-8, 1e-6]),
+        tol=st.sampled_from([SING_TOL, 1e-6, 1e-3, 0.0, 2.0]),
+    )
+    def test_property_small_dims(self, m, collapse, tol):
+        # collapse makes the last column a combination of the others plus a
+        # perturbation of that size, to land near and below the cutoff
+        if collapse is not None and m.shape[0] >= 2:
+            m = m.copy()
+            m[:, -1] = m[:, :-1].sum(axis=1) + collapse
+        assert is_singular(m, tol) == _svd_verdict(m, tol)
 
 
 def test_numerical_rank(rng):

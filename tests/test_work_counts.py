@@ -2,23 +2,28 @@
 
 These tests pin the amount of work, not its result: one Takagi
 factorization per operator in ``numrange``, span powers built only up to
-the degree ``minimal_span`` reaches, one eigensolve per spectrum, and no
-second factoring of the same matrix in ``rank_link``.  None of the savings
-may come from a cache that outlives its operator.
+the degree ``minimal_span`` reaches, one eigensolve per spectrum, no
+second factoring of the same matrix in ``rank_link`` or ``block``, the
+mu-independent pivots inverted once per scan, and each complement of a
+``block`` run evaluated once.  None of the savings may come from a cache
+that outlives its operator.
 """
 
 import contextlib
 import gc
 import io
 import weakref
+from collections import Counter
 
 import numpy as np
 import numpy.linalg._linalg as npl
 
+import antilin.blockops as blockops
+import antilin.cli as cli
 import antilin.extensions as extensions
 import antilin.numrange as numrange
 from antilin.antiop import AntilinearOperator, RealLinearOperator, compose, realify
-from antilin.blockops import invert_real_linear, rank_link
+from antilin.blockops import correspondence_scan, invert_real_linear, rank_link
 from antilin.cli import main
 from antilin.extensions import ExtensionProblem, minimal_span
 from antilin.matkernel import spectral_norm
@@ -119,6 +124,32 @@ def test_rank_link_factors_flat_matrix_and_pivot_once(rng, monkeypatch):
         link = rank_link(blk)
     assert svds.count(flat_shape) == 1
     assert invs.count(pivot_shape) == 1
-    a_inv, _ = invert_real_linear(RealLinearOperator.from_antilinear(blk.a), "A")
+    a_inv = invert_real_linear(RealLinearOperator.from_antilinear(blk.a), "A")
     f = RealLinearOperator.from_antilinear(blk.f)
     assert link.f_rel_bound == spectral_norm(realify(compose(f, a_inv)))
+
+
+def test_scan_inverts_b_and_f_once(rng, monkeypatch):
+    blk = random_block(rng, 3, 3)
+    samples = [0.3 + 0.1j, -1.0, 0.5j, 2.0 - 1.0j]
+    pivots = []
+    _counting(monkeypatch, blockops, "invert_real_linear", pivots,
+              lambda op, name, *r, **k: name)
+    report = correspondence_scan(blk, samples)
+    assert report.skipped == 0
+    assert Counter(pivots) == {"F": 1, "B": 1, "A - mu": 4, "E - mu": 4}
+
+
+def test_block_evaluates_each_complement_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _gen("block", 3, dim2=3)
+    mus = (0.3 + 0.1j, -0.7 + 0.2j)
+    calls, flats = [], []
+    record = lambda blk, sel, mu, *r, **k: (sel, complex(mu))  # noqa: E731
+    _counting(monkeypatch, cli, "complement", calls, record)
+    _counting(monkeypatch, blockops, "complement", calls, record)
+    _counting(monkeypatch, blockops, "singular_values", flats)
+    _run(["block", "--input", path, "--mu", ";".join(str(m) for m in mus)])
+    per_mu = Counter(c for c in calls if c[1] != 0)  # rank_link's are at mu = 0
+    assert per_mu == {(sel, mu): 1 for sel in blockops.SELECTORS for mu in mus}
+    assert len(flats) == 1   # flat norm and flat rank share one SVD

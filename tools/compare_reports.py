@@ -9,9 +9,13 @@ tree one worker process (with that tree's ``src`` first on ``PYTHONPATH``)
 generates every ``antilin gen`` kind at d = 4, 16, 32 and seeds 0-2
 (``block`` with ``--dim2`` equal to ``--dim``) and runs every subcommand that applies
 to the file: ``block`` on block files, ``inspect``, ``identities``,
-``spectrum``, ``numrange`` and ``extension`` on the rest.  Both workers run
-in fresh directories of the same name, so the relative ``--input`` paths
-inside the reports agree.  The comparison requires equal exit codes, equal
+``spectrum``, ``numrange`` and ``extension`` on the rest, each with
+``--seed`` equal to the generator seed.  It also runs ``block --seed 0`` on
+``gen --kind block --dim 64 --dim2 64 --seed 1``, whose scan has verdicts
+near the singularity threshold (it exits 1 with one scan disagreement), so
+verdicts that only the SVD can decide are compared on every run.  Both
+workers run in fresh directories of the same name, so the relative
+``--input`` paths inside the reports agree.  The comparison requires equal exit codes, equal
 stdout bytes and equal stderr for every invocation, the generated files
 included.  Exit code 0 when nothing differs, 1 otherwise.
 """
@@ -32,6 +36,8 @@ from pathlib import Path
 OPERATOR_COMMANDS = ("inspect", "identities", "spectrum", "numrange", "extension")
 DIMS = (4, 16, 32)
 SEEDS = (0, 1, 2)
+# (kind, dim, generator seed, --seed of the subcommand)
+NEAR_THRESHOLD = (("block", 64, 1, 0),)
 
 
 def _run(main, argv: list) -> dict:
@@ -54,19 +60,18 @@ def worker() -> list:
     from antilin.generators import KINDS
 
     os.makedirs("ops", exist_ok=True)
+    cases = [(k, d, s, s) for k in KINDS for d in DIMS for s in SEEDS] + list(NEAR_THRESHOLD)
     records = []
-    for kind in KINDS:
-        for dim in DIMS:
-            for seed in SEEDS:
-                path = f"ops/{kind}-{dim}-s{seed}.json"
-                gen = ["gen", "--kind", kind, "--dim", str(dim), "--seed", str(seed)]
-                if kind == "block":
-                    gen += ["--dim2", str(dim)]
-                records.append(_run(main, gen))
-                records.append(_run(main, gen + ["--output", path]))
-                cmds = ("block",) if kind == "block" else OPERATOR_COMMANDS
-                for cmd in cmds:
-                    records.append(_run(main, [cmd, "--input", path, "--seed", str(seed)]))
+    for kind, dim, seed, run_seed in cases:
+        path = f"ops/{kind}-{dim}-s{seed}.json"
+        gen = ["gen", "--kind", kind, "--dim", str(dim), "--seed", str(seed)]
+        if kind == "block":
+            gen += ["--dim2", str(dim)]
+        records.append(_run(main, gen))
+        records.append(_run(main, gen + ["--output", path]))
+        cmds = ("block",) if kind == "block" else OPERATOR_COMMANDS
+        for cmd in cmds:
+            records.append(_run(main, [cmd, "--input", path, "--seed", str(run_seed)]))
     return records
 
 
