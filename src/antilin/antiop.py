@@ -25,13 +25,16 @@ Representations
   ``[[Re P + Re Q, -Im P + Im Q], [Im P + Im Q, Re P - Re Q]]``.
 
 All value types are immutable and every operation is a pure function, so
-everything here is safe to share across threads.
+everything here is safe to share across threads.  Because an operator never
+changes, whatever is computed from it can be kept for its lifetime:
+:func:`derived` is the one per-operator cache the package uses for that.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Hashable, TypeVar, Union
 
 import numpy as np
 
@@ -100,6 +103,30 @@ class Conjugation:
 
     def apply(self, x) -> np.ndarray:
         return self.as_operator().apply(x)
+
+
+_V = TypeVar("_V")
+
+_DERIVED: "weakref.WeakKeyDictionary[AntilinearOperator, dict]" = weakref.WeakKeyDictionary()
+
+
+def derived(t: AntilinearOperator, key: Hashable, compute: Callable[[], _V]) -> _V:
+    """``compute()``, evaluated once per operator object and ``key``.
+
+    The cache is keyed weakly on the (immutable) operator object, never on
+    its matrix content: an entry lives exactly as long as the operator it
+    describes, so nothing carries over from one operator, or one CLI
+    invocation, to the next.  ``key`` names the quantity and the parameters
+    it depends on.  A cached value must not refer back to ``t`` (that would
+    keep the operator alive), and a cached array should be read-only, since
+    every caller receives the same object.
+    """
+    memo = _DERIVED.get(t)
+    if memo is None:
+        memo = _DERIVED[t] = {}
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def make_conjugation(k, rtol: float = 1e-10) -> Conjugation:
@@ -196,12 +223,13 @@ class RealLinearOperator:
         )
 
     def as_antilinear(self, tol: float = 1e-12) -> AntilinearOperator:
-        if spectral_norm(self.lin) > tol * (1.0 + spectral_norm(self.anti)):
+        # an exactly zero part passes for every tol >= 0 without a norm
+        if self.lin.any() and spectral_norm(self.lin) > tol * (1.0 + spectral_norm(self.anti)):
             raise ValueError("operator is not purely antilinear")
         return AntilinearOperator(self.anti)
 
     def as_linear(self, tol: float = 1e-12) -> np.ndarray:
-        if spectral_norm(self.anti) > tol * (1.0 + spectral_norm(self.lin)):
+        if self.anti.any() and spectral_norm(self.anti) > tol * (1.0 + spectral_norm(self.lin)):
             raise ValueError("operator is not purely linear")
         return self.lin.copy()
 

@@ -107,7 +107,7 @@ def cmd_inspect(args, report: Report) -> None:
     tols = _tolerances(args)
     rng = np.random.default_rng(args.seed)
     a = t.canon
-    scale = spectral_norm(a)
+    scale = structure.canon_norm(t)
 
     bidual = 0.0 if np.array_equal(t.adjoint().adjoint().canon, a) else 1.0
     report.add("adjoint_biduality", bidual, 0.0)
@@ -136,7 +136,7 @@ def cmd_inspect(args, report: Report) -> None:
     )
     report.add(
         "polar_final_space",
-        spectral_norm(p.final_projector() - range_projector(a)),
+        spectral_norm(p.final_projector() - structure.factored(t).range_projector()),
         tols["projector"],
     )
 
@@ -153,7 +153,7 @@ def cmd_inspect(args, report: Report) -> None:
     report.summary["dims"] = [t.dim_out, t.dim_in]
     report.summary["canon_norm"] = scale
     if t.dim_in == t.dim_out:
-        normal = structure.is_normal(t)
+        normal = structure.normality(t)
         cn_value, cn_residual = structure.c_normal_criterion(t)
         agree = int(normal.value != normal.sampled_value) + int(normal.value != cn_value)
         report.add("normality_criteria_agree", float(agree), 0.0)
@@ -168,7 +168,7 @@ def cmd_identities(args, report: Report) -> None:
     t, digest, info = _load_antilinear(args)
     report.input_digest = digest
     tols = _tolerances(args)
-    scale = spectral_norm(t.canon)
+    scale = structure.canon_norm(t)
 
     suite = structure.identity_suite(t, tol=tols["identity"])
     for name, residual in sorted(suite.residuals.items()):
@@ -183,7 +183,7 @@ def cmd_identities(args, report: Report) -> None:
         report.summary["range_gap"] = suite.range_gap
 
     if t.dim_in == t.dim_out:
-        normal = structure.is_normal(t)
+        normal = structure.normality(t)
         cn_value, cn_residual = structure.c_normal_criterion(t)
         report.add(
             "c_normal_agrees_is_normal",

@@ -18,14 +18,14 @@ by spanning over ALL words up to a given length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from .antiop import AntilinearOperator, RealLinearOperator, compose
 from .errors import DimensionMismatch, NotNormal
 from .matkernel import spectral_norm
-from .structure import is_normal
+from .structure import normality
 
 SPAN_TOL = 1e-10
 
@@ -94,28 +94,44 @@ def check_extension(p: ExtensionProblem) -> ExtensionResidual:
 
 
 class _Basis:
-    """Orthonormal basis grown by modified Gram-Schmidt with
-    re-orthogonalization."""
+    """Orthonormal basis grown by classical Gram-Schmidt, run twice (CGS2).
+
+    The basis vectors are the first ``len(self)`` rows of a preallocated
+    ``(dim, dim)`` array, so :meth:`add` projects a candidate out of all of
+    them with two matrix-vector products per pass instead of one ``vdot``
+    per basis vector.  One classical pass can lose orthogonality in
+    proportion to the condition of the candidates; a second pass restores
+    it to working precision ("twice is enough": Giraud, Langou and
+    Rozloznik, "The loss of orthogonality in the Gram-Schmidt process",
+    Comput. Math. Appl. 50 (2005)).  Only the resulting dimension leaves
+    this module, and a candidate joins the basis when its residual norm
+    exceeds ``tol * max(1, ||v||)``.
+    """
 
     def __init__(self, dim: int, tol: float = SPAN_TOL):
         self.dim = dim
         self.tol = tol
-        self.columns: List[np.ndarray] = []
+        self._rows = np.zeros((dim, dim), dtype=complex)
+        self._size = 0
 
     def add(self, v: np.ndarray) -> bool:
+        if self._size == self.dim:
+            return False  # a full basis spans the space; there is no row left
         scale = max(1.0, float(np.linalg.norm(v)))
         w = v.astype(complex)
+        q = self._rows[: self._size]
         for _ in range(2):
-            for q in self.columns:
-                w = w - q * np.vdot(q, w)
+            # coefficients <w, q_k> = conj(q_k . conj(w)), then w -= sum_k c_k q_k
+            w -= np.dot(np.dot(q, w.conj()).conj(), q)
         nrm = float(np.linalg.norm(w))
         if nrm <= self.tol * scale:
             return False
-        self.columns.append(w / nrm)
+        self._rows[self._size] = w / nrm
+        self._size += 1
         return True
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return self._size
 
 
 @dataclass(frozen=True)
@@ -144,7 +160,7 @@ def minimal_span(
     Raises:
         NotNormal: when the ambient operator is not antilinear normal.
     """
-    if not is_normal(p.ambient, tol=tol):
+    if not normality(p.ambient, tol=tol):
         raise NotNormal("minimal_span requires a normal ambient operator")
     big = p.ambient_dim
     if cap is None:
@@ -199,7 +215,7 @@ def word_span_oracle(p: ExtensionProblem, max_len: int, tol: float = 1e-8) -> in
     Raises:
         NotNormal: when the ambient operator is not antilinear normal.
     """
-    if not is_normal(p.ambient, tol=tol):
+    if not normality(p.ambient, tol=tol):
         raise NotNormal("word_span_oracle requires a normal ambient operator")
     big = p.ambient_dim
     letters = (p.ambient, p.ambient.adjoint())

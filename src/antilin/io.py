@@ -15,6 +15,24 @@ stored as [re, im] pairs to avoid any locale or formatting ambiguity.
 Canonical JSON (sorted keys, floats rendered with %.17g, no whitespace) is
 used both for emitted files and for content digests, so identical content
 always produces identical bytes.
+
+Operator files are dominated by one list of ``[re, im]`` rows, so the
+loader and the emitter handle such lists in bulk, with the same bytes and
+the same errors as the element-by-element code they fall back to:
+
+* :func:`canonical_json` renders a list of equal-width rows with one
+  ``%``-format call when every item has exact type ``float`` or ``int``,
+  every float is finite and every int satisfies ``|int| <= 2**53``.  That
+  rendering is exact: ``"%.17g" % x`` is ``f"{x:.17g}"`` for a finite
+  float, and an int in that range converts to float exactly and has at
+  most 16 digits, so ``%.17g`` prints it as ``str(int)`` does.  Anything
+  else (bools, numpy scalars, tuples, larger ints) takes the recursive path.
+* :func:`matrix_from_entries` builds the matrix with ``np.array(entries,
+  dtype=float).view(complex)`` once every entry is a list of two exact
+  ``float``/``int`` values.  Reading the (re, im) pairs as the two halves of
+  complex128 is bit-exact, signed zeros included (``re + 1j*im`` is not).
+  An irregular, non-finite or out-of-range entry sends the whole list
+  through the per-entry loop, which names the first bad entry.
 """
 
 from __future__ import annotations
@@ -51,6 +69,32 @@ def _canon_scalar(x) -> str:
     raise TypeError(f"unsupported JSON scalar type {type(x)!r}")
 
 
+# ints within this bound convert to float exactly and %.17g prints them as str()
+_EXACT_INT = 2**53
+
+
+def _numeric_rows_text(rows: list):
+    """Canonical text of a list of equal-width rows of finite floats and
+    ints within ``2**53`` (one ``%`` call), or None for any other list."""
+    if not rows or type(rows[0]) is not list:
+        return None
+    width = len(rows[0])
+    if any(type(r) is not list or len(r) != width for r in rows):
+        return None
+    flat = [x for r in rows for x in r]
+    kinds = set(map(type, flat))
+    if not kinds <= {float, int}:
+        return None
+    if int in kinds and not all(
+        -_EXACT_INT <= x <= _EXACT_INT for x in flat if type(x) is int
+    ):
+        return None
+    if not all(map(math.isfinite, flat)):
+        return None
+    row = "[" + ",".join(["%.17g"] * width) + "]"
+    return "[" + ",".join([row] * len(rows)) % tuple(flat) + "]"
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, %.17g floats, no whitespace."""
     if isinstance(obj, dict):
@@ -61,14 +105,34 @@ def canonical_json(obj) -> str:
         )
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
+        if type(obj) is list:
+            text = _numeric_rows_text(obj)
+            if text is not None:
+                return text
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     return _canon_scalar(obj)
 
 
 def entries_from_matrix(a) -> list:
     """Row-major [re, im] pairs of a complex matrix."""
-    a = np.asarray(a, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in a.ravel(order="C")]
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.reshape(-1).view(float).reshape(-1, 2).tolist()
+
+
+def _pairs_to_complex(entries: list):
+    """Bulk conversion of regular [re, im] entries, or None when any entry
+    needs the per-entry checks of :func:`matrix_from_entries`."""
+    if any(type(p) is not list or len(p) != 2 for p in entries):
+        return None
+    if not set(map(type, (x for p in entries for x in p))) <= {float, int}:
+        return None
+    try:
+        pairs = np.array(entries, dtype=float).reshape(len(entries), 2)
+    except OverflowError:
+        return None
+    if not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex).reshape(-1)
 
 
 def matrix_from_entries(entries, rows: int, cols: int, where: str) -> np.ndarray:
@@ -77,6 +141,9 @@ def matrix_from_entries(entries, rows: int, cols: int, where: str) -> np.ndarray
             f"{where}: expected {rows * cols} [re, im] entries, got "
             f"{len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
+    flat = _pairs_to_complex(entries)
+    if flat is not None:
+        return flat.reshape(rows, cols)
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
         if (
@@ -85,7 +152,10 @@ def matrix_from_entries(entries, rows: int, cols: int, where: str) -> np.ndarray
             or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in pair)
         ):
             raise InvalidOperatorFile(f"{where}: entry {i} is not an [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except OverflowError:
+            re = im = math.inf  # an int beyond the float range
         if not (math.isfinite(re) and math.isfinite(im)):
             raise InvalidOperatorFile(f"{where}: entry {i} is not finite")
         flat[i] = complex(re, im)

@@ -269,12 +269,31 @@ def _rank_cutoff(s: np.ndarray, shape, rank_rtol: float, floor: float = 0.0) -> 
     return tau, int(np.count_nonzero(s > tau))
 
 
-def ranked_svd(a, rank_rtol: float = RANK_RTOL) -> tuple:
+@dataclass(frozen=True, eq=False)
+class Factored:
     """Full SVD ``a = w @ diag(s) @ vh`` with the package rank decision
-    applied to it: returns ``(w, s, vh, cutoff, rank)``."""
+    applied: singular values above ``cutoff`` count, and there are ``rank``
+    of them.  The arrays are read-only, so one factorization can be shared."""
+
+    w: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    cutoff: float
+    rank: int
+
+    def range_projector(self) -> np.ndarray:
+        """Orthogonal projector onto the column space of ``a``."""
+        wr = self.w[:, : self.rank]
+        return wr @ wr.conj().T
+
+
+def ranked_svd(a, rank_rtol: float = RANK_RTOL) -> Factored:
+    """Full SVD of ``a`` with the package rank decision applied to it."""
     a = np.asarray(a)
     w, s, vh = np.linalg.svd(a)
-    return (w, s, vh) + _rank_cutoff(s, a.shape, rank_rtol)
+    for m in (w, s, vh):
+        m.setflags(write=False)
+    return Factored(w, s, vh, *_rank_cutoff(s, a.shape, rank_rtol))
 
 
 def singular_values(a) -> np.ndarray:
@@ -314,6 +333,4 @@ def range_projector(a, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return np.zeros((a.shape[0], a.shape[0]), dtype=complex)
-    w, _, _, _, r = ranked_svd(a, rank_rtol)
-    wr = w[:, :r]
-    return wr @ wr.conj().T
+    return ranked_svd(a, rank_rtol).range_projector()

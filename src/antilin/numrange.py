@@ -15,28 +15,23 @@ the circle of radius ``|A|`` and 0 is not attained unless ``A = 0``.
 
 The Takagi factorization of the symmetric part is computed once per
 operator object: :func:`nr_disk`, :func:`witness_disk` and the fallback of
-:func:`witness_segment` share it through a private cache keyed weakly on
-the (immutable) operator, so an entry lives exactly as long as the
-operator it describes.
+:func:`witness_segment` share it through :func:`antiop.derived`, the
+per-operator cache keyed weakly on the (immutable) operator, so an entry
+lives exactly as long as the operator it describes.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .antiop import AntilinearOperator
+from .antiop import AntilinearOperator, derived
 from .errors import DimensionMismatch, DimensionOne, NotUnit, OutsideRange
 from .matkernel import TakagiFactorization, takagi
 
 UNIT_ATOL = 1e-12
-
-_TAKAGI: "weakref.WeakKeyDictionary[AntilinearOperator, TakagiFactorization]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def _require_square(t: AntilinearOperator) -> None:
@@ -52,10 +47,7 @@ def _symmetric_part(t: AntilinearOperator) -> np.ndarray:
 
 def _takagi_of(t: AntilinearOperator) -> TakagiFactorization:
     """Takagi factorization of the symmetric part of ``t``, once per operator."""
-    fac = _TAKAGI.get(t)
-    if fac is None:
-        fac = _TAKAGI[t] = takagi(_symmetric_part(t))
-    return fac
+    return derived(t, "takagi", lambda: takagi(_symmetric_part(t)))
 
 
 def nr_value(t: AntilinearOperator, x, atol: float = UNIT_ATOL) -> complex:

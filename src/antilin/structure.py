@@ -17,6 +17,12 @@ Canonical-matrix dictionary used throughout (A = canon of T, m x n):
 Projector conventions: the initial-space projector of ``U_T`` is the linear
 composition ``U_T# U_T`` with matrix ``U_c.T conj(U_c)``, and the final-space
 projector is ``U_T U_T#`` with matrix ``U_c U_c*``.
+
+Each operator is factored once per object (:func:`antiop.derived`): the
+ranked SVD that :func:`polar`, :func:`moore_penrose` and the range projector
+share (:func:`factored`), the modulus, the spectral norm of the canonical
+matrix (:func:`canon_norm`) and the normality verdict (:func:`normality`).
+The pseudoinverse and psd square-root oracles keep their own factorizations.
 """
 
 from __future__ import annotations
@@ -26,10 +32,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from . import matkernel
-from .antiop import AntilinearOperator, RealLinearOperator, compose, op_norm
+from .antiop import AntilinearOperator, RealLinearOperator, compose, derived, op_norm
 from .errors import DimensionMismatch, NotNormal
-from .matkernel import RANK_RTOL, pinv, psd_sqrt, ranked_svd, spectral_norm
+from .matkernel import RANK_RTOL, Factored, pinv, psd_sqrt, ranked_svd, spectral_norm
 
 _NORM_SAMPLING_SEED = 0x5EED
 
@@ -38,6 +43,23 @@ def _square(t: AntilinearOperator) -> np.ndarray:
     if t.dim_in != t.dim_out:
         raise DimensionMismatch(f"square operator required, got {t.canon.shape}")
     return t.canon
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def factored(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> Factored:
+    """The ranked SVD of ``t.canon``, computed once per operator object and
+    ``rank_rtol``."""
+    return derived(t, ("factored", rank_rtol), lambda: ranked_svd(t.canon, rank_rtol))
+
+
+def canon_norm(t: AntilinearOperator) -> float:
+    """Spectral norm of the canonical matrix, computed once per operator
+    object (bitwise ``spectral_norm(t.canon)``)."""
+    return derived(t, "canon_norm", lambda: spectral_norm(t.canon))
 
 
 def gram(t: AntilinearOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +102,7 @@ def is_normal(
     a = _square(t)
     left, right = gram(t)
     residual = spectral_norm(left - right)
-    scale = spectral_norm(a)
+    scale = canon_norm(t)
     value = residual <= tol * (1.0 + scale**2)
 
     if rng is None:
@@ -98,16 +120,26 @@ def is_normal(
     return NormalityCheck(value, residual, dev, sampled_value)
 
 
+def normality(t: AntilinearOperator, tol: float = 1e-8) -> NormalityCheck:
+    """``is_normal(t, tol=tol)``, evaluated once per operator object and tol.
+
+    The checks that require a normal operator read the verdict from here,
+    so a caller that has already asked pays nothing more.
+    """
+    return derived(t, ("normality", tol), lambda: is_normal(t, tol=tol))
+
+
 def is_selfadjoint(t: AntilinearOperator, tol: float = 1e-8) -> bool:
     """True when ``T = T#``, i.e. the canonical matrix is symmetric."""
     a = _square(t)
-    return spectral_norm(a - a.T) <= tol * (1.0 + spectral_norm(a))
+    return spectral_norm(a - a.T) <= tol * (1.0 + canon_norm(t))
 
 
 def modulus(t: AntilinearOperator) -> np.ndarray:
-    """Matrix of ``|T| = (T# T)^(1/2)`` (Hermitian psd)."""
+    """Matrix of ``|T| = (T# T)^(1/2)`` (Hermitian psd), computed once per
+    operator object (read-only)."""
     a = t.canon
-    return psd_sqrt(a.T @ a.conj())
+    return derived(t, "modulus", lambda: _read_only(psd_sqrt(a.T @ a.conj())))
 
 
 @dataclass(frozen=True)
@@ -139,9 +171,9 @@ def polar(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> PolarDecomposi
     ``A = U_c conj(|T|)`` with initial space R(|T|) and final space R(T).
     For T = 0 both factors are zero (empty initial space).
     """
-    a = t.canon
-    n = a.shape[1]
-    w, s, vh, tau, r = ranked_svd(a, rank_rtol)
+    n = t.dim_in
+    f = factored(t, rank_rtol)
+    w, s, vh, tau, r = f.w, f.s, f.vh, f.cutoff, f.rank
 
     uc = w[:, :r] @ vh[:r, :]
     v = vh.conj().T
@@ -163,7 +195,7 @@ def check_polar_commutation(t: AntilinearOperator, tol: float = 1e-8) -> float:
         NotNormal: when the operator fails :func:`is_normal`.
     """
     _square(t)
-    if not is_normal(t, tol=tol):
+    if not normality(t, tol=tol):
         raise NotNormal("polar commutation requires an antilinear normal operator")
     p = polar(t)
     uc, m = p.u.canon, p.modulus
@@ -182,7 +214,7 @@ def c_normal_criterion(t: AntilinearOperator, tol: float = 1e-8) -> tuple[bool, 
     left = np.conj(modulus(t))
     right = psd_sqrt(a.conj() @ a.T)
     residual = spectral_norm(left - right)
-    return residual <= tol * (1.0 + spectral_norm(a)), residual
+    return residual <= tol * (1.0 + canon_norm(t)), residual
 
 
 def power_commute(t: AntilinearOperator, n: int, tol: float = 1e-8) -> float:
@@ -198,7 +230,7 @@ def power_commute(t: AntilinearOperator, n: int, tol: float = 1e-8) -> float:
     _square(t)
     if n < 1:
         raise ValueError("power must be at least 1")
-    if not is_normal(t, tol=tol):
+    if not normality(t, tol=tol):
         raise NotNormal("power commutation requires an antilinear normal operator")
     tn = RealLinearOperator.identity(t.dim_in)
     sn = RealLinearOperator.identity(t.dim_in)
@@ -231,7 +263,8 @@ def moore_penrose(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> MpResu
     """
     a = t.canon
     m, n = a.shape
-    w, _, vh, _, r = ranked_svd(a, rank_rtol)
+    f = factored(t, rank_rtol)
+    w, vh, r = f.w, f.vh, f.rank
 
     v = vh.conj().T
     qn = v[:, :r].conj()          # orthonormal basis of N(T)^perp
@@ -305,25 +338,22 @@ def identity_suite(
         pinv(left_gram, rank_rtol) - compose(ds, d).as_linear()
     )
 
-    res["modulus_dagger_left"] = spectral_norm(
-        pinv(modulus(t), rank_rtol) - modulus(ds)
-    )
+    modulus_dagger = pinv(modulus(t), rank_rtol)
+    res["modulus_dagger_left"] = spectral_norm(modulus_dagger - modulus(ds))
     res["modulus_dagger_right"] = spectral_norm(
         modulus(d) - pinv(modulus(ts), rank_rtol)
     )
 
     uc = polar(t, rank_rtol).u.canon
-    res["dagger_polar_form"] = spectral_norm(
-        d.canon - pinv(modulus(t), rank_rtol) @ uc.T
-    )
+    res["dagger_polar_form"] = spectral_norm(d.canon - modulus_dagger @ uc.T)
 
     if t.dim_in == t.dim_out:
         p_left = compose(t, d).as_linear()      # T T+  -> projector onto R(T)
         p_right = compose(d, t).as_linear()     # T+ T  -> projector onto N(T)^perp
         projector_gap = spectral_norm(p_left - p_right)
         range_gap = spectral_norm(
-            matkernel.range_projector(a, rank_rtol)
-            - matkernel.range_projector(a.T, rank_rtol)
+            factored(t, rank_rtol).range_projector()
+            - factored(ts, rank_rtol).range_projector()
         )
         consistent = (projector_gap <= tol) == (range_gap <= tol)
     else:

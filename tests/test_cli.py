@@ -143,6 +143,19 @@ class TestSpectrumCommand:
         assert len(res.stderr.strip().splitlines()) == 1
         assert "Traceback" not in res.stderr
 
+    def test_huge_integer_entry_exit_2(self, tmp_path):
+        # a 401-digit integer is valid JSON but has no float value
+        bad = tmp_path / "huge.json"
+        bad.write_text(
+            '{"schema": "%s", "kind": "antilinear", "dims": [1, 2], '
+            '"entries": [[1%s, 0], [0.0, 0.0]], "meta": {}}' % (SCHEMA, "0" * 400)
+        )
+        for cmd in ("inspect", "spectrum"):
+            res = run_cli(cmd, "--input", str(bad))
+            assert res.returncode == 2, res.stderr
+            assert res.stderr.strip().splitlines() == ["error: entries: entry 0 is not finite"]
+            assert res.stdout == ""
+
     def test_shift_spectrum(self, shift_file):
         res = run_cli("spectrum", "--input", shift_file)
         assert res.returncode == 0

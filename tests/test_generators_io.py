@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antilin.antiop import AntilinearOperator
 from antilin.blockops import BlockAntilinearMatrix
@@ -19,6 +22,7 @@ from antilin.io import (
     dump_payload,
     entries_from_matrix,
     load_operator,
+    matrix_from_entries,
     parse_payload,
 )
 from antilin.matkernel import spectral_norm
@@ -178,3 +182,176 @@ class TestOperatorFiles:
         }
         with pytest.raises(InvalidOperatorFile):
             parse_payload(payload)
+
+
+# ---------------------------------------------------------------- bulk paths
+#
+# The element-by-element implementations that ``canonical_json`` and
+# ``matrix_from_entries`` used before their bulk branches, kept as the
+# reference: the bulk branches must give the same bytes, the same arrays
+# (bit for bit) and the same error text.
+
+
+def _reference_canonical_json(obj) -> str:
+    if isinstance(obj, dict):
+        inner = ",".join(
+            f"{json.dumps(str(k), ensure_ascii=True)}:{_reference_canonical_json(v)}"
+            for k, v in sorted(obj.items())
+        )
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_canonical_json(v) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if not math.isfinite(v):
+            raise ValueError("non-finite number in canonical JSON")
+        return f"{v:.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if obj is None:
+        return "null"
+    raise TypeError(f"unsupported JSON scalar type {type(obj)!r}")
+
+
+def _reference_matrix(entries, rows, cols, where="entries"):
+    flat = np.empty(rows * cols, dtype=complex)
+    for i, pair in enumerate(entries):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in pair)
+        ):
+            raise InvalidOperatorFile(f"{where}: entry {i} is not an [re, im] pair")
+        re, im = float(pair[0]), float(pair[1])
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise InvalidOperatorFile(f"{where}: entry {i} is not finite")
+        flat[i] = complex(re, im)
+    return flat.reshape(rows, cols)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 1e-5, 0.1, 1e16, 1e17, -1e17, 5e-324, 2.2250738585072014e-308,
+                1e-310, 1.7976931348623157e308, 123456789.123456789]
+_EDGE_INTS = [0, 1, -1, 2**53, -(2**53), 2**53 + 1, -(2**53) - 1, 10**16, 10**30]
+_SCALARS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_INTS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(2**60), max_value=2**60),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+_NUMBERS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS + _EDGE_INTS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**54), max_value=2**54),
+)
+
+
+@st.composite
+def _row_lists(draw):
+    """Lists of rows that mostly qualify for the bulk branch, with one
+    irregular item (a ragged row, a tuple, a non-numeric scalar, a nested
+    list or dict) planted in some of them."""
+    width = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(_NUMBERS, min_size=width, max_size=width), max_size=6))
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        spoiler = draw(st.one_of(
+            _SCALARS,
+            st.lists(_NUMBERS, max_size=4).map(tuple),
+            st.lists(_NUMBERS, max_size=4),
+            st.dictionaries(st.text(max_size=2), _NUMBERS, max_size=2),
+            st.lists(st.lists(_NUMBERS, max_size=2), max_size=2),
+        ))
+        if width and draw(st.booleans()):
+            rows[i][draw(st.integers(0, width - 1))] = spoiler
+        else:
+            rows[i] = spoiler
+    return rows
+
+
+_JSON_VALUES = st.recursive(
+    _SCALARS | _row_lists(),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except (ValueError, TypeError, InvalidOperatorFile) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestBulkPaths:
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    def test_canonical_json_matches_reference(self, obj):
+        assert _outcome(canonical_json, obj) == _outcome(_reference_canonical_json, obj)
+
+    @pytest.mark.parametrize("x", _EDGE_FLOATS + _EDGE_INTS)
+    def test_edge_rows_use_exact_text(self, x):
+        rows = [[x, x], [-x, x]]
+        assert canonical_json(rows) == _reference_canonical_json(rows)
+        assert json.loads(canonical_json(rows)) == rows
+
+    @pytest.mark.parametrize("x", [float("inf"), -float("inf"), float("nan")])
+    def test_nonfinite_rows_rejected(self, x):
+        rows = [[0.5, 1.0], [2.0, x]]
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json(rows)
+
+    def test_bulk_matrix_is_bitwise_the_loop(self, rng):
+        a = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        a[0, 0] = complex(-0.0, 0.0)
+        a[1, 1] = complex(0.0, -0.0)
+        a[2, 2] = complex(5e-324, -1e-310)
+        entries = entries_from_matrix(a)
+        entries[3] = [7, -(2**53)]   # ints are valid entries
+        got = matrix_from_entries(entries, 5, 4, "entries")
+        want = _reference_matrix(entries, 5, 4)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[0, 0].real) and np.signbit(got[1, 1].imag)
+
+    def test_entries_from_matrix_round_trip(self, rng):
+        a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        a[0, 1] = complex(-0.0, -0.0)
+        entries = entries_from_matrix(a)
+        assert entries == [[float(z.real), float(z.imag)] for z in a.ravel()]
+        assert all(type(x) is float for pair in entries for x in pair)
+        assert entries_from_matrix(a.T) == [[float(z.real), float(z.imag)] for z in a.T.ravel()]
+        assert matrix_from_entries(entries, 3, 2, "e").tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, "1.0", [1.0], [1.0, 2.0, 3.0], (1.0, 2.0), {"re": 1.0}, [1.0, None],
+         [False, 0.0], [float("nan"), 0.0], [0.0, float("inf")], [1.0, -float("inf")]],
+    )
+    @pytest.mark.parametrize("position", [0, 5])
+    def test_irregular_entry_errors_match_loop(self, bad, position):
+        entries = [[1.0, 2.0]] * 6
+        entries = entries[:position] + [bad] + entries[position + 1:]
+        with pytest.raises(InvalidOperatorFile) as got:
+            matrix_from_entries(entries, 2, 3, "blocks.b")
+        with pytest.raises(InvalidOperatorFile) as want:
+            _reference_matrix(entries, 2, 3, "blocks.b")
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_huge_int_entry_is_not_finite(self, position):
+        entries = [[1.0, 0.0]] * 4
+        entries[position] = [0, 10**400]
+        with pytest.raises(InvalidOperatorFile) as err:
+            matrix_from_entries(entries, 2, 2, "entries")
+        assert str(err.value) == f"entries: entry {position} is not finite"

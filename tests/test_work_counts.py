@@ -4,13 +4,16 @@ These tests pin the amount of work, not its result: one Takagi
 factorization per operator in ``numrange``, span powers built only up to
 the degree ``minimal_span`` reaches, one eigensolve per spectrum, no
 second factoring of the same matrix in ``rank_link`` or ``block``, the
-mu-independent pivots inverted once per scan, and each complement of a
-``block`` run evaluated once.  None of the savings may come from a cache
-that outlives its operator.
+mu-independent pivots inverted once per scan, each complement of a
+``block`` run evaluated once, no operator's matrix factored twice by
+``identities`` or ``inspect``, normality decided once per invocation, and a
+span basis that projects with matrix products.  None of the savings may
+come from a cache that outlives its operator.
 """
 
 import contextlib
 import gc
+import hashlib
 import io
 import weakref
 from collections import Counter
@@ -22,6 +25,7 @@ import antilin.blockops as blockops
 import antilin.cli as cli
 import antilin.extensions as extensions
 import antilin.numrange as numrange
+import antilin.structure as structure
 from antilin.antiop import AntilinearOperator, RealLinearOperator, compose, realify
 from antilin.blockops import correspondence_scan, invert_real_linear, rank_link
 from antilin.cli import main
@@ -80,6 +84,9 @@ def test_takagi_cache_does_not_keep_the_operator(rng):
     t = AntilinearOperator(rng.standard_normal((4, 4)))
     numrange.nr_disk(t)
     numrange.witness_disk(t, 0.0)
+    structure.identity_suite(t)
+    structure.normality(t)
+    structure.c_normal_criterion(t)
     ref = weakref.ref(t)
     del t
     gc.collect()
@@ -153,3 +160,68 @@ def test_block_evaluates_each_complement_once(tmp_path, monkeypatch):
     per_mu = Counter(c for c in calls if c[1] != 0)  # rank_link's are at mu = 0
     assert per_mu == {(sel, mu): 1 for sel in blockops.SELECTORS for mu in mus}
     assert len(flats) == 1   # flat norm and flat rank share one SVD
+
+
+def _kernel_inputs(monkeypatch, names=("svd", "eigh")) -> list:
+    """Record (kernel, options, input bytes) of every SVD and Hermitian
+    eigensolve, including the SVDs behind ``np.linalg.norm(a, 2)``."""
+    calls = []
+    for name in names:
+        original = getattr(npl, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            m = np.ascontiguousarray(a)
+            digest = hashlib.sha256(m.tobytes()).hexdigest()
+            calls.append((_name, m.shape, args, tuple(sorted(kwargs.items())),
+                          digest, not m.any()))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(npl, name, counting)
+    return calls
+
+
+def test_no_matrix_factored_twice(tmp_path, monkeypatch):
+    # nonnormal and twisted_normal have no T = T# coincidence, so a repeated
+    # input can only be a repeated factorization; the exactly zero matrices
+    # of the symmetry guards (h - h* for a Hermitian h) are the exception
+    monkeypatch.chdir(tmp_path)
+    for kind in ("nonnormal", "twisted_normal"):
+        path = _gen(kind, 8, path=f"{kind}.json")
+        for cmd in ("identities", "inspect"):
+            with monkeypatch.context() as m:
+                calls = _kernel_inputs(m)
+                _run([cmd, "--input", path])
+            repeated = [c for c, k in Counter(calls).items() if k > 1 and not c[-1]]
+            assert repeated == [], (kind, cmd)
+
+
+def test_normality_decided_once_per_invocation(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _gen("twisted_normal", 6)
+    for cmd in ("identities", "inspect", "extension"):
+        calls = []
+        with monkeypatch.context() as m:
+            _counting(m, structure, "is_normal", calls)
+            assert _run([cmd, "--input", path]) == 0
+        assert len(calls) == 1, cmd
+
+
+def test_span_basis_projects_with_products(rng, monkeypatch):
+    n = 8
+    basis = extensions._Basis(n)
+    vdots, dots, per_add = [], [], []
+    _counting(monkeypatch, np, "vdot", vdots)
+    _counting(monkeypatch, np, "dot", dots)
+    vs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(5)]
+    for v in vs + [2.0 * vs[0] - 1j * vs[3]]:   # the last lies in the span
+        before = len(dots)
+        grew = basis.add(v)
+        per_add.append(len(dots) - before)
+        assert grew == (len(per_add) <= 5)
+    assert vdots == []
+    # two classical passes of two products each, whatever the basis size
+    assert per_add == [4] * 6
+    q = basis._rows[: len(basis)]
+    assert len(basis) == 5
+    assert spectral_norm(q @ q.conj().T - np.eye(5)) <= 1e-12

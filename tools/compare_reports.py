@@ -13,7 +13,12 @@ to the file: ``block`` on block files, ``inspect``, ``identities``,
 ``--seed`` equal to the generator seed.  It also runs ``block --seed 0`` on
 ``gen --kind block --dim 64 --dim2 64 --seed 1``, whose scan has verdicts
 near the singularity threshold (it exits 1 with one scan disagreement), so
-verdicts that only the SVD can decide are compared on every run.  Both
+verdicts that only the SVD can decide are compared on every run.  And it
+runs the benchmark's factor-heavy shapes at d = 128 (generator and
+subcommand seed 0): ``inspect``, ``identities`` and ``numrange`` on
+``selfadjoint``, ``scaled_antiunitary``, ``nonnormal`` and ``nilpotent``,
+and ``extension`` on the two normal kinds among them, so the bulk loader
+and the span basis are compared at the size where they do the most.  Both
 workers run in fresh directories of the same name, so the relative
 ``--input`` paths inside the reports agree.  The comparison requires equal exit codes, equal
 stdout bytes and equal stderr for every invocation, the generated files
@@ -36,8 +41,17 @@ from pathlib import Path
 OPERATOR_COMMANDS = ("inspect", "identities", "spectrum", "numrange", "extension")
 DIMS = (4, 16, 32)
 SEEDS = (0, 1, 2)
-# (kind, dim, generator seed, --seed of the subcommand)
-NEAR_THRESHOLD = (("block", 64, 1, 0),)
+# (kind, dim, generator seed, --seed of the subcommand, subcommands)
+NEAR_THRESHOLD = (("block", 64, 1, 0, ("block",)),)
+FACTOR_HEAVY = tuple(
+    (kind, 128, 0, 0, ("inspect", "identities", "numrange") + extra)
+    for kind, extra in (
+        ("selfadjoint", ("extension",)),
+        ("scaled_antiunitary", ("extension",)),
+        ("nonnormal", ()),
+        ("nilpotent", ()),
+    )
+)
 
 
 def _run(main, argv: list) -> dict:
@@ -60,16 +74,19 @@ def worker() -> list:
     from antilin.generators import KINDS
 
     os.makedirs("ops", exist_ok=True)
-    cases = [(k, d, s, s) for k in KINDS for d in DIMS for s in SEEDS] + list(NEAR_THRESHOLD)
+    cases = [
+        (k, d, s, s, ("block",) if k == "block" else OPERATOR_COMMANDS)
+        for k in KINDS for d in DIMS for s in SEEDS
+    ]
+    cases += NEAR_THRESHOLD + FACTOR_HEAVY
     records = []
-    for kind, dim, seed, run_seed in cases:
+    for kind, dim, seed, run_seed, cmds in cases:
         path = f"ops/{kind}-{dim}-s{seed}.json"
         gen = ["gen", "--kind", kind, "--dim", str(dim), "--seed", str(seed)]
         if kind == "block":
             gen += ["--dim2", str(dim)]
         records.append(_run(main, gen))
         records.append(_run(main, gen + ["--output", path]))
-        cmds = ("block",) if kind == "block" else OPERATOR_COMMANDS
         for cmd in cmds:
             records.append(_run(main, [cmd, "--input", path, "--seed", str(run_seed)]))
     return records
