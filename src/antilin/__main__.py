@@ -1,6 +1,6 @@
 import ctypes
 
-from .cli import main
+from . import cli
 
 # glibc serves allocations of at least M_MMAP_THRESHOLD bytes with a fresh
 # mmap and returns heap-top memory beyond M_TRIM_THRESHOLD to the kernel.
@@ -29,6 +29,12 @@ def _fix_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-if __name__ == "__main__":
+def main() -> int:
+    """Entry point of ``python -m antilin`` and of the ``antilin`` console
+    script: pin the allocator thresholds, then run the CLI."""
     _fix_malloc_thresholds()
+    return cli.main()
+
+
+if __name__ == "__main__":
     raise SystemExit(main())

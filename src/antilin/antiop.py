@@ -41,6 +41,13 @@ import numpy as np
 from .errors import DimensionMismatch, NotInvolution, NotIsometric
 from .matkernel import spectral_norm
 
+# a conjugation matrix K must satisfy K conj(K) = I and K* K = I to this
+# absolute spectral-norm tolerance
+CONJUGATION_TOL = 1e-10
+# a real-linear operator is purely antilinear (linear) when its other part
+# is at most PURITY_TOL * (1 + ||its own part||)
+PURITY_TOL = 1e-12
+
 
 def _own_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=complex, copy=True, order="C")
@@ -116,10 +123,10 @@ def derived(t: AntilinearOperator, key: Hashable, compute: Callable[[], _V]) -> 
     The cache is keyed weakly on the (immutable) operator object, never on
     its matrix content: an entry lives exactly as long as the operator it
     describes, so nothing carries over from one operator, or one CLI
-    invocation, to the next.  ``key`` names the quantity and the parameters
-    it depends on.  A cached value must not refer back to ``t`` (that would
-    keep the operator alive), and a cached array should be read-only, since
-    every caller receives the same object.
+    invocation, to the next.  ``key`` names the quantity.  A cached value
+    must not refer back to ``t`` (that would keep the operator alive), and a
+    cached array should be read-only, since every caller receives the same
+    object.
     """
     memo = _DERIVED.get(t)
     if memo is None:
@@ -129,20 +136,20 @@ def derived(t: AntilinearOperator, key: Hashable, compute: Callable[[], _V]) -> 
     return memo[key]
 
 
-def make_conjugation(k, rtol: float = 1e-10) -> Conjugation:
+def make_conjugation(k) -> Conjugation:
     """Validate ``k`` as the matrix of a conjugation.
 
     Raises:
-        NotInvolution: if ``||k conj(k) - I|| > rtol``.
-        NotIsometric: if ``||k* k - I|| > rtol``.
+        NotInvolution: if ``||k conj(k) - I|| > CONJUGATION_TOL``.
+        NotIsometric: if ``||k* k - I|| > CONJUGATION_TOL``.
     """
     k = np.asarray(k, dtype=complex)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise DimensionMismatch(f"conjugation matrix must be square, got {k.shape}")
     eye = np.eye(k.shape[0])
-    if spectral_norm(k @ np.conj(k) - eye) > rtol:
+    if spectral_norm(k @ np.conj(k) - eye) > CONJUGATION_TOL:
         raise NotInvolution("K conj(K) differs from the identity")
-    if spectral_norm(k.conj().T @ k - eye) > rtol:
+    if spectral_norm(k.conj().T @ k - eye) > CONJUGATION_TOL:
         raise NotIsometric("K is not unitary")
     return Conjugation(k)
 
@@ -222,14 +229,14 @@ class RealLinearOperator:
             self.lin - mu * np.eye(self.dim_in), self.anti
         )
 
-    def as_antilinear(self, tol: float = 1e-12) -> AntilinearOperator:
-        # an exactly zero part passes for every tol >= 0 without a norm
-        if self.lin.any() and spectral_norm(self.lin) > tol * (1.0 + spectral_norm(self.anti)):
+    def as_antilinear(self) -> AntilinearOperator:
+        # an exactly zero part passes without a norm
+        if self.lin.any() and spectral_norm(self.lin) > PURITY_TOL * (1.0 + spectral_norm(self.anti)):
             raise ValueError("operator is not purely antilinear")
         return AntilinearOperator(self.anti)
 
-    def as_linear(self, tol: float = 1e-12) -> np.ndarray:
-        if self.anti.any() and spectral_norm(self.anti) > tol * (1.0 + spectral_norm(self.lin)):
+    def as_linear(self) -> np.ndarray:
+        if self.anti.any() and spectral_norm(self.anti) > PURITY_TOL * (1.0 + spectral_norm(self.lin)):
             raise ValueError("operator is not purely linear")
         return self.lin.copy()
 

@@ -51,6 +51,8 @@ from .matkernel import (
 from .spectra import antilinear_spectrum, is_in_spectrum
 
 SELECTORS = ("S1", "S2", "T1", "T2")
+# rank_link ranks every matrix against RANK_FLOOR_RTOL * (1 + ||realify(blk)||)
+RANK_FLOOR_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,12 +208,7 @@ def _block2(op11, op12, op21, op22) -> RealLinearOperator:
     return RealLinearOperator(lin, anti)
 
 
-def verify_factorization(
-    blk: BlockAntilinearMatrix,
-    mu: complex,
-    selector: str,
-    tol: float = SING_TOL,
-) -> float:
+def verify_factorization(blk: BlockAntilinearMatrix, mu: complex, selector: str) -> float:
     """Residual ``||realify(blk) - realify(mu + L . mid . R)||`` of the
     factorization associated with the selected complement.
 
@@ -223,7 +220,7 @@ def verify_factorization(
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown factorization {selector!r}; expected one of {SELECTORS}")
-    return factorization_residual(blk, complement(blk, selector, mu, tol))
+    return factorization_residual(blk, complement(blk, selector, mu))
 
 
 def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -> float:
@@ -298,10 +295,7 @@ class ScanReport:
 
 
 def correspondence_scan(
-    blk: BlockAntilinearMatrix,
-    samples: Sequence[complex],
-    selectors: Sequence[str] = SELECTORS,
-    tol: float = SING_TOL,
+    blk: BlockAntilinearMatrix, samples: Sequence[complex], tol: float = SING_TOL
 ) -> ScanReport:
     """Pointwise spectral correspondence between the block matrix and its
     complements.
@@ -327,7 +321,7 @@ def correspondence_scan(
     for mu in samples:
         mu = complex(mu)
         in_flat = is_in_spectrum(flat, mu, tol)
-        for sel in selectors:
+        for sel in SELECTORS:
             inverted = fixed.get(sel)
             if inverted is None:
                 try:
@@ -357,28 +351,21 @@ def correspondence_scan(
 
 
 def structured_mu_samples(
-    blk: BlockAntilinearMatrix,
-    rng: np.random.Generator,
-    phases: int = 8,
-    gap_phases: int = 4,
-    random_count: int = 50,
+    blk: BlockAntilinearMatrix, rng: np.random.Generator, random_count: int = 50
 ) -> list:
     """Deterministic scan grid derived from the circle structure of the
-    flattened spectrum: on-circle points, between-circle midpoints, and
-    uniform random points in a bounding disk.  Uniform sampling alone almost
-    never lands on the measure-zero spectrum, so the on-circle points are
-    what exercises the member branch.
+    flattened spectrum: 8 points on each circle, 4 on each between-circle
+    midpoint circle, and ``random_count`` uniform random points in a
+    bounding disk.  Uniform sampling alone almost never lands on the
+    measure-zero spectrum, so the on-circle points are what exercises the
+    member branch.
     """
     radii = antilinear_spectrum(blk.flatten()).radii
-    return samples_for_radii(radii, rng, phases, gap_phases, random_count)
+    return samples_for_radii(radii, rng, random_count)
 
 
 def samples_for_radii(
-    radii: Sequence[float],
-    rng: np.random.Generator,
-    phases: int = 8,
-    gap_phases: int = 4,
-    random_count: int = 50,
+    radii: Sequence[float], rng: np.random.Generator, random_count: int = 50
 ) -> list:
     """The scan grid of :func:`structured_mu_samples` for circle radii
     already in hand (ascending, as :func:`antilinear_spectrum` gives them)."""
@@ -388,8 +375,8 @@ def samples_for_radii(
         if r <= 1e-9:
             samples.append(0j)
             continue
-        for k in range(phases):
-            samples.append(r * np.exp(2j * np.pi * k / phases))
+        for k in range(8):
+            samples.append(r * np.exp(2j * np.pi * k / 8))
     gap_radii = [0.5 * (lo + hi) for lo, hi in zip(radii, radii[1:])]
     if radii:
         if radii[0] > 1e-7:
@@ -398,8 +385,8 @@ def samples_for_radii(
     else:
         gap_radii.append(0.5)
     for r in gap_radii:
-        for k in range(gap_phases):
-            samples.append(r * np.exp(2j * np.pi * (k + 0.5) / gap_phases))
+        for k in range(4):
+            samples.append(r * np.exp(2j * np.pi * (k + 0.5) / 4))
     rmax = (radii[-1] if radii else 1.0) * 1.5 + 1.0
     for _ in range(random_count):
         z = rng.uniform(-rmax, rmax) + 1j * rng.uniform(-rmax, rmax)
@@ -426,22 +413,18 @@ class RankLinkReport:
     f_rel_bound: Optional[float]
 
 
-def rank_link(
-    blk: BlockAntilinearMatrix,
-    tol: float = SING_TOL,
-    rank_floor_rtol: float = 1e-10,
-) -> RankLinkReport:
+def rank_link(blk: BlockAntilinearMatrix, tol: float = SING_TOL) -> RankLinkReport:
     """Check the rank identities extracted from the mu = 0 factorizations.
 
     Rank decisions for both sides use one scale-aware cutoff
-    ``rank_floor_rtol * (1 + ||realify(blk)||)`` so that engineered zero
+    ``RANK_FLOOR_RTOL * (1 + ||realify(blk)||)`` so that engineered zero
     complements are counted correctly.
 
     Raises:
         PivotSingular: when ``realify(A)`` is singular (the primal identity
             is the required one; the dual is reported when E is invertible).
     """
-    floor, rank_flat = scaled_rank(blk.flat_singular_values, rank_floor_rtol)
+    floor, rank_flat = scaled_rank(blk.flat_singular_values, RANK_FLOOR_RTOL)
 
     try:
         s2 = complement(blk, "S2", 0.0, tol)  # its pivot A - 0 is A itself

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import ceil
+from math import ceil, isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -219,7 +219,7 @@ def cmd_spectrum(args, report: Report) -> None:
     if t.dim_in != t.dim_out:
         raise _Usage("spectrum requires a square operator")
 
-    check = spectrum_crosscheck(t, phases=8, radial_grid=1, tol=tols["membership"])
+    check = spectrum_crosscheck(t, phases=8, tol=tols["membership"])
     report.add("crosscheck_disagreements", float(len(check.disagreements)), 0.0)
 
     eigvals = np.array(check.eigenvalues, dtype=complex)
@@ -416,9 +416,12 @@ def _parse_mu(text: str) -> list:
         if not token:
             continue
         try:
-            out.append(complex(token))
+            mu = complex(token)
         except ValueError as exc:
             raise _Usage(f"cannot parse --mu token {token!r}: {exc}") from exc
+        if not (isfinite(mu.real) and isfinite(mu.imag)):
+            raise _Usage(f"--mu token {token!r} is not finite")
+        out.append(mu)
     return out
 
 
@@ -427,9 +430,12 @@ def _parse_target(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise _Usage("--target expects RE,IM")
     try:
-        return float(parts[0]), float(parts[1])
+        re, im = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise _Usage(f"cannot parse --target {text!r}") from exc
+    if not (isfinite(re) and isfinite(im)):
+        raise _Usage(f"--target {text!r} is not finite")
+    return re, im
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,7 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="operator file (JSON)")
         p.add_argument("--output", default=None, help="write the report here (default stdout)")
-        p.add_argument("--tol", type=float, default=None, help="override every base tolerance")
+        p.add_argument(
+            "--tol", type=float, default=None,
+            help="replace every per-check tolerance listed in the report's environment.tolerances",
+        )
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
@@ -497,6 +506,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 sys.stdout.write(text)
             return 0
 
+        if args.tol is not None and not (isfinite(args.tol) and args.tol >= 0.0):
+            raise _Usage(f"--tol must be a finite nonnegative number, got {args.tol!r}")
         if getattr(args, "mu", None) is not None and isinstance(args.mu, str):
             args.mu = _parse_mu(args.mu)
         if getattr(args, "target", None) is not None and isinstance(args.target, str):

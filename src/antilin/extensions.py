@@ -105,12 +105,11 @@ class _Basis:
     Rozloznik, "The loss of orthogonality in the Gram-Schmidt process",
     Comput. Math. Appl. 50 (2005)).  Only the resulting dimension leaves
     this module, and a candidate joins the basis when its residual norm
-    exceeds ``tol * max(1, ||v||)``.
+    exceeds ``SPAN_TOL * max(1, ||v||)``.
     """
 
-    def __init__(self, dim: int, tol: float = SPAN_TOL):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.tol = tol
         self._rows = np.zeros((dim, dim), dtype=complex)
         self._size = 0
 
@@ -124,7 +123,7 @@ class _Basis:
             # coefficients <w, q_k> = conj(q_k . conj(w)), then w -= sum_k c_k q_k
             w -= np.dot(np.dot(q, w.conj()).conj(), q)
         nrm = float(np.linalg.norm(w))
-        if nrm <= self.tol * scale:
+        if nrm <= SPAN_TOL * scale:
             return False
         self._rows[self._size] = w / nrm
         self._size += 1
@@ -142,11 +141,7 @@ class SpanResult:
     hit_cap: bool
 
 
-def minimal_span(
-    p: ExtensionProblem,
-    cap: Optional[int] = None,
-    tol: float = 1e-8,
-) -> SpanResult:
+def minimal_span(p: ExtensionProblem, cap: Optional[int] = None) -> SpanResult:
     """Dimension of ``span{(N#)^j N^i x}`` and the minimality verdict.
 
     Words are organized by total degree i + j; the loop stops when a whole
@@ -160,7 +155,7 @@ def minimal_span(
     Raises:
         NotNormal: when the ambient operator is not antilinear normal.
     """
-    if not normality(p.ambient, tol=tol):
+    if not normality(p.ambient):
         raise NotNormal("minimal_span requires a normal ambient operator")
     big = p.ambient_dim
     if cap is None:
@@ -205,7 +200,7 @@ def minimal_span(
     )
 
 
-def word_span_oracle(p: ExtensionProblem, max_len: int, tol: float = 1e-8) -> int:
+def word_span_oracle(p: ExtensionProblem, max_len: int) -> int:
     """Span dimension over ALL words in {N, N#} up to ``max_len`` letters.
 
     Independent referee for :func:`minimal_span`: normality lets arbitrary
@@ -215,7 +210,7 @@ def word_span_oracle(p: ExtensionProblem, max_len: int, tol: float = 1e-8) -> in
     Raises:
         NotNormal: when the ambient operator is not antilinear normal.
     """
-    if not normality(p.ambient, tol=tol):
+    if not normality(p.ambient):
         raise NotNormal("word_span_oracle requires a normal ambient operator")
     big = p.ambient_dim
     letters = (p.ambient, p.ambient.adjoint())

@@ -169,9 +169,7 @@ LoadedObject = Union[AntilinearOperator, Conjugation, BlockAntilinearMatrix]
 class LoadedOperator:
     kind: str
     obj: LoadedObject
-    meta: dict
     digest: str
-    payload: dict
 
 
 def _require_dims(payload: dict) -> tuple[int, int]:
@@ -192,8 +190,7 @@ def parse_payload(payload: dict) -> LoadedOperator:
     if payload.get("schema") != SCHEMA:
         raise InvalidOperatorFile(f"schema must be exactly {SCHEMA!r}")
     kind = payload.get("kind")
-    meta = payload.get("meta", {})
-    if not isinstance(meta, dict):
+    if not isinstance(payload.get("meta", {}), dict):
         raise InvalidOperatorFile("meta must be an object")
 
     if kind in ("antilinear", "conjugation"):
@@ -226,7 +223,7 @@ def parse_payload(payload: dict) -> LoadedOperator:
         raise InvalidOperatorFile(f"unknown kind {kind!r}")
 
     digest = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
-    return LoadedOperator(kind=kind, obj=obj, meta=meta, digest=digest, payload=payload)
+    return LoadedOperator(kind=kind, obj=obj, digest=digest)
 
 
 def load_operator(path: str) -> LoadedOperator:

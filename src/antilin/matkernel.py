@@ -7,14 +7,18 @@ and positivity guards, the zero cluster of the Takagi factorization, and
 deterministic rank/singularity cutoffs.  Each cutoff is applied here and
 nowhere else, and each decision reads one factorization.
 
-Default cutoffs (all overridable per call):
+Cutoffs:
 
 * ``RANK_RTOL``:  singular values at or below ``RANK_RTOL * max(rows, cols)
-  * sigma_max`` are treated as zero.
+  * sigma_max`` are treated as zero (:func:`pinv` always uses it; the
+  ranked SVD, range projector and numerical rank take another per call).
 * ``SING_TOL``:   a square real matrix counts as singular when its smallest
-  singular value is at most ``SING_TOL * (1 + sigma_max)``.
+  singular value is at most ``tol * (1 + sigma_max)``, ``tol = SING_TOL``
+  unless the call passes another.
 * ``GROUP_RTOL``: Takagi values at or below ``GROUP_RTOL * max(1, sigma_max)``
   form the zero cluster inside :func:`takagi`.
+* ``GUARD_RTOL``: :func:`takagi` and :func:`psd_sqrt` reject an input that
+  is not symmetric (Hermitian, psd) within ``GUARD_RTOL * (1 + ||input||)``.
 
 The singularity verdict is defined by one SVD (:func:`singularity`).
 :func:`is_singular` returns that same verdict more cheaply: a Cholesky
@@ -36,6 +40,7 @@ from .errors import DimensionMismatch, NotHermitian, NotPsd, NotSymmetric
 RANK_RTOL = 1e-12
 SING_TOL = 1e-8
 GROUP_RTOL = 1e-7
+GUARD_RTOL = 1e-10
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -44,6 +49,12 @@ def spectral_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def _exceeds(d: np.ndarray, bound: float) -> bool:
+    """``spectral_norm(d) > bound``; an exactly zero ``d`` (the defect of an
+    exactly symmetric or Hermitian guard input) needs no SVD."""
+    return bool(d.any()) and spectral_norm(d) > bound
 
 
 def _require_square(a: np.ndarray, what: str = "matrix") -> None:
@@ -71,7 +82,7 @@ class TakagiFactorization:
         return self.u @ np.diag(self.sigma) @ self.u.T
 
 
-def takagi(b, sym_rtol: float = 1e-10) -> TakagiFactorization:
+def takagi(b) -> TakagiFactorization:
     """Takagi factorization of a complex symmetric matrix.
 
     Computes unitary ``u`` and nonnegative descending ``sigma`` with
@@ -88,12 +99,12 @@ def takagi(b, sym_rtol: float = 1e-10) -> TakagiFactorization:
     the QR of ``[u_+ | I]``.
 
     Raises:
-        NotSymmetric: if ``||b - b.T|| > sym_rtol * (1 + ||b||)``.
+        NotSymmetric: if ``||b - b.T|| > GUARD_RTOL * (1 + ||b||)``.
     """
     b = _as_complex(b)
     _require_square(b, "takagi input")
     scale = spectral_norm(b)
-    if spectral_norm(b - b.T) > sym_rtol * (1.0 + scale):
+    if _exceeds(b - b.T, GUARD_RTOL * (1.0 + scale)):
         raise NotSymmetric("input is not complex symmetric within tolerance")
     bs = 0.5 * (b + b.T)
     n = bs.shape[0]
@@ -110,42 +121,42 @@ def takagi(b, sym_rtol: float = 1e-10) -> TakagiFactorization:
     return TakagiFactorization(u=u, sigma=sigma)
 
 
-def psd_sqrt(h, rtol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(h) -> np.ndarray:
     """Positive semidefinite square root of a Hermitian psd matrix.
 
-    Eigenvalues with ``|lam| <= rtol * (1 + ||h||)`` are flushed to zero
-    (this keeps ``||R^2 - h|| <= rtol * (1 + ||h||)`` while preventing
+    Eigenvalues with ``|lam| <= GUARD_RTOL * (1 + ||h||)`` are flushed to
+    zero (this keeps ``||R^2 - h||`` within that bound while preventing
     floating-point noise at zero from turning into spurious ``sqrt(eps)``
     eigenvalues of the root, which matters to anything that later inverts
     the result).
 
     Raises:
-        NotHermitian: if ``h`` is not Hermitian within ``rtol``.
-        NotPsd: if an eigenvalue falls below ``-rtol * (1 + ||h||)``.
+        NotHermitian: if ``h`` is not Hermitian within that bound.
+        NotPsd: if an eigenvalue falls below ``-GUARD_RTOL * (1 + ||h||)``.
     """
     h = _as_complex(h)
     _require_square(h, "psd_sqrt input")
-    scale = spectral_norm(h)
-    if spectral_norm(h - h.conj().T) > rtol * (1.0 + scale):
+    bound = GUARD_RTOL * (1.0 + spectral_norm(h))
+    if _exceeds(h - h.conj().T, bound):
         raise NotHermitian("input is not Hermitian within tolerance")
     hs = 0.5 * (h + h.conj().T)
     vals, vecs = np.linalg.eigh(hs)
-    if vals.size and vals[0] < -rtol * (1.0 + scale):
+    if vals.size and vals[0] < -bound:
         raise NotPsd(f"minimum eigenvalue {vals[0]:.3e} below tolerance")
-    vals[np.abs(vals) <= rtol * (1.0 + scale)] = 0.0
+    vals[np.abs(vals) <= bound] = 0.0
     vals = np.clip(vals, 0.0, None)
     r = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return 0.5 * (r + r.conj().T)
 
 
-def pinv(a, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the package rank cutoff.
 
-    Singular values at or below ``rank_rtol * max(rows, cols) * sigma_max``
+    Singular values at or below ``RANK_RTOL * max(rows, cols) * sigma_max``
     are treated as zero.
     """
     a = _as_complex(a)
-    return np.linalg.pinv(a, rcond=rank_rtol * max(a.shape))
+    return np.linalg.pinv(a, rcond=RANK_RTOL * max(a.shape))
 
 
 def singularity(m, tol: float = SING_TOL) -> tuple[float, float]:

@@ -31,7 +31,9 @@ from .antiop import AntilinearOperator, derived
 from .errors import DimensionMismatch, DimensionOne, NotUnit, OutsideRange
 from .matkernel import TakagiFactorization, takagi
 
-UNIT_ATOL = 1e-12
+UNIT_ATOL = 1e-12     # | ||x|| - 1 | a unit vector may miss by
+RADIUS_ATOL = 1e-10   # |target| a disk witness may exceed the radius by
+WITNESS_ATOL = 1e-8   # |w(x) - target| a segment witness may miss by
 
 
 def _require_square(t: AntilinearOperator) -> None:
@@ -50,16 +52,16 @@ def _takagi_of(t: AntilinearOperator) -> TakagiFactorization:
     return derived(t, "takagi", lambda: takagi(_symmetric_part(t)))
 
 
-def nr_value(t: AntilinearOperator, x, atol: float = UNIT_ATOL) -> complex:
+def nr_value(t: AntilinearOperator, x) -> complex:
     """Numerical-range value ``<T x, x>`` at a unit vector ``x``.
 
     Raises:
-        NotUnit: if ``| ||x|| - 1 | > atol``.
+        NotUnit: if ``| ||x|| - 1 | > UNIT_ATOL``.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (t.dim_in,):
         raise DimensionMismatch(f"vector of length {t.dim_in} expected")
-    if abs(np.linalg.norm(x) - 1.0) > atol:
+    if abs(np.linalg.norm(x) - 1.0) > UNIT_ATOL:
         raise NotUnit("nr_value requires a unit vector")
     xc = np.conj(x)
     return complex(xc @ (t.canon @ xc))
@@ -93,7 +95,7 @@ def nr_disk(t: AntilinearOperator) -> NumericalRangeDisk:
     )
 
 
-def witness_disk(t: AntilinearOperator, target: complex, atol: float = 1e-10) -> np.ndarray:
+def witness_disk(t: AntilinearOperator, target: complex) -> np.ndarray:
     """Unit vector whose value equals ``target``, in closed form.
 
     Solves ``s1 cos(s)^2 - s2 sin(s)^2 = |target|`` on the Takagi curve and
@@ -101,7 +103,7 @@ def witness_disk(t: AntilinearOperator, target: complex, atol: float = 1e-10) ->
 
     Raises:
         DimensionOne: for n = 1 (only ``|target| = radius`` is achievable).
-        OutsideRange: if ``|target| > radius + atol``.
+        OutsideRange: if ``|target| > radius + RADIUS_ATOL``.
     """
     _require_square(t)
     if t.dim_in < 2:
@@ -109,14 +111,14 @@ def witness_disk(t: AntilinearOperator, target: complex, atol: float = 1e-10) ->
     target = complex(target)
     fac = _takagi_of(t)
     s1, s2 = float(fac.sigma[0]), float(fac.sigma[1])
-    if abs(target) > s1 + atol:
+    if abs(target) > s1 + RADIUS_ATOL:
         raise OutsideRange(
             f"|target| = {abs(target):.6g} exceeds the disk radius {s1:.6g}"
         )
 
     u1, u2 = fac.u[:, 0], fac.u[:, 1]
     denom = s1 + s2
-    if denom <= atol:
+    if denom <= RADIUS_ATOL:
         # radius ~ 0, so W(T) ~ {0}; any unit vector witnesses the target
         return u1.copy()
     c2 = min(max((abs(target) + s2) / denom, 0.0), 1.0)
@@ -140,13 +142,7 @@ class WitnessResult:
     im_residual: Optional[float]
 
 
-def witness_segment(
-    t: AntilinearOperator,
-    x1,
-    x2,
-    lam: float,
-    achieve_tol: float = 1e-8,
-) -> WitnessResult:
+def witness_segment(t: AntilinearOperator, x1, x2, lam: float) -> WitnessResult:
     """Witness for ``lam * w(x1) + (1 - lam) * w(x2)`` by the direct
     intermediate-value construction.
 
@@ -160,7 +156,7 @@ def witness_segment(
     (bracket width 1e-12) and accepted when ``|Im S3(s')| <= 1e-8 * (1 +
     |beta|)``; the witness is then ``s' x1 + r(s') x2``, unit by
     construction.  When no admissible root exists, or the achieved value
-    misses the target by more than ``achieve_tol``, the closed-form
+    misses the target by more than ``WITNESS_ATOL``, the closed-form
     :func:`witness_disk` with the same target is used instead and the
     fallback is recorded in the result.
 
@@ -234,7 +230,7 @@ def witness_segment(
             if nrm > 0.0:
                 x = x / nrm
                 value = nr_value(t, x)
-                if abs(value - target) <= achieve_tol:
+                if abs(value - target) <= WITNESS_ATOL:
                     return WitnessResult(
                         vector=x, value=value, target=target,
                         used_fallback=False, degenerate=False,
@@ -254,14 +250,14 @@ def sample_sup(
     n_samples: int = 2000,
     rng: Optional[np.random.Generator] = None,
     refine: bool = True,
-    refine_steps: int = 200,
 ) -> float:
     """Sampled supremum of ``|w(x)|`` over the unit sphere.
 
     Uniform random samples alone bound the radius from above; for the lower
-    bound the best sample is polished by power iteration on the linear map
-    ``x -> B conj(B conj(x))`` (``B`` the symmetric part), which converges to
-    the extremal direction and is independent of the Takagi factorization.
+    bound the best sample is polished by 200 steps of power iteration on the
+    linear map ``x -> B conj(B conj(x))`` (``B`` the symmetric part), which
+    converges to the extremal direction and is independent of the Takagi
+    factorization.
     """
     b = _symmetric_part(t)
     n = b.shape[0]
@@ -275,7 +271,7 @@ def sample_sup(
     if refine:
         z = xs[:, int(np.argmax(vals))]
         collapsed = False
-        for _ in range(refine_steps):
+        for _ in range(200):
             z = b @ np.conj(b @ np.conj(z))
             nrm = np.linalg.norm(z)
             if nrm <= 1e-300:

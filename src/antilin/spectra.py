@@ -58,10 +58,10 @@ class SpectrumDescription:
     eigenvalues: tuple = ()
 
 
-def _dedup(values: Sequence[float], atol: float = DEDUP_ATOL) -> tuple:
+def _dedup(values: Sequence[float]) -> tuple:
     out: list[list[float]] = []
     for v in sorted(values):
-        if out and v - out[-1][-1] <= atol:
+        if out and v - out[-1][-1] <= DEDUP_ATOL:
             out[-1].append(v)
         else:
             out.append([v])
@@ -152,28 +152,21 @@ class CrosscheckReport:
 
 
 def spectrum_crosscheck(
-    t: AntilinearOperator,
-    phases: int = 8,
-    radial_grid: int = 1,
-    tol: float = SING_TOL,
+    t: AntilinearOperator, phases: int = 8, tol: float = SING_TOL
 ) -> CrosscheckReport:
     """Validate the circle algorithm against the membership oracle.
 
     Probes every reported circle at ``phases`` sampled angles (expected
-    member at each angle, which is the phase-invariance content), and
-    ``radial_grid`` radii strictly inside every gap between consecutive
-    circles plus one radius below the smallest positive circle and one
-    beyond the largest (expected non-member at each angle).
+    member at each angle, which is the phase-invariance content), and the
+    midpoint of every gap between consecutive circles plus one radius below
+    the smallest positive circle and one beyond the largest (expected
+    non-member at each angle).
     """
     desc = antilinear_spectrum(t, tol=max(tol, 1e-8))
     radii = list(desc.radii)
 
     member_radii = list(radii)
-    gap_radii: list[float] = []
-    for lo, hi in zip(radii, radii[1:]):
-        for k in range(radial_grid):
-            frac = (k + 1) / (radial_grid + 1)
-            gap_radii.append(lo + frac * (hi - lo))
+    gap_radii = [lo + 0.5 * (hi - lo) for lo, hi in zip(radii, radii[1:])]
     if radii:
         if radii[0] > DEDUP_ATOL:
             gap_radii.append(0.5 * radii[0])

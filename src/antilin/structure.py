@@ -34,8 +34,11 @@ import numpy as np
 
 from .antiop import AntilinearOperator, RealLinearOperator, compose, derived, op_norm
 from .errors import DimensionMismatch, NotNormal
-from .matkernel import RANK_RTOL, Factored, pinv, psd_sqrt, ranked_svd, spectral_norm
+from .matkernel import Factored, pinv, psd_sqrt, ranked_svd, spectral_norm
 
+# the antilinear-normal criteria (T T# = T# T, the modulus swap, and the
+# checks that require a normal operator) all decide with this tolerance
+NORMAL_TOL = 1e-8
 _NORM_SAMPLING_SEED = 0x5EED
 
 
@@ -50,10 +53,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def factored(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> Factored:
-    """The ranked SVD of ``t.canon``, computed once per operator object and
-    ``rank_rtol``."""
-    return derived(t, ("factored", rank_rtol), lambda: ranked_svd(t.canon, rank_rtol))
+def factored(t: AntilinearOperator) -> Factored:
+    """The ranked SVD of ``t.canon``, computed once per operator object."""
+    return derived(t, "factored", lambda: ranked_svd(t.canon))
 
 
 def canon_norm(t: AntilinearOperator) -> float:
@@ -86,53 +88,48 @@ class NormalityCheck:
         return self.value
 
 
-def is_normal(
-    t: AntilinearOperator,
-    tol: float = 1e-8,
-    samples: int = 50,
-    rng: Optional[np.random.Generator] = None,
-) -> NormalityCheck:
+def is_normal(t: AntilinearOperator) -> NormalityCheck:
     """Decide ``T T# = T# T``.
 
-    Primary criterion: ``||A A* - conj(A* A)|| <= tol * (1 + ||A||^2)``.
-    Cross-validated by the norm criterion ``||T x|| = ||T# x||`` on random
-    unit vectors (deviation threshold ``tol * (1 + ||A||)``); the sampling
-    rng defaults to a fixed seed so results are deterministic.
+    Primary criterion: ``||A A* - conj(A* A)|| <= NORMAL_TOL * (1 + ||A||^2)``.
+    Cross-validated by the norm criterion ``||T x|| = ||T# x||`` on 50 random
+    unit vectors (deviation threshold ``NORMAL_TOL * (1 + ||A||)``) drawn
+    from a fixed seed, so results are deterministic.
     """
     a = _square(t)
     left, right = gram(t)
     residual = spectral_norm(left - right)
     scale = canon_norm(t)
-    value = residual <= tol * (1.0 + scale**2)
+    value = residual <= NORMAL_TOL * (1.0 + scale**2)
 
-    if rng is None:
-        rng = np.random.default_rng(_NORM_SAMPLING_SEED)
+    rng = np.random.default_rng(_NORM_SAMPLING_SEED)
     n = t.dim_in
     dev = 0.0
-    for _ in range(samples):
+    for _ in range(50):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         nrm = np.linalg.norm(x)
         if nrm == 0.0:
             continue
         x /= nrm
         dev = max(dev, abs(np.linalg.norm(a @ np.conj(x)) - np.linalg.norm(a.T @ np.conj(x))))
-    sampled_value = dev <= tol * (1.0 + scale)
+    sampled_value = dev <= NORMAL_TOL * (1.0 + scale)
     return NormalityCheck(value, residual, dev, sampled_value)
 
 
-def normality(t: AntilinearOperator, tol: float = 1e-8) -> NormalityCheck:
-    """``is_normal(t, tol=tol)``, evaluated once per operator object and tol.
+def normality(t: AntilinearOperator) -> NormalityCheck:
+    """``is_normal(t)``, evaluated once per operator object.
 
     The checks that require a normal operator read the verdict from here,
     so a caller that has already asked pays nothing more.
     """
-    return derived(t, ("normality", tol), lambda: is_normal(t, tol=tol))
+    return derived(t, "normality", lambda: is_normal(t))
 
 
-def is_selfadjoint(t: AntilinearOperator, tol: float = 1e-8) -> bool:
-    """True when ``T = T#``, i.e. the canonical matrix is symmetric."""
+def is_selfadjoint(t: AntilinearOperator) -> bool:
+    """True when ``T = T#``, i.e. the canonical matrix is symmetric within
+    ``NORMAL_TOL * (1 + ||A||)``."""
     a = _square(t)
-    return spectral_norm(a - a.T) <= tol * (1.0 + canon_norm(t))
+    return spectral_norm(a - a.T) <= NORMAL_TOL * (1.0 + canon_norm(t))
 
 
 def modulus(t: AntilinearOperator) -> np.ndarray:
@@ -164,7 +161,7 @@ class PolarDecomposition:
         return uc @ uc.conj().T
 
 
-def polar(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> PolarDecomposition:
+def polar(t: AntilinearOperator) -> PolarDecomposition:
     """Polar decomposition via the compact SVD ``A = W_r S_r V_r*``.
 
     ``U_c = W_r V_r*`` and ``|T| = conj(V) S V.T`` (full), so that
@@ -172,7 +169,7 @@ def polar(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> PolarDecomposi
     For T = 0 both factors are zero (empty initial space).
     """
     n = t.dim_in
-    f = factored(t, rank_rtol)
+    f = factored(t)
     w, s, vh, tau, r = f.w, f.s, f.vh, f.cutoff, f.rank
 
     uc = w[:, :r] @ vh[:r, :]
@@ -185,7 +182,7 @@ def polar(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> PolarDecomposi
     return PolarDecomposition(u=AntilinearOperator(uc), modulus=mod)
 
 
-def check_polar_commutation(t: AntilinearOperator, tol: float = 1e-8) -> float:
+def check_polar_commutation(t: AntilinearOperator) -> float:
     """Residual of ``U_T |T| = |T| U_T`` for a normal operator.
 
     The two sides are antilinear with canonical matrices ``U_c conj(M)`` and
@@ -195,29 +192,29 @@ def check_polar_commutation(t: AntilinearOperator, tol: float = 1e-8) -> float:
         NotNormal: when the operator fails :func:`is_normal`.
     """
     _square(t)
-    if not normality(t, tol=tol):
+    if not normality(t):
         raise NotNormal("polar commutation requires an antilinear normal operator")
     p = polar(t)
     uc, m = p.u.canon, p.modulus
     return spectral_norm(uc @ np.conj(m) - m @ uc)
 
 
-def c_normal_criterion(t: AntilinearOperator, tol: float = 1e-8) -> tuple[bool, float]:
+def c_normal_criterion(t: AntilinearOperator) -> tuple[bool, float]:
     """Modulus-swap normality criterion under the standard conjugation.
 
     Compares ``L = conj(|T|)`` against ``R = psd_sqrt(conj(A) A.T)``, the
     modulus of the linear map with matrix ``A.T``.  Equality within
-    ``tol * (1 + ||A||)`` holds exactly when T is antilinear normal, so the
+    ``NORMAL_TOL * (1 + ||A||)`` holds exactly when T is antilinear normal, so the
     returned flag must agree with :func:`is_normal`.
     """
     a = _square(t)
     left = np.conj(modulus(t))
     right = psd_sqrt(a.conj() @ a.T)
     residual = spectral_norm(left - right)
-    return residual <= tol * (1.0 + canon_norm(t)), residual
+    return residual <= NORMAL_TOL * (1.0 + canon_norm(t)), residual
 
 
-def power_commute(t: AntilinearOperator, n: int, tol: float = 1e-8) -> float:
+def power_commute(t: AntilinearOperator, n: int) -> float:
     """Residual of ``T^n (T#)^n = (T#)^n T^n`` for a normal operator.
 
     Powers alternate parity in the (P, Q) algebra; the residual is the
@@ -230,7 +227,7 @@ def power_commute(t: AntilinearOperator, n: int, tol: float = 1e-8) -> float:
     _square(t)
     if n < 1:
         raise ValueError("power must be at least 1")
-    if not normality(t, tol=tol):
+    if not normality(t):
         raise NotNormal("power commutation requires an antilinear normal operator")
     tn = RealLinearOperator.identity(t.dim_in)
     sn = RealLinearOperator.identity(t.dim_in)
@@ -250,7 +247,7 @@ class MpResult:
     residuals: Dict[str, float] = field(default_factory=dict)
 
 
-def moore_penrose(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> MpResult:
+def moore_penrose(t: AntilinearOperator) -> MpResult:
     """Moore-Penrose inverse built from the definitional construction.
 
     Primary construction: orthonormal bases of ``N(T)^perp = conj(row(A))``
@@ -263,7 +260,7 @@ def moore_penrose(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> MpResu
     """
     a = t.canon
     m, n = a.shape
-    f = factored(t, rank_rtol)
+    f = factored(t)
     w, vh, r = f.w, f.vh, f.rank
 
     v = vh.conj().T
@@ -276,7 +273,7 @@ def moore_penrose(t: AntilinearOperator, rank_rtol: float = RANK_RTOL) -> MpResu
     else:
         dag = np.zeros((n, m), dtype=complex)
 
-    oracle = np.conj(pinv(a, rank_rtol=rank_rtol))
+    oracle = np.conj(pinv(a))
     p_range = wr @ wr.conj().T
     p_nperp = qn @ qn.conj().T
     residuals = {
@@ -302,11 +299,7 @@ class IdentitySuiteResult:
     classification_consistent: Optional[bool]
 
 
-def identity_suite(
-    t: AntilinearOperator,
-    rank_rtol: float = RANK_RTOL,
-    tol: float = 1e-8,
-) -> IdentitySuiteResult:
+def identity_suite(t: AntilinearOperator, tol: float = 1e-8) -> IdentitySuiteResult:
     """Evaluate the full dagger identity suite for ``t``.
 
     Residual keys (D = canon(T+), A = canon(T)):
@@ -321,30 +314,26 @@ def identity_suite(
     """
     a = t.canon
     ts = t.adjoint()
-    d = moore_penrose(t, rank_rtol).dagger
-    ds = moore_penrose(ts, rank_rtol).dagger
+    d = moore_penrose(t).dagger
+    ds = moore_penrose(ts).dagger
 
     res: Dict[str, float] = {}
     res["dagger_adjoint_swap"] = spectral_norm(ds.canon - d.adjoint().canon)
-    res["double_dagger"] = spectral_norm(
-        moore_penrose(d, rank_rtol).dagger.canon - a
-    )
+    res["double_dagger"] = spectral_norm(moore_penrose(d).dagger.canon - a)
 
     left_gram, right_gram = gram(t)
     res["gram_right_dagger"] = spectral_norm(
-        pinv(right_gram, rank_rtol) - compose(d, ds).as_linear()
+        pinv(right_gram) - compose(d, ds).as_linear()
     )
     res["gram_left_dagger"] = spectral_norm(
-        pinv(left_gram, rank_rtol) - compose(ds, d).as_linear()
+        pinv(left_gram) - compose(ds, d).as_linear()
     )
 
-    modulus_dagger = pinv(modulus(t), rank_rtol)
+    modulus_dagger = pinv(modulus(t))
     res["modulus_dagger_left"] = spectral_norm(modulus_dagger - modulus(ds))
-    res["modulus_dagger_right"] = spectral_norm(
-        modulus(d) - pinv(modulus(ts), rank_rtol)
-    )
+    res["modulus_dagger_right"] = spectral_norm(modulus(d) - pinv(modulus(ts)))
 
-    uc = polar(t, rank_rtol).u.canon
+    uc = polar(t).u.canon
     res["dagger_polar_form"] = spectral_norm(d.canon - modulus_dagger @ uc.T)
 
     if t.dim_in == t.dim_out:
@@ -352,8 +341,7 @@ def identity_suite(
         p_right = compose(d, t).as_linear()     # T+ T  -> projector onto N(T)^perp
         projector_gap = spectral_norm(p_left - p_right)
         range_gap = spectral_norm(
-            factored(t, rank_rtol).range_projector()
-            - factored(ts, rank_rtol).range_projector()
+            factored(t).range_projector() - factored(ts).range_projector()
         )
         consistent = (projector_gap <= tol) == (range_gap <= tol)
     else:

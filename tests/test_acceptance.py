@@ -182,7 +182,7 @@ def test_criterion_5_spectra():
     for idx in range(100):
         n = int(rng.integers(1, 11))
         t = random_antilinear(rng, n)
-        rep = spectrum_crosscheck(t, phases=8, radial_grid=1)
+        rep = spectrum_crosscheck(t, phases=8)
         tested_points += len(rep.points)
         if rep.disagreements:
             failures.append(f"{idx}: {rep.disagreements[:2]}")

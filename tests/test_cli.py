@@ -1,12 +1,16 @@
 """End-to-end CLI tests driven through the console entry point."""
 
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import antilin.__main__ as entry_module
+import antilin.cli as cli
 from antilin.io import SCHEMA, canonical_json, entries_from_matrix
 
 
@@ -248,7 +252,53 @@ class TestExtensionCommand:
         assert res.returncode == 2
 
 
+@pytest.fixture(scope="module")
+def block_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ops") / "blk.json"
+    res = run_cli("gen", "--kind", "block", "--dim", "2", "--dim2", "2", "--output", str(path))
+    assert res.returncode == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("numrange", "--target", "nan,0"),
+        ("numrange", "--target", "0,inf"),
+        ("identities", "--tol", "nan"),
+        ("identities", "--tol", "inf"),
+        ("identities", "--tol", "-1"),
+        ("block", "--mu", "nan"),
+        ("block", "--mu", "inf+0j"),
+        ("block", "--mu", "0.5;1e400j"),
+    ],
+)
+def test_nonfinite_or_negative_number_flag_exit_2(command, flag, value, diag2i_file, block_file):
+    # rejected while parsing: one line naming the flag, no report, no warning
+    source = block_file if command == "block" else diag2i_file
+    res = run_cli(command, "--input", source, flag, value)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), res.stderr
+
+
 def test_missing_file_exit_2():
     res = run_cli("inspect", "--input", "/nonexistent/op.json")
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+
+
+def test_console_script_pins_the_allocator(monkeypatch):
+    # the installed `antilin` script must take the same path as `python -m antilin`
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["antilin"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    order = []
+    monkeypatch.setattr(entry_module, "_fix_malloc_thresholds", lambda: order.append("fix"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: order.append("main") or 0)
+    monkeypatch.setattr(sys, "argv", ["antilin"])
+    assert entry() == 0
+    assert order == ["fix", "main"]

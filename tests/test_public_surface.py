@@ -1,0 +1,85 @@
+"""The parameters of the public functions.
+
+Each fixed numerical policy (normality tolerance, rank cutoff, kernel
+guards, sampling grids) is a module constant, not a keyword argument, so
+the only parameters are the inputs and the knobs some caller varies.  This
+pins the parameter names, so a removed knob cannot come back unnoticed and
+a new one is a deliberate change to this table.
+"""
+
+import inspect
+
+import pytest
+
+import antilin
+from antilin import blockops, numrange, structure
+from antilin.antiop import RealLinearOperator
+
+EXPORTED = {
+    "antilinear_spectrum": ("t", "tol"),
+    "c_normal_criterion": ("t",),
+    "check_extension": ("p",),
+    "check_polar_commutation": ("t",),
+    "complement": ("blk", "selector", "mu", "tol"),
+    "compose": ("f", "g"),
+    "correspondence_scan": ("blk", "samples", "tol"),
+    "from_factored": ("c", "s"),
+    "gram": ("t",),
+    "identity_suite": ("t", "tol"),
+    "is_in_spectrum": ("op", "lam", "tol"),
+    "is_normal": ("t",),
+    "is_selfadjoint": ("t",),
+    "is_singular": ("m", "tol"),
+    "make_conjugation": ("k",),
+    "minimal_span": ("p", "cap"),
+    "modulus": ("t",),
+    "moore_penrose": ("t",),
+    "nr_disk": ("t",),
+    "nr_value": ("t", "x"),
+    "op_norm": ("op",),
+    "pinv": ("a",),
+    "polar": ("t",),
+    "power_commute": ("t", "n"),
+    "psd_sqrt": ("h",),
+    "rank_link": ("blk", "tol"),
+    "realify": ("op",),
+    "singularity": ("m", "tol"),
+    "spectrum_crosscheck": ("t", "phases", "tol"),
+    "standard_conjugation": ("n",),
+    "takagi": ("b",),
+    "to_factored": ("t", "c"),
+    "unrealify": ("r",),
+    "verify_factorization": ("blk", "mu", "selector"),
+    "witness_disk": ("t", "target"),
+    "witness_segment": ("t", "x1", "x2", "lam"),
+    "word_span_oracle": ("p", "max_len"),
+}
+
+MODULE_LEVEL = {
+    structure.normality: ("t",),
+    structure.factored: ("t",),
+    numrange.sample_sup: ("t", "n_samples", "rng", "refine"),
+    blockops.structured_mu_samples: ("blk", "rng", "random_count"),
+    blockops.samples_for_radii: ("radii", "rng", "random_count"),
+    RealLinearOperator.as_antilinear: ("self",),
+    RealLinearOperator.as_linear: ("self",),
+}
+
+
+def _params(fn) -> tuple:
+    return tuple(inspect.signature(fn).parameters)
+
+
+def test_every_exported_function_is_pinned():
+    exported = {n for n in antilin.__all__ if inspect.isfunction(getattr(antilin, n))}
+    assert exported == set(EXPORTED)
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTED))
+def test_exported_parameters(name):
+    assert _params(getattr(antilin, name)) == EXPORTED[name]
+
+
+@pytest.mark.parametrize("fn", MODULE_LEVEL, ids=lambda fn: fn.__qualname__)
+def test_module_level_parameters(fn):
+    assert _params(fn) == MODULE_LEVEL[fn]

@@ -6,9 +6,10 @@ the degree ``minimal_span`` reaches, one eigensolve per spectrum, no
 second factoring of the same matrix in ``rank_link`` or ``block``, the
 mu-independent pivots inverted once per scan, each complement of a
 ``block`` run evaluated once, no operator's matrix factored twice by
-``identities`` or ``inspect``, normality decided once per invocation, and a
-span basis that projects with matrix products.  None of the savings may
-come from a cache that outlives its operator.
+``identities`` or ``inspect``, normality decided once per invocation, no
+guard SVD of an exactly zero symmetry defect, and a span basis that
+projects with matrix products.  None of the savings may come from a cache
+that outlives its operator.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ import numpy.linalg._linalg as npl
 import antilin.blockops as blockops
 import antilin.cli as cli
 import antilin.extensions as extensions
+import antilin.matkernel as matkernel
 import antilin.numrange as numrange
 import antilin.structure as structure
 from antilin.antiop import AntilinearOperator, RealLinearOperator, compose, realify
@@ -172,8 +174,7 @@ def _kernel_inputs(monkeypatch, names=("svd", "eigh")) -> list:
         def counting(a, *args, _name=name, _original=original, **kwargs):
             m = np.ascontiguousarray(a)
             digest = hashlib.sha256(m.tobytes()).hexdigest()
-            calls.append((_name, m.shape, args, tuple(sorted(kwargs.items())),
-                          digest, not m.any()))
+            calls.append((_name, m.shape, args, tuple(sorted(kwargs.items())), digest))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
@@ -183,8 +184,7 @@ def _kernel_inputs(monkeypatch, names=("svd", "eigh")) -> list:
 
 def test_no_matrix_factored_twice(tmp_path, monkeypatch):
     # nonnormal and twisted_normal have no T = T# coincidence, so a repeated
-    # input can only be a repeated factorization; the exactly zero matrices
-    # of the symmetry guards (h - h* for a Hermitian h) are the exception
+    # input can only be a repeated factorization
     monkeypatch.chdir(tmp_path)
     for kind in ("nonnormal", "twisted_normal"):
         path = _gen(kind, 8, path=f"{kind}.json")
@@ -192,8 +192,20 @@ def test_no_matrix_factored_twice(tmp_path, monkeypatch):
             with monkeypatch.context() as m:
                 calls = _kernel_inputs(m)
                 _run([cmd, "--input", path])
-            repeated = [c for c, k in Counter(calls).items() if k > 1 and not c[-1]]
+            repeated = [c for c, k in Counter(calls).items() if k > 1]
             assert repeated == [], (kind, cmd)
+
+
+def test_guards_run_no_svd_on_an_exactly_zero_difference(rng, monkeypatch):
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    gram = a.conj().T @ a
+    hermitian = 0.5 * (gram + gram.conj().T)   # h - h* is exactly zero
+    symmetric = a + a.T                          # b - b.T is exactly zero
+    for kernel, arg in ((matkernel.psd_sqrt, hermitian), (matkernel.takagi, symmetric)):
+        with monkeypatch.context() as m:
+            calls = _kernel_inputs(m, names=("svd",))
+            kernel(arg)
+        assert len(calls) == 1, kernel.__name__   # the scale ||input|| only
 
 
 def test_normality_decided_once_per_invocation(tmp_path, monkeypatch):

@@ -18,7 +18,11 @@ runs the benchmark's factor-heavy shapes at d = 128 (generator and
 subcommand seed 0): ``inspect``, ``identities`` and ``numrange`` on
 ``selfadjoint``, ``scaled_antiunitary``, ``nonnormal`` and ``nilpotent``,
 and ``extension`` on the two normal kinds among them, so the bulk loader
-and the span basis are compared at the size where they do the most.  Both
+and the span basis are compared at the size where they do the most.
+Finally it runs the flag variants on d = 16 seed-0 files: ``--tol 1e-6``
+and ``--tol 1e-30`` with every operator subcommand on ``twisted_normal``
+(normal) and ``nonnormal``, ``--csv``, ``numrange --target`` inside and
+outside the disk (exit 2), and ``block --mu`` and ``--tol``.  Both
 workers run in fresh directories of the same name, so the relative
 ``--input`` paths inside the reports agree.  The comparison requires equal exit codes, equal
 stdout bytes and equal stderr for every invocation, the generated files
@@ -51,6 +55,20 @@ FACTOR_HEAVY = tuple(
         ("nonnormal", ()),
         ("nilpotent", ()),
     )
+)
+# (file written by the d = 16 grid above, subcommand, flags)
+FLAG_VARIANTS = tuple(
+    (stem, cmd, ["--tol", tol])
+    for stem in ("twisted_normal-16-s0", "nonnormal-16-s0")
+    for tol in ("1e-6", "1e-30")
+    for cmd in OPERATOR_COMMANDS
+) + (
+    ("twisted_normal-16-s0", "inspect", ["--csv"]),
+    ("block-16-s0", "block", ["--csv"]),
+    ("nonnormal-16-s0", "numrange", ["--target", "0.1,0.05"]),
+    ("nonnormal-16-s0", "numrange", ["--target", "100,0"]),
+    ("block-16-s0", "block", ["--mu", "0.3+0.1j;1"]),
+    ("block-16-s0", "block", ["--tol", "1e-6"]),
 )
 
 
@@ -89,6 +107,8 @@ def worker() -> list:
         records.append(_run(main, gen + ["--output", path]))
         for cmd in cmds:
             records.append(_run(main, [cmd, "--input", path, "--seed", str(run_seed)]))
+    for stem, cmd, flags in FLAG_VARIANTS:
+        records.append(_run(main, [cmd, "--input", f"ops/{stem}.json"] + flags))
     return records
 
 
