@@ -13,6 +13,10 @@ live entirely in the real-linear algebra:
   ``T2(mu) = B - (A - mu) F^{-1} (E - mu)``    (pivot F),
   ``T1(mu) = F - (E - mu) B^{-1} (A - mu)``    (pivot B).
 
+S1 and T1 of ``[[A, B], [F, E]]`` are S2 and T2 of the swapped matrix
+``[[E, F], [B, A]]``, so the code states each formula once, in its S2 or T2
+form, and evaluates S1 and T1 on the blocks read in the order E, F, B, A.
+
 Each complement comes with a factorization of the full block matrix into
 unitriangular outer factors and a diagonal or antidiagonal middle factor;
 in finite dimension these are exact operator identities, verified by
@@ -42,8 +46,7 @@ from .errors import DimensionMismatch, PivotSingular
 from .matkernel import (
     SING_TOL,
     is_singular,
-    numerical_rank,
-    scaled_rank,
+    rank_above,
     singular_values,
     singularity,
     spectral_norm,
@@ -149,37 +152,43 @@ def _real_blocks(blk: BlockAntilinearMatrix) -> tuple:
     )
 
 
-def _inverted_pivot(blocks: tuple, selector: str, mu: complex, tol: float) -> tuple:
-    """``(pivot, inverse)`` for the selected complement at ``mu``: the pivot
-    is ``A - mu``, ``E - mu``, ``F`` or ``B``."""
-    a, b, f, e = blocks
-    if selector == "S2":
-        pivot, name = a.shifted(mu), "A - mu"
-    elif selector == "S1":
-        pivot, name = e.shifted(mu), "E - mu"
-    elif selector == "T2":
-        pivot, name = f, "F"
-    elif selector == "T1":
-        pivot, name = b, "B"
-    else:
+def _oriented(blocks: tuple, selector: str) -> tuple:
+    """``(schur, swapped, (a, b, f, e))`` for a selector.
+
+    ``schur`` tells a Schur complement (S2, S1) from a quadratic one (T2,
+    T1).  S1 and T1 of ``[[A, B], [F, E]]`` are S2 and T2 of ``[[E, F],
+    [B, A]]``, so for them ``swapped`` is true and the blocks come back in
+    the order ``(e, f, b, a)``; the complement formulas are then written
+    once, in their S2 and T2 form.
+    """
+    if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
+    swapped = selector in ("S1", "T1")
+    a, b, f, e = blocks
+    return selector[0] == "S", swapped, ((e, f, b, a) if swapped else blocks)
+
+
+def _inverted_pivot(oriented: tuple, mu: complex, tol: float) -> tuple:
+    """``(pivot, inverse)`` for an :func:`_oriented` selector at ``mu``: the
+    pivot is ``A - mu``, ``E - mu``, ``F`` or ``B``."""
+    schur, swapped, (a, b, f, e) = oriented
+    if schur:
+        pivot, name = a.shifted(mu), "E - mu" if swapped else "A - mu"
+    else:
+        pivot, name = f, "B" if swapped else "F"
     return pivot, invert_real_linear(pivot, name, tol)
 
 
 def _complement(
-    blocks: tuple, selector: str, mu: complex, pivot: RealLinearOperator,
+    oriented: tuple, selector: str, mu: complex, pivot: RealLinearOperator,
     inv: RealLinearOperator,
 ) -> ComplementResult:
     """The complement for a pivot whose inverse is already in hand."""
-    a, b, f, e = blocks
-    if selector == "S2":
+    schur, _, (a, b, f, e) = oriented
+    if schur:
         op = e.shifted(mu) - compose(f, compose(inv, b))
-    elif selector == "S1":
-        op = a.shifted(mu) - compose(b, compose(inv, f))
-    elif selector == "T2":
-        op = b - compose(a.shifted(mu), compose(inv, e.shifted(mu)))
     else:
-        op = f - compose(e.shifted(mu), compose(inv, a.shifted(mu)))
+        op = b - compose(a.shifted(mu), compose(inv, e.shifted(mu)))
     return ComplementResult(
         op=op, selector=selector, mu=mu, pivot=pivot, pivot_inverse=inv
     )
@@ -196,10 +205,11 @@ def complement(
     Raises:
         PivotSingular: when the pivot that must be inverted is singular
             (names the pivot and its smallest singular value).
+        ValueError: when ``selector`` is not one of :data:`SELECTORS`.
     """
     mu = complex(mu)
-    blocks = _real_blocks(blk)
-    return _complement(blocks, selector, mu, *_inverted_pivot(blocks, selector, mu, tol))
+    oriented = _oriented(_real_blocks(blk), selector)
+    return _complement(oriented, selector, mu, *_inverted_pivot(oriented, mu, tol))
 
 
 def _block2(op11, op12, op21, op22) -> RealLinearOperator:
@@ -218,38 +228,35 @@ def verify_factorization(blk: BlockAntilinearMatrix, mu: complex, selector: str)
     dimension the identity is exact, so the residual is pure floating-point
     noise.
     """
-    if selector not in SELECTORS:
-        raise ValueError(f"unknown factorization {selector!r}; expected one of {SELECTORS}")
     return factorization_residual(blk, complement(blk, selector, mu))
 
 
 def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -> float:
     """The residual of :func:`verify_factorization` for a complement of
     ``blk`` already in hand (its selector, ``mu`` and pivot inverse)."""
-    selector, mu = comp.selector, comp.mu
-    n, m = blk.n, blk.m
-    a, b, f, e = _real_blocks(blk)
+    schur, swapped, (a, b, f, e) = _oriented(_real_blocks(blk), comp.selector)
+    mu, inv = comp.mu, comp.pivot_inverse
+    n, m = a.dim_in, e.dim_in
     i_n = RealLinearOperator.identity(n)
     i_m = RealLinearOperator.identity(m)
     z_nm = RealLinearOperator.zero(n, m)
     z_mn = RealLinearOperator.zero(m, n)
-    inv = comp.pivot_inverse
-    if selector == "S2":
-        left = _block2(i_n, z_nm, compose(f, inv), i_m)
-        mid = _block2(a.shifted(mu), z_nm, z_mn, comp.op)
-        right = _block2(i_n, compose(inv, b), z_mn, i_m)
-    elif selector == "S1":
-        left = _block2(i_n, compose(b, inv), z_mn, i_m)
-        mid = _block2(comp.op, z_nm, z_mn, e.shifted(mu))
-        right = _block2(i_n, z_nm, compose(inv, f), i_m)
-    elif selector == "T2":
-        left = _block2(i_n, compose(a.shifted(mu), inv), z_mn, i_m)
-        mid = _block2(RealLinearOperator.zero(n, n), comp.op, f, RealLinearOperator.zero(m, m))
-        right = _block2(i_n, compose(inv, e.shifted(mu)), z_mn, i_m)
+    # (x11, x12, x21, x22) of the left, middle and right factors of S2 or T2
+    if schur:
+        factors = (
+            (i_n, z_nm, compose(f, inv), i_m),
+            (a.shifted(mu), z_nm, z_mn, comp.op),
+            (i_n, compose(inv, b), z_mn, i_m),
+        )
     else:
-        left = _block2(i_n, z_nm, compose(e.shifted(mu), inv), i_m)
-        mid = _block2(RealLinearOperator.zero(n, n), b, comp.op, RealLinearOperator.zero(m, m))
-        right = _block2(i_n, z_nm, compose(inv, a.shifted(mu)), i_m)
+        factors = (
+            (i_n, compose(a.shifted(mu), inv), z_mn, i_m),
+            (RealLinearOperator.zero(n, n), comp.op, f, RealLinearOperator.zero(m, m)),
+            (i_n, compose(inv, e.shifted(mu)), z_mn, i_m),
+        )
+    # swapped blocks: [[x11, x12], [x21, x22]] of [[E, F], [B, A]] sits in
+    # [[A, B], [F, E]] as [[x22, x21], [x12, x11]]
+    left, mid, right = (_block2(*(x[::-1] if swapped else x)) for x in factors)
 
     rhs = compose(left, compose(mid, right)).shifted(-mu)
     flat = RealLinearOperator.from_antilinear(blk.flatten())
@@ -316,19 +323,20 @@ def correspondence_scan(
     """
     flat = blk.flatten()
     blocks = _real_blocks(blk)
-    fixed = {}  # F (T2) and B (T1) do not depend on mu: inverted at first use
+    oriented = {sel: _oriented(blocks, sel) for sel in SELECTORS}
+    fixed = {}  # the quadratic pivots F and B do not depend on mu: inverted at first use
     entries = []
     for mu in samples:
         mu = complex(mu)
         in_flat = is_in_spectrum(flat, mu, tol)
-        for sel in SELECTORS:
+        for sel, orient in oriented.items():
             inverted = fixed.get(sel)
             if inverted is None:
                 try:
-                    inverted = _inverted_pivot(blocks, sel, mu, tol)
+                    inverted = _inverted_pivot(orient, mu, tol)
                 except (PivotSingular, DimensionMismatch) as exc:
                     inverted = str(exc)  # the skip reason
-                if sel in ("T2", "T1"):
+                if not orient[0]:  # a quadratic pivot
                     fixed[sel] = inverted
             if isinstance(inverted, str):
                 entries.append(
@@ -339,7 +347,7 @@ def correspondence_scan(
                     )
                 )
                 continue
-            comp = _complement(blocks, sel, mu, *inverted)
+            comp = _complement(orient, sel, mu, *inverted)
             entries.append(
                 ScanEntry(
                     mu=mu, selector=sel,
@@ -424,13 +432,15 @@ def rank_link(blk: BlockAntilinearMatrix, tol: float = SING_TOL) -> RankLinkRepo
         PivotSingular: when ``realify(A)`` is singular (the primal identity
             is the required one; the dual is reported when E is invertible).
     """
-    floor, rank_flat = scaled_rank(blk.flat_singular_values, RANK_FLOOR_RTOL)
+    s = blk.flat_singular_values
+    floor = RANK_FLOOR_RTOL * (1.0 + float(s[0]))
+    rank_flat = int(np.count_nonzero(s > floor))
 
     try:
         s2 = complement(blk, "S2", 0.0, tol)  # its pivot A - 0 is A itself
     except PivotSingular as exc:
         raise PivotSingular("A", exc.min_singular) from None
-    rank_s2 = numerical_rank(realify(s2.op), rank_rtol=0.0, floor=floor)
+    rank_s2 = rank_above(realify(s2.op), floor)
     primal = rank_flat == 2 * blk.n + rank_s2
     f_rel = spectral_norm(
         realify(compose(RealLinearOperator.from_antilinear(blk.f), s2.pivot_inverse))
@@ -443,7 +453,7 @@ def rank_link(blk: BlockAntilinearMatrix, tol: float = SING_TOL) -> RankLinkRepo
     except PivotSingular:
         pass
     else:
-        rank_s1 = numerical_rank(realify(s1.op), rank_rtol=0.0, floor=floor)
+        rank_s1 = rank_above(realify(s1.op), floor)
         dual = rank_flat == 2 * blk.m + rank_s1
 
     return RankLinkReport(

@@ -15,6 +15,13 @@ Subcommands
                  a seeded random subspace of the ambient operator.
 * ``gen``        seeded instance generation (byte-identical per seed).
 
+:func:`main` owns loading: it parses the flags, loads the input file once
+and checks its contract (a block file for ``block`` and an operator or
+conjugation file for the rest; a square operator for ``spectrum``,
+``numrange`` and ``extension``) before any check runs.  The handlers get
+the loaded block matrix or operator and the tolerance table, and compute
+only their checks.
+
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 malformed
 input or usage error (one-line diagnostic, never a stack trace).
 """
@@ -42,7 +49,7 @@ from .blockops import (
 from .errors import AntilinError, NotNormal, OutsideRange, PivotSingular
 from .extensions import ExtensionProblem, check_extension, minimal_span, word_span_oracle
 from .generators import KINDS, crandn, gen_payload
-from .io import InvalidOperatorFile, dump_payload, load_operator
+from .io import dump_payload, load_operator
 from .matkernel import range_projector, spectral_norm
 from .numrange import nr_disk, nr_value, sample_sup, witness_disk, witness_segment
 from .reporting import Report, emit_csv, emit_json
@@ -65,23 +72,39 @@ class _Usage(Exception):
     """Raised for usage-level problems that should exit with code 2."""
 
 
-def _tolerances(args) -> dict:
-    if args.tol is not None:
-        return {k: float(args.tol) for k in BASE_TOLERANCES}
-    return dict(BASE_TOLERANCES)
-
-
 def _cx(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _load_antilinear(args) -> tuple[AntilinearOperator, str, dict]:
+# the subcommands that need a square operator, and what they say otherwise
+_SQUARE_REQUIRED = {
+    "spectrum": "spectrum requires a square operator",
+    "numrange": "numrange requires a square operator",
+    "extension": "extension requires a square ambient operator",
+}
+
+
+def _load(args, report: Report):
+    """The input of a subcommand, with its contract checked before any
+    check runs: the block matrix for ``block``, the antilinear operator for
+    every other subcommand (a conjugation file gives its operator).
+
+    Sets ``report.input_digest`` and, for an operator, ``summary["kind"]``.
+    """
     loaded = load_operator(args.input)
-    if isinstance(loaded.obj, BlockAntilinearMatrix):
+    report.input_digest = loaded.digest
+    is_block = isinstance(loaded.obj, BlockAntilinearMatrix)
+    if args.command == "block":
+        if not is_block:
+            raise _Usage("the 'block' subcommand requires a block operator file")
+        return loaded.obj
+    if is_block:
         raise _Usage("block operator files are handled by the 'block' subcommand")
-    if isinstance(loaded.obj, Conjugation):
-        return loaded.obj.as_operator(), loaded.digest, {"kind": "conjugation"}
-    return loaded.obj, loaded.digest, {"kind": loaded.kind}
+    t = loaded.obj.as_operator() if isinstance(loaded.obj, Conjugation) else loaded.obj
+    if args.command in _SQUARE_REQUIRED and t.dim_in != t.dim_out:
+        raise _Usage(_SQUARE_REQUIRED[args.command])
+    report.summary["kind"] = loaded.kind
+    return t
 
 
 def _pairing_residual(t: AntilinearOperator, rng: np.random.Generator, pairs: int = 100) -> float:
@@ -101,10 +124,7 @@ def _min_eig_defect(h: np.ndarray) -> float:
     return float(max(0.0, -vals[0])) if vals.size else 0.0
 
 
-def cmd_inspect(args, report: Report) -> None:
-    t, digest, info = _load_antilinear(args)
-    report.input_digest = digest
-    tols = _tolerances(args)
+def cmd_inspect(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
     rng = np.random.default_rng(args.seed)
     a = t.canon
     scale = structure.canon_norm(t)
@@ -149,7 +169,6 @@ def cmd_inspect(args, report: Report) -> None:
     )
     report.add("mp_right_projector", mp.residuals["right_projector"], tols["identity"])
 
-    report.summary.update(info)
     report.summary["dims"] = [t.dim_out, t.dim_in]
     report.summary["canon_norm"] = scale
     if t.dim_in == t.dim_out:
@@ -164,10 +183,7 @@ def cmd_inspect(args, report: Report) -> None:
         report.summary["numerical_range_radius"] = nr_disk(t).radius
 
 
-def cmd_identities(args, report: Report) -> None:
-    t, digest, info = _load_antilinear(args)
-    report.input_digest = digest
-    tols = _tolerances(args)
+def cmd_identities(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
     scale = structure.canon_norm(t)
 
     suite = structure.identity_suite(t, tol=tols["identity"])
@@ -209,16 +225,9 @@ def cmd_identities(args, report: Report) -> None:
                     structure.power_commute(t, n),
                     tols["power"] * (1 + scale ** (2 * n)),
                 )
-    report.summary.update(info)
 
 
-def cmd_spectrum(args, report: Report) -> None:
-    t, digest, info = _load_antilinear(args)
-    report.input_digest = digest
-    tols = _tolerances(args)
-    if t.dim_in != t.dim_out:
-        raise _Usage("spectrum requires a square operator")
-
+def cmd_spectrum(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
     check = spectrum_crosscheck(t, phases=8, tol=tols["membership"])
     report.add("crosscheck_disagreements", float(len(check.disagreements)), 0.0)
 
@@ -231,7 +240,6 @@ def cmd_spectrum(args, report: Report) -> None:
         )
     report.add("eig_conjugation_closure", closure, tols["identity"])
 
-    report.summary.update(info)
     report.summary["radii"] = list(check.radii)
     report.summary["clamped_eigenvalues"] = [_cx(z) for z in check.clamped]
     report.summary["members_tested"] = check.members_tested
@@ -239,15 +247,9 @@ def cmd_spectrum(args, report: Report) -> None:
     report.summary["classification"] = CLASSIFICATION_NOTE
 
 
-def cmd_numrange(args, report: Report) -> None:
-    t, digest, info = _load_antilinear(args)
-    report.input_digest = digest
-    tols = _tolerances(args)
-    if t.dim_in != t.dim_out:
-        raise _Usage("numrange requires a square operator")
+def cmd_numrange(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
     rng = np.random.default_rng(args.seed)
     disk = nr_disk(t)
-    report.summary.update(info)
     report.summary["radius"] = disk.radius
     report.add(
         "disk_extremal_value",
@@ -311,13 +313,7 @@ def cmd_numrange(args, report: Report) -> None:
         report.summary["note"] = "dimension one: the numerical range is a circle"
 
 
-def cmd_block(args, report: Report) -> None:
-    loaded = load_operator(args.input)
-    if not isinstance(loaded.obj, BlockAntilinearMatrix):
-        raise _Usage("the 'block' subcommand requires a block operator file")
-    blk = loaded.obj
-    report.input_digest = loaded.digest
-    tols = _tolerances(args)
+def cmd_block(blk: BlockAntilinearMatrix, args, report: Report, tols: dict) -> None:
     rng = np.random.default_rng(args.seed)
 
     flat_norm = float(blk.flat_singular_values[0])
@@ -368,11 +364,7 @@ def cmd_block(args, report: Report) -> None:
     report.summary["skipped"] = skipped
 
 
-def cmd_extension(args, report: Report) -> None:
-    t, digest, info = _load_antilinear(args)
-    report.input_digest = digest
-    if t.dim_in != t.dim_out:
-        raise _Usage("extension requires a square ambient operator")
+def cmd_extension(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
     big = t.dim_in
     rng = np.random.default_rng(args.seed)
     h = max(1, ceil(big / 2))
@@ -390,7 +382,6 @@ def cmd_extension(args, report: Report) -> None:
     report.add("span_stabilized_before_cap", 1.0 if span.hit_cap else 0.0, 0.0)
 
     residuals = check_extension(problem)
-    report.summary.update(info)
     report.summary.update(
         {
             "ambient_dim": big,
@@ -445,9 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="operator file (JSON)")
+    def common(p):
+        p.add_argument("--input", required=True, help="operator file (JSON)")
         p.add_argument("--output", default=None, help="write the report here (default stdout)")
         p.add_argument(
             "--tol", type=float, default=None,
@@ -496,22 +486,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 on --help; map everything else onto 2
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
+        return 0 if exc.code == 0 else 2
 
     try:
         if args.command == "gen":
             text = cmd_gen(args, None)
-            if args.output is None and text is not None:
+            if args.output is None:
                 sys.stdout.write(text)
             return 0
 
         if args.tol is not None and not (isfinite(args.tol) and args.tol >= 0.0):
             raise _Usage(f"--tol must be a finite nonnegative number, got {args.tol!r}")
-        if getattr(args, "mu", None) is not None and isinstance(args.mu, str):
+        if getattr(args, "mu", None) is not None:
             args.mu = _parse_mu(args.mu)
-        if getattr(args, "target", None) is not None and isinstance(args.target, str):
+        if getattr(args, "target", None) is not None:
             args.target = _parse_target(args.target)
+        tols = (
+            dict(BASE_TOLERANCES) if args.tol is None
+            else dict.fromkeys(BASE_TOLERANCES, float(args.tol))
+        )
 
         report = Report(
             command=" ".join([args.command] + argv[1:]),
@@ -519,10 +512,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             environment={
                 "version": __version__,
                 "seed": int(args.seed),
-                "tolerances": _tolerances(args),
+                "tolerances": tols,
             },
         )
-        _HANDLERS[args.command](args, report)
+        _HANDLERS[args.command](_load(args, report), args, report, tols)
         text = emit_csv(report) if args.fmt == "csv" else emit_json(report)
         if args.output is None:
             sys.stdout.write(text)
@@ -530,7 +523,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         return 0 if report.overall_pass else 1
-    except (_Usage, InvalidOperatorFile, AntilinError, OSError, ValueError) as exc:
+    except (_Usage, AntilinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -99,23 +99,16 @@ def gen_payload(kind: str, dim: int, seed: int, dim2: Optional[int] = None) -> d
 
     if dim < 1:
         raise UnknownKind("dim must be at least 1")
-    rng = np.random.default_rng(seed)
     if kind == "block":
         m = dim2 if dim2 is not None else dim
         if m < 1:
             raise UnknownKind("dim2 must be at least 1")
-        scale = 1.0 / np.sqrt(max(dim, m))
-        blocks = {
-            "a": crandn(rng, dim, dim) * scale,
-            "b": crandn(rng, dim, m) * scale,
-            "f": crandn(rng, m, dim) * scale,
-            "e": crandn(rng, m, m) * scale,
-        }
+        blk = gen_block(dim, m, seed)
         return {
             "schema": SCHEMA,
             "kind": "block",
             "dims": [dim, m],
-            "blocks": {k: entries_from_matrix(v) for k, v in blocks.items()},
+            "blocks": {k: entries_from_matrix(getattr(blk, k).canon) for k in "abfe"},
             "meta": {
                 "seed": int(seed),
                 "generator": "block",
@@ -124,7 +117,7 @@ def gen_payload(kind: str, dim: int, seed: int, dim2: Optional[int] = None) -> d
         }
     if kind not in KINDS:
         raise UnknownKind(f"unknown generator kind {kind!r}")
-    a, note = _canon(kind, dim, rng)
+    a, note = _canon(kind, dim, np.random.default_rng(seed))
     return {
         "schema": SCHEMA,
         "kind": "antilinear",

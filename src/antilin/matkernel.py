@@ -10,8 +10,10 @@ nowhere else, and each decision reads one factorization.
 Cutoffs:
 
 * ``RANK_RTOL``:  singular values at or below ``RANK_RTOL * max(rows, cols)
-  * sigma_max`` are treated as zero (:func:`pinv` always uses it; the
-  ranked SVD, range projector and numerical rank take another per call).
+  * sigma_max`` are treated as zero (:func:`pinv` and
+  :func:`numerical_rank` always use it; the ranked SVD and range projector
+  take another per call).  :func:`rank_above` counts instead against an
+  absolute cutoff its caller derives from a larger matrix.
 * ``SING_TOL``:   a square real matrix counts as singular when its smallest
   singular value is at most ``tol * (1 + sigma_max)``, ``tol = SING_TOL``
   unless the call passes another.
@@ -273,10 +275,10 @@ def _singularity_bracket(m: np.ndarray, tol: float) -> bool | None:
     return None
 
 
-def _rank_cutoff(s: np.ndarray, shape, rank_rtol: float, floor: float = 0.0) -> tuple[float, int]:
-    """Cutoff ``max(rank_rtol * max(shape) * sigma_max, floor)`` and the
-    number of the descending singular values ``s`` above it."""
-    tau = max(rank_rtol * max(shape) * (float(s[0]) if s.size else 0.0), floor)
+def _rank_cutoff(s: np.ndarray, shape, rank_rtol: float) -> tuple[float, int]:
+    """Cutoff ``rank_rtol * max(shape) * sigma_max`` and the number of the
+    descending singular values ``s`` above it."""
+    tau = rank_rtol * max(shape) * (float(s[0]) if s.size else 0.0)
     return tau, int(np.count_nonzero(s > tau))
 
 
@@ -317,26 +319,17 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def numerical_rank(a, rank_rtol: float = RANK_RTOL, floor: float = 0.0) -> int:
-    """Rank of ``a`` counting singular values above the package cutoff.
-
-    ``floor`` adds an absolute lower bound on the cutoff, for matrices whose
-    natural scale is inherited from a larger computation.
-    """
+def numerical_rank(a) -> int:
+    """Rank of ``a`` counting singular values above the package cutoff."""
     a = np.asarray(a)
-    return _rank_cutoff(singular_values(a), a.shape, rank_rtol, floor)[1]
+    return _rank_cutoff(singular_values(a), a.shape, RANK_RTOL)[1]
 
 
-def scaled_rank(s: np.ndarray, floor_rtol: float) -> tuple[float, int]:
-    """Cutoff ``floor_rtol * (1 + sigma_max)`` and the number of the
-    descending singular values ``s`` (see :func:`singular_values`) above it.
-
-    The cutoff is absolute, so it can rank smaller matrices derived from
-    the factored matrix on its scale (pass it to :func:`numerical_rank` as
-    ``floor`` with ``rank_rtol=0``).
-    """
-    sigma_max = float(s[0]) if s.size else 0.0
-    return _rank_cutoff(s, s.shape, 0.0, floor_rtol * (1.0 + sigma_max))
+def rank_above(a, floor: float) -> int:
+    """Number of singular values of ``a`` above the absolute cutoff
+    ``floor``, for a matrix whose scale is inherited from a larger
+    computation."""
+    return int(np.count_nonzero(singular_values(a) > floor))
 
 
 def range_projector(a, rank_rtol: float = RANK_RTOL) -> np.ndarray:

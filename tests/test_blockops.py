@@ -192,6 +192,12 @@ class TestGuards:
         with pytest.raises(PivotSingular):
             complement(blk, "T2", 0.3)
 
+    @pytest.mark.parametrize("sel, zero_block, pivot", [("S1", "e", "E - mu"), ("T1", "b", "B")])
+    def test_dual_singular_pivot_is_named(self, sel, zero_block, pivot):
+        with pytest.raises(PivotSingular) as info:
+            complement(scalar_block(**{zero_block: 0.0}), sel, 0.0)
+        assert info.value.pivot == pivot
+
     def test_scan_skips_bad_pivots(self, rng):
         blk = scalar_block(f=0.0)
         report = correspondence_scan(blk, [0.3 + 0.1j])
@@ -222,3 +228,15 @@ def test_flatten_consistency(rng):
         member = is_in_spectrum(flat, mu)
         predicted = bool(radii and np.min(np.abs(np.array(radii) - abs(mu))) <= 1e-7)
         assert member == predicted
+
+
+@pytest.mark.parametrize("dual, primal, n, m", [("S1", "S2", 2, 3), ("T1", "T2", 3, 3)])
+def test_dual_complement_is_primal_of_swapped_block(rng, dual, primal, n, m):
+    # S1/T1 of [[A, B], [F, E]] are S2/T2 of [[E, F], [B, A]], bit for bit
+    blk = random_block(rng, n, m)
+    swapped = BlockAntilinearMatrix(a=blk.e, b=blk.f, f=blk.b, e=blk.a)
+    got = complement(blk, dual, 0.4 - 0.3j)
+    want = complement(swapped, primal, 0.4 - 0.3j)
+    for x, y in ((got.op, want.op), (got.pivot_inverse, want.pivot_inverse)):
+        assert np.array_equal(x.lin, y.lin)
+        assert np.array_equal(x.anti, y.anti)

@@ -11,7 +11,8 @@ import pytest
 
 import antilin.__main__ as entry_module
 import antilin.cli as cli
-from antilin.io import SCHEMA, canonical_json, entries_from_matrix
+from antilin.generators import crandn, symmetric_unitary
+from antilin.io import SCHEMA, canonical_json, entries_from_matrix, load_operator
 
 
 def run_cli(*args, cwd=None):
@@ -281,6 +282,88 @@ def test_nonfinite_or_negative_number_flag_exit_2(command, flag, value, diag2i_f
     assert res.stdout == ""
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), res.stderr
+
+
+OPERATOR_COMMANDS = ("inspect", "identities", "spectrum", "numrange", "extension")
+
+
+def _write_operator(tmp_path_factory, kind, a) -> str:
+    path = tmp_path_factory.mktemp("ops") / f"{kind}.json"
+    payload = {
+        "schema": SCHEMA,
+        "kind": kind,
+        "dims": list(a.shape),
+        "entries": entries_from_matrix(a),
+        "meta": {"seed": 0, "generator": "manual", "description": kind},
+    }
+    path.write_text(canonical_json(payload) + "\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def conjugation_file(tmp_path_factory):
+    return _write_operator(
+        tmp_path_factory, "conjugation", symmetric_unitary(np.random.default_rng(0), 4)
+    )
+
+
+@pytest.fixture(scope="module")
+def rect_file(tmp_path_factory):
+    a = crandn(np.random.default_rng(0), 3, 5) / np.sqrt(5.0)
+    return _write_operator(tmp_path_factory, "antilinear", a)
+
+
+def _main(capsys, *argv) -> tuple:
+    """In-process run: (exit code, stdout, stderr)."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command", OPERATOR_COMMANDS)
+def test_conjugation_file_runs_as_its_operator(command, conjugation_file, capsys):
+    code, out, err = _main(capsys, command, "--input", conjugation_file)
+    assert code == 0, err
+    assert json.loads(out)["summary"]["kind"] == "conjugation"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("inspect", None),
+        ("identities", None),
+        ("spectrum", "spectrum requires a square operator"),
+        ("numrange", "numrange requires a square operator"),
+        ("extension", "extension requires a square ambient operator"),
+    ],
+)
+def test_rectangular_operator(command, message, rect_file, capsys):
+    code, out, err = _main(capsys, command, "--input", rect_file)
+    if message is None:
+        assert code == 0, err
+        assert json.loads(out)["summary"]["kind"] == "antilinear"
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", OPERATOR_COMMANDS + ("block",))
+def test_wrong_file_kind_exit_2(command, block_file, diag2i_file, capsys):
+    if command == "block":
+        source, message = diag2i_file, "the 'block' subcommand requires a block operator file"
+    else:
+        source, message = block_file, "block operator files are handled by the 'block' subcommand"
+    assert _main(capsys, command, "--input", source) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [("inspect", "conjugation_file"), ("identities", "rect_file"), ("block", "block_file")],
+)
+def test_input_digest_is_the_file_digest(command, source, request, capsys):
+    path = request.getfixturevalue(source)
+    code, out, err = _main(capsys, command, "--input", path)
+    assert code in (0, 1), err
+    assert json.loads(out)["input_digest"] == load_operator(path).digest
 
 
 def test_missing_file_exit_2():

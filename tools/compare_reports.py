@@ -22,7 +22,16 @@ and the span basis are compared at the size where they do the most.
 Finally it runs the flag variants on d = 16 seed-0 files: ``--tol 1e-6``
 and ``--tol 1e-30`` with every operator subcommand on ``twisted_normal``
 (normal) and ``nonnormal``, ``--csv``, ``numrange --target`` inside and
-outside the disk (exit 2), and ``block --mu`` and ``--tol``.  Both
+outside the disk (exit 2), and ``block --mu`` and ``--tol``.  Then the
+inputs ``gen`` cannot write, written with the tree's own ``io.dump_payload``
+(the file text is compared too): conjugation files (symmetric unitaries at
+d = 4 and 16) and rectangular 3x5 and 6x2 operator files, each under every
+operator subcommand (``spectrum``, ``numrange`` and ``extension`` reject
+a rectangle) and under ``block`` (exit 2).  Then the rectangular blocks
+``gen --kind block`` 3x5, 5x3, 1x4 and 16x8 under ``block``, plain and
+with ``--mu "0.3+0.1j;1;0"``.  Last, the cross-kind misuse: the d = 16 and
+the 3x5 block file under every operator subcommand and a d = 16 operator
+file under ``block`` (exit 2).  Both
 workers run in fresh directories of the same name, so the relative
 ``--input`` paths inside the reports agree.  The comparison requires equal exit codes, equal
 stdout bytes and equal stderr for every invocation, the generated files
@@ -70,6 +79,23 @@ FLAG_VARIANTS = tuple(
     ("block-16-s0", "block", ["--mu", "0.3+0.1j;1"]),
     ("block-16-s0", "block", ["--tol", "1e-6"]),
 )
+# files antilin gen cannot write: (stem, payload kind, dims, seed); the
+# conjugations are symmetric unitaries, the operators Gaussian rectangles
+WRITTEN = (
+    ("conjugation-4", "conjugation", (4, 4), 0),
+    ("conjugation-16", "conjugation", (16, 16), 0),
+    ("rect-3x5", "antilinear", (3, 5), 0),
+    ("rect-6x2", "antilinear", (6, 2), 0),
+)
+# rectangular blocks (n, m), each run plain and with RECT_BLOCK_MU
+RECT_BLOCKS = ((3, 5), (5, 3), (1, 4), (16, 8))
+RECT_BLOCK_MU = ["--mu", "0.3+0.1j;1;0"]
+# a file under a subcommand that rejects its kind: (file stem, subcommands)
+CROSS_KIND = (
+    ("block-16-s0", OPERATOR_COMMANDS),
+    ("block-3x5", OPERATOR_COMMANDS),
+    ("twisted_normal-16-s0", ("block",)),
+)
 
 
 def _run(main, argv: list) -> dict:
@@ -90,6 +116,7 @@ def worker() -> list:
     """Every invocation of one tree, run in process in the current directory."""
     from antilin.cli import main
     from antilin.generators import KINDS
+    from antilin.io import dump_payload
 
     os.makedirs("ops", exist_ok=True)
     cases = [
@@ -109,7 +136,45 @@ def worker() -> list:
             records.append(_run(main, [cmd, "--input", path, "--seed", str(run_seed)]))
     for stem, cmd, flags in FLAG_VARIANTS:
         records.append(_run(main, [cmd, "--input", f"ops/{stem}.json"] + flags))
+
+    for stem, kind, dims, seed in WRITTEN:
+        path = f"ops/{stem}.json"
+        text = dump_payload(_written_payload(kind, dims, seed), path)
+        records.append({"argv": ["write", path], "code": 0, "stdout": text, "stderr": ""})
+        for cmd in OPERATOR_COMMANDS + ("block",):
+            records.append(_run(main, [cmd, "--input", path]))
+    for n, m in RECT_BLOCKS:
+        path = f"ops/block-{n}x{m}.json"
+        gen = ["gen", "--kind", "block", "--dim", str(n), "--dim2", str(m), "--seed", "0"]
+        records.append(_run(main, gen))
+        records.append(_run(main, gen + ["--output", path]))
+        records.append(_run(main, ["block", "--input", path]))
+        records.append(_run(main, ["block", "--input", path] + RECT_BLOCK_MU))
+    for stem, cmds in CROSS_KIND:
+        for cmd in cmds:
+            records.append(_run(main, [cmd, "--input", f"ops/{stem}.json"]))
     return records
+
+
+def _written_payload(kind: str, dims: tuple, seed: int) -> dict:
+    """An operator-file payload of :data:`WRITTEN`, drawn from ``seed``."""
+    import numpy as np
+
+    from antilin.generators import crandn, symmetric_unitary
+    from antilin.io import SCHEMA, entries_from_matrix
+
+    rng = np.random.default_rng(seed)
+    if kind == "conjugation":
+        a, generator = symmetric_unitary(rng, dims[0]), "symmetric_unitary"
+    else:
+        a, generator = crandn(rng, *dims) / np.sqrt(max(dims)), "crandn"
+    return {
+        "schema": SCHEMA,
+        "kind": kind,
+        "dims": list(dims),
+        "entries": entries_from_matrix(a),
+        "meta": {"seed": seed, "generator": generator, "description": "compare_reports input"},
+    }
 
 
 def run_tree(tree: Path) -> list:
