@@ -29,7 +29,6 @@ from .blockops import (
     complement,
     correspondence_scan,
     rank_link,
-    verify_factorization,
 )
 from .errors import AntilinError
 from .extensions import (
@@ -122,7 +121,6 @@ __all__ = [
     "takagi",
     "to_factored",
     "unrealify",
-    "verify_factorization",
     "witness_disk",
     "witness_segment",
     "word_span_oracle",

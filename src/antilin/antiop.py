@@ -39,7 +39,7 @@ from typing import Callable, Hashable, TypeVar, Union
 import numpy as np
 
 from .errors import DimensionMismatch, NotInvolution, NotIsometric
-from .matkernel import spectral_norm
+from .matkernel import _as_complex, spectral_norm
 
 # a conjugation matrix K must satisfy K conj(K) = I and K* K = I to this
 # absolute spectral-norm tolerance
@@ -50,11 +50,8 @@ PURITY_TOL = 1e-12
 
 
 def _own_matrix(a) -> np.ndarray:
-    m = np.array(a, dtype=complex, copy=True, order="C")
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d array, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+    """A read-only C-order copy of the finite 2-d complex matrix ``a``."""
+    m = _as_complex(a).copy(order="C")
     m.setflags(write=False)
     return m
 

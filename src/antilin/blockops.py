@@ -20,8 +20,8 @@ form, and evaluates S1 and T1 on the blocks read in the order E, F, B, A.
 Each complement comes with a factorization of the full block matrix into
 unitriangular outer factors and a diagonal or antidiagonal middle factor;
 in finite dimension these are exact operator identities, verified by
-:func:`verify_factorization`.  The spectral correspondences (the spectrum of
-the block matrix away from the pivot spectrum equals the zero set of the
+:func:`factorization_residual`.  The spectral correspondences (the spectrum
+of the block matrix away from the pivot spectrum equals the zero set of the
 complement family) are exercised pointwise by :func:`correspondence_scan`,
 and the rank bookkeeping of the factorization at ``mu = 0`` by
 :func:`rank_link`.
@@ -51,7 +51,7 @@ from .matkernel import (
     singularity,
     spectral_norm,
 )
-from .spectra import antilinear_spectrum, is_in_spectrum
+from .spectra import is_in_spectrum
 
 SELECTORS = ("S1", "S2", "T1", "T2")
 # rank_link ranks every matrix against RANK_FLOOR_RTOL * (1 + ||realify(blk)||)
@@ -218,9 +218,10 @@ def _block2(op11, op12, op21, op22) -> RealLinearOperator:
     return RealLinearOperator(lin, anti)
 
 
-def verify_factorization(blk: BlockAntilinearMatrix, mu: complex, selector: str) -> float:
+def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -> float:
     """Residual ``||realify(blk) - realify(mu + L . mid . R)||`` of the
-    factorization associated with the selected complement.
+    factorization associated with a complement of ``blk`` (its selector,
+    ``mu`` and pivot inverse).
 
     The Schur complements S2/S1 sit in a diagonal middle factor, the
     quadratic complements T2/T1 in an antidiagonal one; the outer factors
@@ -228,12 +229,6 @@ def verify_factorization(blk: BlockAntilinearMatrix, mu: complex, selector: str)
     dimension the identity is exact, so the residual is pure floating-point
     noise.
     """
-    return factorization_residual(blk, complement(blk, selector, mu))
-
-
-def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -> float:
-    """The residual of :func:`verify_factorization` for a complement of
-    ``blk`` already in hand (its selector, ``mu`` and pivot inverse)."""
     schur, swapped, (a, b, f, e) = _oriented(_real_blocks(blk), comp.selector)
     mu, inv = comp.mu, comp.pivot_inverse
     n, m = a.dim_in, e.dim_in
@@ -358,25 +353,16 @@ def correspondence_scan(
     return ScanReport(entries=tuple(entries))
 
 
-def structured_mu_samples(
-    blk: BlockAntilinearMatrix, rng: np.random.Generator, random_count: int = 50
-) -> list:
-    """Deterministic scan grid derived from the circle structure of the
-    flattened spectrum: 8 points on each circle, 4 on each between-circle
-    midpoint circle, and ``random_count`` uniform random points in a
-    bounding disk.  Uniform sampling alone almost never lands on the
-    measure-zero spectrum, so the on-circle points are what exercises the
-    member branch.
-    """
-    radii = antilinear_spectrum(blk.flatten()).radii
-    return samples_for_radii(radii, rng, random_count)
-
-
 def samples_for_radii(
     radii: Sequence[float], rng: np.random.Generator, random_count: int = 50
 ) -> list:
-    """The scan grid of :func:`structured_mu_samples` for circle radii
-    already in hand (ascending, as :func:`antilinear_spectrum` gives them)."""
+    """Deterministic scan grid derived from the circle radii of a flattened
+    spectrum (ascending, as :func:`~antilin.spectra.antilinear_spectrum`
+    gives them): 8 points on each circle, 4 on each between-circle midpoint
+    circle, and ``random_count`` uniform random points in a bounding disk.
+    Uniform sampling alone almost never lands on the measure-zero spectrum,
+    so the on-circle points are what exercises the member branch.
+    """
     radii = list(radii)
     samples: list[complex] = []
     for r in radii:

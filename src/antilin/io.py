@@ -18,21 +18,22 @@ always produces identical bytes.
 
 Operator files are dominated by one list of ``[re, im]`` rows, so the
 loader and the emitter handle such lists in bulk, with the same bytes and
-the same errors as the element-by-element code they fall back to:
+the same errors as the element-by-element code they fall back to.  Both
+bulk paths take a list only when :func:`_numeric_rows` admits it: a list of
+equal-width rows whose items all have exact type ``float`` or ``int``,
+every float finite and every int within ``|int| <= 2**53``.
 
-* :func:`canonical_json` renders a list of equal-width rows with one
-  ``%``-format call when every item has exact type ``float`` or ``int``,
-  every float is finite and every int satisfies ``|int| <= 2**53``.  That
-  rendering is exact: ``"%.17g" % x`` is ``f"{x:.17g}"`` for a finite
+* :func:`canonical_json` renders such a list with one ``%``-format call.
+  That rendering is exact: ``"%.17g" % x`` is ``f"{x:.17g}"`` for a finite
   float, and an int in that range converts to float exactly and has at
   most 16 digits, so ``%.17g`` prints it as ``str(int)`` does.  Anything
   else (bools, numpy scalars, tuples, larger ints) takes the recursive path.
-* :func:`matrix_from_entries` builds the matrix with ``np.array(entries,
-  dtype=float).view(complex)`` once every entry is a list of two exact
-  ``float``/``int`` values.  Reading the (re, im) pairs as the two halves of
-  complex128 is bit-exact, signed zeros included (``re + 1j*im`` is not).
-  An irregular, non-finite or out-of-range entry sends the whole list
-  through the per-entry loop, which names the first bad entry.
+* :func:`matrix_from_entries` builds the matrix from such a list of pairs
+  with ``np.array(flat, dtype=float).view(complex)``.  Reading the (re, im)
+  pairs as the two halves of complex128 is bit-exact, signed zeros included
+  (``re + 1j*im`` is not).  Any other list goes through the per-entry loop,
+  which names the first bad entry (and rounds a larger int to the same
+  float).
 """
 
 from __future__ import annotations
@@ -73,12 +74,15 @@ def _canon_scalar(x) -> str:
 _EXACT_INT = 2**53
 
 
-def _numeric_rows_text(rows: list):
-    """Canonical text of a list of equal-width rows of finite floats and
-    ints within ``2**53`` (one ``%`` call), or None for any other list."""
+def _numeric_rows(rows: list, width: Optional[int] = None) -> Optional[list]:
+    """The items of ``rows``, flattened row by row, when ``rows`` is a
+    nonempty list of lists of one width (``width``, or that of the first
+    row) whose items have exact type ``float`` or ``int``, are finite and,
+    for ints, lie within ``2**53``; None for any other list."""
     if not rows or type(rows[0]) is not list:
         return None
-    width = len(rows[0])
+    if width is None:
+        width = len(rows[0])
     if any(type(r) is not list or len(r) != width for r in rows):
         return None
     flat = [x for r in rows for x in r]
@@ -91,8 +95,7 @@ def _numeric_rows_text(rows: list):
         return None
     if not all(map(math.isfinite, flat)):
         return None
-    row = "[" + ",".join(["%.17g"] * width) + "]"
-    return "[" + ",".join([row] * len(rows)) % tuple(flat) + "]"
+    return flat
 
 
 def canonical_json(obj) -> str:
@@ -105,10 +108,10 @@ def canonical_json(obj) -> str:
         )
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        if type(obj) is list:
-            text = _numeric_rows_text(obj)
-            if text is not None:
-                return text
+        flat = _numeric_rows(obj) if type(obj) is list else None
+        if flat is not None:
+            row = "[" + ",".join(["%.17g"] * len(obj[0])) + "]"
+            return "[" + ",".join([row] * len(obj)) % tuple(flat) + "]"
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     return _canon_scalar(obj)
 
@@ -119,31 +122,15 @@ def entries_from_matrix(a) -> list:
     return a.reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
-def _pairs_to_complex(entries: list):
-    """Bulk conversion of regular [re, im] entries, or None when any entry
-    needs the per-entry checks of :func:`matrix_from_entries`."""
-    if any(type(p) is not list or len(p) != 2 for p in entries):
-        return None
-    if not set(map(type, (x for p in entries for x in p))) <= {float, int}:
-        return None
-    try:
-        pairs = np.array(entries, dtype=float).reshape(len(entries), 2)
-    except OverflowError:
-        return None
-    if not np.isfinite(pairs).all():
-        return None
-    return pairs.view(complex).reshape(-1)
-
-
 def matrix_from_entries(entries, rows: int, cols: int, where: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InvalidOperatorFile(
             f"{where}: expected {rows * cols} [re, im] entries, got "
             f"{len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
-    flat = _pairs_to_complex(entries)
+    flat = _numeric_rows(entries, 2)
     if flat is not None:
-        return flat.reshape(rows, cols)
+        return np.array(flat, dtype=float).view(complex).reshape(rows, cols)
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
         if (

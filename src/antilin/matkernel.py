@@ -10,9 +10,9 @@ nowhere else, and each decision reads one factorization.
 Cutoffs:
 
 * ``RANK_RTOL``:  singular values at or below ``RANK_RTOL * max(rows, cols)
-  * sigma_max`` are treated as zero (:func:`pinv` and
-  :func:`numerical_rank` always use it; the ranked SVD and range projector
-  take another per call).  :func:`rank_above` counts instead against an
+  * sigma_max`` are treated as zero (:func:`pinv` always uses it;
+  :func:`ranked_svd` and :func:`range_projector` default to it and take
+  another per call).  :func:`rank_above` counts instead against an
   absolute cutoff its caller derives from a larger matrix.
 * ``SING_TOL``:   a square real matrix counts as singular when its smallest
   singular value is at most ``tol * (1 + sigma_max)``, ``tol = SING_TOL``
@@ -79,9 +79,6 @@ class TakagiFactorization:
 
     u: np.ndarray
     sigma: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ np.diag(self.sigma) @ self.u.T
 
 
 def takagi(b) -> TakagiFactorization:
@@ -275,13 +272,6 @@ def _singularity_bracket(m: np.ndarray, tol: float) -> bool | None:
     return None
 
 
-def _rank_cutoff(s: np.ndarray, shape, rank_rtol: float) -> tuple[float, int]:
-    """Cutoff ``rank_rtol * max(shape) * sigma_max`` and the number of the
-    descending singular values ``s`` above it."""
-    tau = rank_rtol * max(shape) * (float(s[0]) if s.size else 0.0)
-    return tau, int(np.count_nonzero(s > tau))
-
-
 @dataclass(frozen=True, eq=False)
 class Factored:
     """Full SVD ``a = w @ diag(s) @ vh`` with the package rank decision
@@ -301,12 +291,14 @@ class Factored:
 
 
 def ranked_svd(a, rank_rtol: float = RANK_RTOL) -> Factored:
-    """Full SVD of ``a`` with the package rank decision applied to it."""
+    """Full SVD of ``a`` with the package rank decision applied to it: the
+    cutoff is ``rank_rtol * max(a.shape) * sigma_max``."""
     a = np.asarray(a)
     w, s, vh = np.linalg.svd(a)
     for m in (w, s, vh):
         m.setflags(write=False)
-    return Factored(w, s, vh, *_rank_cutoff(s, a.shape, rank_rtol))
+    tau = rank_rtol * max(a.shape) * (float(s[0]) if s.size else 0.0)
+    return Factored(w, s, vh, tau, int(np.count_nonzero(s > tau)))
 
 
 def singular_values(a) -> np.ndarray:
@@ -317,12 +309,6 @@ def singular_values(a) -> np.ndarray:
     if a.size == 0:
         return np.zeros(0)
     return np.linalg.svd(a, compute_uv=False)
-
-
-def numerical_rank(a) -> int:
-    """Rank of ``a`` counting singular values above the package cutoff."""
-    a = np.asarray(a)
-    return _rank_cutoff(singular_values(a), a.shape, RANK_RTOL)[1]
 
 
 def rank_above(a, floor: float) -> int:

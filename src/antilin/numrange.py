@@ -139,7 +139,6 @@ class WitnessResult:
     used_fallback: bool
     degenerate: bool
     t_param: Optional[float]
-    im_residual: Optional[float]
 
 
 def witness_segment(t: AntilinearOperator, x1, x2, lam: float) -> WitnessResult:
@@ -176,7 +175,7 @@ def witness_segment(t: AntilinearOperator, x1, x2, lam: float) -> WitnessResult:
     if abs(a1 - a2) <= 1e-12 * (1.0 + abs(a1) + abs(a2)):
         return WitnessResult(
             vector=x1.copy(), value=a1, target=target,
-            used_fallback=False, degenerate=True, t_param=None, im_residual=None,
+            used_fallback=False, degenerate=True, t_param=None,
         )
 
     c = float(np.real(np.vdot(x2, x1)))  # Re<x1, x2> in the package convention
@@ -223,8 +222,7 @@ def witness_segment(t: AntilinearOperator, x1, x2, lam: float) -> WitnessResult:
         t_param = 0.5 * (lo + hi)
 
     if t_param is not None:
-        im_res = abs(float(np.imag(s3(t_param))))
-        if im_res <= 1e-8 * (1.0 + abs(beta)):
+        if abs(float(np.imag(s3(t_param)))) <= 1e-8 * (1.0 + abs(beta)):
             x = t_param * x1 + r_of(t_param) * x2
             nrm = np.linalg.norm(x)
             if nrm > 0.0:
@@ -234,14 +232,13 @@ def witness_segment(t: AntilinearOperator, x1, x2, lam: float) -> WitnessResult:
                     return WitnessResult(
                         vector=x, value=value, target=target,
                         used_fallback=False, degenerate=False,
-                        t_param=float(t_param), im_residual=im_res,
+                        t_param=float(t_param),
                     )
 
     vec = witness_disk(t, target)
     return WitnessResult(
         vector=vec, value=nr_value(t, vec), target=target,
         used_fallback=True, degenerate=False, t_param=t_param,
-        im_residual=None if t_param is None else abs(float(np.imag(s3(t_param)))),
     )
 
 
@@ -256,8 +253,13 @@ def sample_sup(
     Uniform random samples alone bound the radius from above; for the lower
     bound the best sample is polished by 200 steps of power iteration on the
     linear map ``x -> B conj(B conj(x))`` (``B`` the symmetric part), which
-    converges to the extremal direction and is independent of the Takagi
-    factorization.
+    converges to the top singular space of ``B`` and is independent of the
+    Takagi factorization.  A vector ``z`` of that space need not be a Takagi
+    vector (for ``B = r K``, ``K`` a conjugation, every vector is in it), so
+    the polish completes it: ``x -> B conj(x) / s1`` swaps ``z`` and ``y =
+    B conj(z) / ||B conj(z)||`` there, so the longer of ``z + y`` and ``i (z
+    - y)``, normalized, is a Takagi vector of value ``s1``.  The polish
+    draws nothing from ``rng``.
     """
     b = _symmetric_part(t)
     n = b.shape[0]
@@ -279,5 +281,9 @@ def sample_sup(
                 break
             z = z / nrm
         if not collapsed:
-            best = max(best, float(abs(np.conj(z) @ (b @ np.conj(z)))))
+            y = b @ np.conj(z)
+            y = y / np.linalg.norm(y)
+            u = z + y if np.linalg.norm(z + y) >= np.linalg.norm(z - y) else 1j * (z - y)
+            for x in (z, u / np.linalg.norm(u)):
+                best = max(best, float(abs(np.conj(x) @ (b @ np.conj(x)))))
     return float(best)

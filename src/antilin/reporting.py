@@ -29,15 +29,6 @@ class CheckRecord:
     passed: bool
 
 
-def make_check(name: str, residual: float, tolerance: float) -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        residual=float(residual),
-        tolerance=float(tolerance),
-        passed=bool(float(residual) <= float(tolerance)),
-    )
-
-
 @dataclass
 class Report:
     command: str
@@ -47,7 +38,8 @@ class Report:
     summary: Dict[str, object] = field(default_factory=dict)
 
     def add(self, name: str, residual: float, tolerance: float) -> CheckRecord:
-        rec = make_check(name, residual, tolerance)
+        residual, tolerance = float(residual), float(tolerance)
+        rec = CheckRecord(name, residual, tolerance, residual <= tolerance)
         self.checks.append(rec)
         return rec
 

@@ -39,22 +39,20 @@ CLASSIFICATION_NOTE = (
 
 @dataclass(frozen=True)
 class SpectrumDescription:
-    """Spectrum of an operator.
+    """Spectrum of a square antilinear operator.
 
-    For antilinear operators (kind ``"antilinear-circles"``) each entry of
-    ``radii`` denotes the full circle ``{lambda : |lambda| = r}``; the list is
-    ascending and deduplicated within ``DEDUP_ATOL``.  ``clamped`` records
-    eigenvalues of ``A conj(A)`` whose slightly negative real part was
-    clamped to zero.  ``eigenvalues`` holds every eigenvalue of
-    ``A conj(A)`` the radii were read from, in LAPACK order.  General
+    Each entry of ``radii`` denotes the full circle ``{lambda : |lambda| =
+    r}``; the list is ascending and deduplicated within ``DEDUP_ATOL``.
+    ``clamped`` records eigenvalues of ``A conj(A)`` whose slightly negative
+    real part was clamped to zero.  ``eigenvalues`` holds every eigenvalue
+    of ``A conj(A)`` the radii were read from, in LAPACK order.  The
+    spectrum is pure point spectrum (:data:`CLASSIFICATION_NOTE`).  General
     real-linear operators carry no circle structure; only the membership
     oracle :func:`is_in_spectrum` applies.
     """
 
     radii: tuple
-    kind: str
     clamped: tuple = ()
-    note: str = CLASSIFICATION_NOTE
     eigenvalues: tuple = ()
 
 
@@ -92,8 +90,7 @@ def antilinear_spectrum(t: AntilinearOperator, tol: float = 1e-8) -> SpectrumDes
             re = 0.0
         radii.append(float(np.sqrt(re)))
     return SpectrumDescription(
-        radii=_dedup(radii), kind="antilinear-circles", clamped=tuple(clamped),
-        eigenvalues=tuple(eigvals),
+        radii=_dedup(radii), clamped=tuple(clamped), eigenvalues=tuple(eigvals),
     )
 
 

@@ -15,16 +15,17 @@ import pytest
 from antilin.antiop import AntilinearOperator, compose, realify
 from antilin.blockops import (
     SELECTORS,
+    complement,
     correspondence_scan,
+    factorization_residual,
     rank_link,
-    structured_mu_samples,
-    verify_factorization,
+    samples_for_radii,
 )
 from antilin.extensions import ExtensionProblem, minimal_span, word_span_oracle
 from antilin.generators import crandn
 from antilin.matkernel import range_projector, spectral_norm
 from antilin.numrange import nr_disk, nr_value, sample_sup, witness_disk, witness_segment
-from antilin.spectra import spectrum_crosscheck
+from antilin.spectra import antilinear_spectrum, spectrum_crosscheck
 from antilin.structure import (
     c_normal_criterion,
     check_polar_commutation,
@@ -246,7 +247,7 @@ def test_criterion_7_block_operators():
             mu = complex(rng.normal(), rng.normal())
             for sel in SELECTORS:
                 try:
-                    res = verify_factorization(blk, mu, sel)
+                    res = factorization_residual(blk, complement(blk, sel, mu))
                 except Exception as exc:  # singular pivot at a random mu
                     failures.append(f"factorization raised {idx}/{j}/{sel}: {exc}")
                     continue
@@ -259,14 +260,15 @@ def test_criterion_7_block_operators():
         scale = 1 + spectral_norm(realify(blk.flatten()))
         mu = complex(rng.normal(), rng.normal())
         for sel in ("S2", "S1"):
-            if verify_factorization(blk, mu, sel) > 1e-8 * scale:
+            if factorization_residual(blk, complement(blk, sel, mu)) > 1e-8 * scale:
                 failures.append(f"rect factorization {idx}/{sel}")
     # correspondence scans: 30 blocks, >= 200 structured samples each
     for idx in range(30):
         n = int(rng.integers(1, 4))
         m = n if idx % 2 == 0 else int(rng.integers(1, 4))
         blk = random_block(rng, n, m)
-        samples = structured_mu_samples(blk, rng, random_count=160)
+        radii = antilinear_spectrum(blk.flatten()).radii
+        samples = samples_for_radii(radii, rng, random_count=160)
         if len(samples) < 200:
             samples += [complex(z) for z in crandn(rng, 200 - len(samples)) * 2.0]
         rep = correspondence_scan(blk, samples)
@@ -287,7 +289,7 @@ def test_criterion_7_block_operators():
         if not link.primal_holds or link.dual_holds is False:
             failures.append(f"rank link {idx}")
     A = AntilinearOperator
-    from antilin.blockops import BlockAntilinearMatrix, complement
+    from antilin.blockops import BlockAntilinearMatrix
 
     ones = BlockAntilinearMatrix(a=A([[1.0]]), b=A([[1.0]]), f=A([[1.0]]), e=A([[1.0]]))
     link = rank_link(ones)  # S2(0) = 0 by construction
@@ -300,8 +302,6 @@ def test_criterion_7_block_operators():
         s2.op.anti[0, 0] - (1.0 / 3.0)
     ) > 1e-12:
         failures.append("worked S2(2)")
-    from antilin.spectra import antilinear_spectrum
-
     radii = antilinear_spectrum(worked.flatten()).radii
     golden = ((np.sqrt(5) - 1) / 2, (np.sqrt(5) + 1) / 2)
     if np.max(np.abs(np.array(radii) - np.array(golden))) > 1e-12:

@@ -7,9 +7,9 @@ from antilin.blockops import (
     BlockAntilinearMatrix,
     complement,
     correspondence_scan,
+    factorization_residual,
     rank_link,
-    structured_mu_samples,
-    verify_factorization,
+    samples_for_radii,
 )
 from antilin.errors import DimensionMismatch, PivotSingular
 from antilin.matkernel import spectral_norm
@@ -53,8 +53,9 @@ class TestWorkedExample:
         np.testing.assert_allclose(radii, [GOLDEN_LO, GOLDEN_HI], atol=1e-12)
 
     def test_factorizations_exact(self):
+        blk = scalar_block()
         for sel in SELECTORS:
-            assert verify_factorization(scalar_block(), 2.0, sel) <= 1e-12
+            assert factorization_residual(blk, complement(blk, sel, 2.0)) <= 1e-12
 
     def test_correspondence_at_two_and_golden(self):
         blk = scalar_block()
@@ -77,7 +78,8 @@ class TestWorkedExample:
 
     def test_scan_over_structured_grid(self, rng):
         blk = scalar_block()
-        report = correspondence_scan(blk, structured_mu_samples(blk, rng))
+        samples = samples_for_radii(antilinear_spectrum(blk.flatten()).radii, rng)
+        report = correspondence_scan(blk, samples)
         assert report.ok, report.disagreements[:3]
         assert report.agreements > 0
 
@@ -108,8 +110,8 @@ class TestDecoupled:
         blk = BlockAntilinearMatrix(
             a=A([[2.0]]), b=A([[0.0]]), f=A([[0.0]]), e=A([[0.5]])
         )
-        assert verify_factorization(blk, 0.9j, "S2") <= 1e-12
-        assert verify_factorization(blk, 0.9j, "S1") <= 1e-12
+        for sel in ("S2", "S1"):
+            assert factorization_residual(blk, complement(blk, sel, 0.9j)) <= 1e-12
 
 
 class TestRandomBlocks:
@@ -124,14 +126,15 @@ class TestRandomBlocks:
                 for sel in SELECTORS:
                     if n != m and sel in ("T1", "T2"):
                         continue
-                    assert verify_factorization(blk, mu, sel) <= 1e-8 * scale
+                    assert factorization_residual(blk, complement(blk, sel, mu)) <= 1e-8 * scale
 
     def test_scan_no_disagreements(self, rng):
         for _ in range(8):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 4))
             blk = random_block(rng, n, m)
-            report = correspondence_scan(blk, structured_mu_samples(blk, rng))
+            samples = samples_for_radii(antilinear_spectrum(blk.flatten()).radii, rng)
+            report = correspondence_scan(blk, samples)
             assert report.ok, report.disagreements[:3]
 
     def test_rank_link_random(self, rng):
@@ -208,7 +211,8 @@ class TestGuards:
         with pytest.raises(ValueError):
             complement(scalar_block(), "S3", 0.0)
         with pytest.raises(ValueError):
-            verify_factorization(scalar_block(), 0.0, "Q9")
+            blk = scalar_block()
+            factorization_residual(blk, complement(blk, "Q9", 0.0))
 
     def test_dimension_validation(self):
         A = AntilinearOperator
@@ -224,7 +228,7 @@ def test_flatten_consistency(rng):
     blk = random_block(rng, 2, 2)
     flat = blk.flatten()
     radii = antilinear_spectrum(flat).radii
-    for mu in structured_mu_samples(blk, rng, random_count=10):
+    for mu in samples_for_radii(radii, rng, random_count=10):
         member = is_in_spectrum(flat, mu)
         predicted = bool(radii and np.min(np.abs(np.array(radii) - abs(mu))) <= 1e-7)
         assert member == predicted

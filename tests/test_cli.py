@@ -327,6 +327,21 @@ def test_conjugation_file_runs_as_its_operator(command, conjugation_file, capsys
     assert json.loads(out)["summary"]["kind"] == "conjugation"
 
 
+def test_numrange_lower_bound_holds_for_scaled_conjugations(tmp_path, tmp_path_factory, capsys):
+    # B = r K leaves the sampler's power iteration where it starts, so the
+    # disk_lower_bound check relies on the Takagi completion of the polish
+    gen = str(tmp_path / "scaled.json")
+    argv = ["gen", "--kind", "scaled_antiunitary", "--dim", "16", "--seed", "0"]
+    assert cli.main(argv + ["--output", gen]) == 0
+    conj = _write_operator(
+        tmp_path_factory, "conjugation", symmetric_unitary(np.random.default_rng(0), 16)
+    )
+    for path in (gen, conj):
+        code, out, err = _main(capsys, "numrange", "--input", path)
+        assert code == 0, out
+        assert json.loads(out)["overall_pass"]
+
+
 @pytest.mark.parametrize(
     "command, message",
     [

@@ -3,6 +3,7 @@ import pytest
 
 from antilin.antiop import AntilinearOperator
 from antilin.errors import DimensionOne, NotUnit, OutsideRange
+from antilin.generators import symmetric_unitary
 from antilin.numrange import (
     nr_disk,
     nr_value,
@@ -79,6 +80,16 @@ class TestDisk:
             refined = sample_sup(t, n_samples=200, rng=rng, refine=True)
             assert refined >= 0.95 * disk.radius
             assert refined <= disk.radius + 1e-8
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_refined_sup_reaches_radius_of_scaled_conjugation(self, n):
+        # B = r K: every vector is a top singular vector, so the power
+        # iteration leaves the best sample where it is and only the
+        # completion z + B conj(z) / r reaches a Takagi vector
+        rng = np.random.default_rng(n)
+        r = float(rng.uniform(0.5, 2.0))
+        t = AntilinearOperator(r * symmetric_unitary(rng, n))
+        assert sample_sup(t, n_samples=200, rng=rng, refine=True) >= (1.0 - 1e-12) * r
 
 
 class TestWitnessDisk:

@@ -49,7 +49,6 @@ EXPORTED = {
     "takagi": ("b",),
     "to_factored": ("t", "c"),
     "unrealify": ("r",),
-    "verify_factorization": ("blk", "mu", "selector"),
     "witness_disk": ("t", "target"),
     "witness_segment": ("t", "x1", "x2", "lam"),
     "word_span_oracle": ("p", "max_len"),
@@ -59,7 +58,6 @@ MODULE_LEVEL = {
     structure.normality: ("t",),
     structure.factored: ("t",),
     numrange.sample_sup: ("t", "n_samples", "rng", "refine"),
-    blockops.structured_mu_samples: ("blk", "rng", "random_count"),
     blockops.samples_for_radii: ("radii", "rng", "random_count"),
     RealLinearOperator.as_antilinear: ("self",),
     RealLinearOperator.as_linear: ("self",),

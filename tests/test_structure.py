@@ -3,11 +3,14 @@ import pytest
 
 from antilin.antiop import AntilinearOperator
 from antilin.errors import NotNormal
-from antilin.generators import crandn, symmetric_unitary
-from antilin.matkernel import numerical_rank, psd_sqrt, spectral_norm
+from antilin.generators import KINDS, crandn, gen_operator, symmetric_unitary
+from antilin.matkernel import pinv, psd_sqrt, ranked_svd, spectral_norm
 from antilin.structure import (
+    _NORM_SAMPLING_SEED,
+    NORMAL_TOL,
     c_normal_criterion,
     check_polar_commutation,
+    factored,
     gram,
     identity_suite,
     is_normal,
@@ -71,6 +74,52 @@ class TestNormality:
         assert is_selfadjoint(AntilinearOperator(np.diag(np.conj(phi))))
         assert not is_selfadjoint(SHIFT)
         assert is_selfadjoint(AntilinearOperator([[0, 1], [1, 0]]))
+
+
+def _reference_sampled_value(t) -> bool:
+    """The 50-draw scalar loop ``is_normal`` used before it drew all the
+    samples at once, kept as the reference for its sampled verdict."""
+    a = t.canon
+    rng = np.random.default_rng(_NORM_SAMPLING_SEED)
+    n = t.dim_in
+    dev = 0.0
+    for _ in range(50):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        nrm = np.linalg.norm(x)
+        if nrm == 0.0:
+            continue
+        x /= nrm
+        dev = max(dev, abs(np.linalg.norm(a @ np.conj(x)) - np.linalg.norm(a.T @ np.conj(x))))
+    return dev <= NORMAL_TOL * (1.0 + spectral_norm(a))
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "block"])
+@pytest.mark.parametrize("dim", [2, 8, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_normality_matches_scalar_loop(kind, dim, seed):
+    t = gen_operator(kind, dim, seed)
+    assert is_normal(t).sampled_value == _reference_sampled_value(t)
+
+
+def test_sampled_normality_matches_scalar_loop_at_the_threshold(rng):
+    # N + eps E with eps 0.1% either side of the point where the loop's
+    # largest deviation crosses the threshold: other draws, or the same
+    # draws in another order, move that point by far more
+    n = 6
+    base = normal_instance(rng, n, "twisted").canon
+    e = crandn(rng, n, n)
+
+    def loop(eps):
+        return _reference_sampled_value(AntilinearOperator(base + eps * e))
+
+    lo, hi = 0.0, 1e-6
+    assert loop(lo) and not loop(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if loop(mid) else (lo, mid)
+    for eps, expected in ((0.999 * lo, True), (1.001 * hi, False)):
+        assert loop(eps) == expected
+        assert is_normal(AntilinearOperator(base + eps * e)).sampled_value == expected
 
 
 class TestModulusPolar:
@@ -200,6 +249,42 @@ class TestMoorePenrose:
         assert mp.residuals["right_projector"] <= 1e-8
 
 
+def _reference_mp_residuals(t, dag) -> dict:
+    """The residuals ``moore_penrose`` computed eagerly before they moved to
+    a property read on demand, kept as the reference."""
+    a = t.canon
+    f = factored(t)
+    w, vh, r = f.w, f.vh, f.rank
+    v = vh.conj().T
+    qn = v[:, :r].conj()
+    wr = w[:, :r]
+    oracle = np.conj(pinv(a))
+    p_range = wr @ wr.conj().T
+    p_nperp = qn @ qn.conj().T
+    return {
+        "left_projector": spectral_norm(a @ np.conj(dag) - p_range),
+        "oracle_agreement": spectral_norm(dag - oracle),
+        "right_projector": spectral_norm(dag @ np.conj(a) - p_nperp),
+    }
+
+
+@pytest.mark.parametrize(
+    "m,n,r", [(6, 6, 6), (6, 6, 3), (5, 3, 3), (3, 6, 2), (4, 7, 1), (5, 5, 0)]
+)
+def test_mp_residuals_match_the_eager_formula(rng, m, n, r):
+    if r == 0:
+        t = AntilinearOperator(np.zeros((m, n)))
+    elif r == min(m, n):
+        t = random_antilinear(rng, m, n)
+    else:
+        t = random_rank_deficient(rng, m, n, r)
+    mp = moore_penrose(t)
+    want = _reference_mp_residuals(t, mp.dagger.canon)
+    got = mp.residuals
+    assert list(got) == list(want)
+    assert all(np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes() for k in want)
+
+
 class TestIdentitySuite:
     def test_diag_2_i_all_hold(self):
         suite = identity_suite(DIAG2I)
@@ -248,7 +333,7 @@ def test_rank_identities(rng):
             else AntilinearOperator(np.zeros((m, n)))
         )
         left, right = gram(t)
-        assert numerical_rank(t.canon) == r
-        assert numerical_rank(t.canon.T) == r
-        assert numerical_rank(left) == r
-        assert numerical_rank(right) == r
+        assert ranked_svd(t.canon).rank == r
+        assert ranked_svd(t.canon.T).rank == r
+        assert ranked_svd(left).rank == r
+        assert ranked_svd(right).rank == r

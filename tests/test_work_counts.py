@@ -6,7 +6,8 @@ the degree ``minimal_span`` reaches, one eigensolve per spectrum, no
 second factoring of the same matrix in ``rank_link`` or ``block``, the
 mu-independent pivots inverted once per scan, each complement of a
 ``block`` run evaluated once, no operator's matrix factored twice by
-``identities`` or ``inspect``, normality decided once per invocation, no
+``identities`` or ``inspect``, the Moore-Penrose residuals computed only
+where they are read, normality decided once per invocation, no
 guard SVD of an exactly zero symmetry defect, and a span basis that
 projects with matrix products.  None of the savings may come from a cache
 that outlives its operator.
@@ -194,6 +195,31 @@ def test_no_matrix_factored_twice(tmp_path, monkeypatch):
                 _run([cmd, "--input", path])
             repeated = [c for c, k in Counter(calls).items() if k > 1]
             assert repeated == [], (kind, cmd)
+
+
+def test_identities_computes_no_unread_mp_residuals(tmp_path, monkeypatch):
+    # identity_suite reads only the daggers of T, T# and T+; the four
+    # pseudoinverses left are its Gram and modulus oracles
+    monkeypatch.chdir(tmp_path)
+    path = _gen("nonnormal", 8)
+    pinvs = []
+    _counting(monkeypatch, structure, "pinv", pinvs)
+    svds = _kernel_inputs(monkeypatch, names=("svd",))
+    _run(["identities", "--input", path])
+    assert len(pinvs) == 4
+    assert len(svds) == 24
+
+
+def test_mp_residuals_computed_once_on_first_read(rng, monkeypatch):
+    t = AntilinearOperator(rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
+    pinvs = []
+    _counting(monkeypatch, structure, "pinv", pinvs)
+    mp = structure.moore_penrose(t)
+    assert pinvs == []
+    first = mp.residuals
+    assert len(pinvs) == 1
+    assert mp.residuals is first
+    assert len(pinvs) == 1
 
 
 def test_guards_run_no_svd_on_an_exactly_zero_difference(rng, monkeypatch):

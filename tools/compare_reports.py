@@ -27,7 +27,11 @@ inputs ``gen`` cannot write, written with the tree's own ``io.dump_payload``
 (the file text is compared too): conjugation files (symmetric unitaries at
 d = 4 and 16) and rectangular 3x5 and 6x2 operator files, each under every
 operator subcommand (``spectrum``, ``numrange`` and ``extension`` reject
-a rectangle) and under ``block`` (exit 2).  Then the rectangular blocks
+a rectangle) and under ``block`` (exit 2).  Then ``inspect`` on the
+operator files of :data:`RAW`, written as raw JSON text (ints, an int
+beyond 2**53, ``-0.0``, exponent forms, extra whitespace), so the loader's
+bulk and per-entry paths and the input digest are compared on text
+``dump_payload`` never writes.  Then the rectangular blocks
 ``gen --kind block`` 3x5, 5x3, 1x4 and 16x8 under ``block``, plain and
 with ``--mu "0.3+0.1j;1;0"``.  Last, the cross-kind misuse: the d = 16 and
 the 3x5 block file under every operator subcommand and a d = 16 operator
@@ -35,7 +39,9 @@ file under ``block`` (exit 2).  Both
 workers run in fresh directories of the same name, so the relative
 ``--input`` paths inside the reports agree.  The comparison requires equal exit codes, equal
 stdout bytes and equal stderr for every invocation, the generated files
-included.  Exit code 0 when nothing differs, 1 otherwise.
+included; a differing exit code is shown old -> new, and a differing JSON
+report names the checks, summary keys and other fields that changed.  Exit
+code 0 when nothing differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -86,6 +92,24 @@ WRITTEN = (
     ("conjugation-16", "conjugation", (16, 16), 0),
     ("rect-3x5", "antilinear", (3, 5), 0),
     ("rect-6x2", "antilinear", (6, 2), 0),
+)
+# operator files written as raw JSON text, not as canonical JSON, so the
+# loader meets what dump_payload never writes: (stem, kind, dims, entries
+# text); between them they hold int entries, an int beyond 2**53, -0.0,
+# exponent forms and extra whitespace
+RAW = (
+    ("raw-ints", "antilinear", "[3, 3]",
+     "[[1, 0], [0, 2], [-1, 1], [3, 0], [0, 0], [2, -2], [1, 1], [0, -1], [4, 0]]"),
+    ("raw-big-int", "antilinear", "[2,2]",
+     "[[1152921504606846976, 0], [0, 1],\n [1, 0], [0, -3]]"),
+    ("raw-forms", "antilinear", "[ 2 , 2 ]",
+     "[ [-0.0, 1e0],\t[1E-3 ,-0.0 ],\n  [0.5e+1, 2], [1.0e-310, -1e0] ]"),
+    ("raw-conjugation", "conjugation", "[2, 2]",
+     "[[0, 0], [1, 0],\n [1.0, -0.0], [0e0, 0]]"),
+)
+RAW_TEMPLATE = (
+    '{ "meta": {"description": "raw text", "generator": "compare_reports", "seed": 0},\n'
+    '  "kind": "%s", "dims": %s,\n  "schema": "antilin.operator/v1",\n  "entries": %s }\n'
 )
 # rectangular blocks (n, m), each run plain and with RECT_BLOCK_MU
 RECT_BLOCKS = ((3, 5), (5, 3), (1, 4), (16, 8))
@@ -143,6 +167,11 @@ def worker() -> list:
         records.append({"argv": ["write", path], "code": 0, "stdout": text, "stderr": ""})
         for cmd in OPERATOR_COMMANDS + ("block",):
             records.append(_run(main, [cmd, "--input", path]))
+    for stem, kind, dims, entries in RAW:
+        path = f"ops/{stem}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(RAW_TEMPLATE % (kind, dims, entries))
+        records.append(_run(main, ["inspect", "--input", path]))
     for n, m in RECT_BLOCKS:
         path = f"ops/block-{n}x{m}.json"
         gen = ["gen", "--kind", "block", "--dim", str(n), "--dim2", str(m), "--seed", "0"]
@@ -199,6 +228,24 @@ def run_tree(tree: Path) -> list:
     return payload["records"]
 
 
+def _report_changes(old: str, new: str) -> str:
+    """`` (in ...)`` naming the checks, summary keys and other top-level
+    fields that differ between two JSON reports; empty for other output."""
+    try:
+        a, b = json.loads(old), json.loads(new)
+        checks = [{c["name"]: c for c in r.pop("checks")} for r in (a, b)]
+        summaries = [r.pop("summary") for r in (a, b)]
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return ""
+    names = [
+        f"{prefix}{k}"
+        for prefix, (x, y) in (("check ", checks), ("summary ", summaries), ("", (a, b)))
+        for k in sorted(set(x) | set(y))
+        if x.get(k) != y.get(k)
+    ]
+    return f" (in {', '.join(names)})"
+
+
 def differences(old: list, new: list) -> list:
     if [r["argv"] for r in old] != [r["argv"] for r in new]:
         return ["the two trees ran different invocations"]
@@ -206,7 +253,12 @@ def differences(old: list, new: list) -> list:
     for a, b in zip(old, new):
         for field in ("code", "stdout", "stderr"):
             if a[field] != b[field]:
-                found.append(f"{' '.join(a['argv'])}: {field} differs")
+                detail = ""
+                if field == "code":
+                    detail = f" ({a['code']} -> {b['code']})"
+                elif field == "stdout":
+                    detail = _report_changes(a["stdout"], b["stdout"])
+                found.append(f"{' '.join(a['argv'])}: {field} differs{detail}")
     return found
 
 
