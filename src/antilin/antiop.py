@@ -24,6 +24,10 @@ Representations
 
   ``[[Re P + Re Q, -Im P + Im Q], [Im P + Im Q, Re P - Re Q]]``.
 
+  A scalar shift ``op - lam`` moves only the diagonals of the four blocks,
+  so :func:`realify_shifted` realifies an operator once and patches those
+  4n entries per shift, bitwise equal to realifying ``op - lam``.
+
 All value types are immutable and every operation is a pure function, so
 everything here is safe to share across threads.  Because an operator never
 changes, whatever is computed from it can be kept for its lifetime:
@@ -111,10 +115,12 @@ class Conjugation:
 
 _V = TypeVar("_V")
 
-_DERIVED: "weakref.WeakKeyDictionary[AntilinearOperator, dict]" = weakref.WeakKeyDictionary()
+_DERIVED: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
 
-def derived(t: AntilinearOperator, key: Hashable, compute: Callable[[], _V]) -> _V:
+def derived(
+    t: Union[AntilinearOperator, "RealLinearOperator"], key: Hashable, compute: Callable[[], _V]
+) -> _V:
     """``compute()``, evaluated once per operator object and ``key``.
 
     The cache is keyed weakly on the (immutable) operator object, never on
@@ -273,11 +279,78 @@ def compose(f: Composable, g: Composable) -> RealLinearOperator:
 
 
 def realify(op: Composable) -> np.ndarray:
-    """Real 2m x 2n matrix of ``op`` on stacked (Re x; Im x) coordinates."""
+    """Real 2m x 2n matrix of ``op`` on stacked (Re x; Im x) coordinates.
+
+    The four blocks are written straight into one array.  ``qi - pi`` is the
+    IEEE sum ``-pi + qi`` of the module formula, signed zeros included.
+    """
     op = coerce(op)
     pr, pi = op.lin.real, op.lin.imag
     qr, qi = op.anti.real, op.anti.imag
-    return np.block([[pr + qr, -pi + qi], [pi + qi, pr - qr]])
+    m, n = op.lin.shape
+    r = np.empty((2 * m, 2 * n))
+    np.add(pr, qr, out=r[:m, :n])
+    np.subtract(qi, pi, out=r[:m, n:])
+    np.add(pi, qi, out=r[m:, :n])
+    np.subtract(pr, qr, out=r[m:, n:])
+    return r
+
+
+def _shift_base(op: Union[AntilinearOperator, RealLinearOperator]):
+    """``(realify(op), diag(lin), Re diag(anti), Im diag(anti))``, read-only,
+    for a square ``op`` whose linear part has no off-diagonal ``-0.0``
+    component; None for any other ``op``.
+
+    For a finite ``lam``, ``op.shifted(lam)`` subtracts ``lam * 0.0`` (a
+    signed zero) from each off-diagonal entry of the linear part.  That
+    leaves every such entry bitwise unchanged except a ``-0.0`` component,
+    which can turn into ``+0.0`` depending on the signs of ``lam``; so only
+    the diagonal of ``realify(op)`` moves with ``lam``.
+    """
+    if op.dim_in != op.dim_out:
+        return None
+    rop = coerce(op)
+    n = op.dim_in
+    parts = rop.lin.view(float).reshape(n, n, 2)[~np.eye(n, dtype=bool)]
+    if np.any((parts == 0.0) & np.signbit(parts)):
+        return None
+    base = (realify(op), rop.lin.diagonal().copy(), rop.anti.real.diagonal().copy(),
+            rop.anti.imag.diagonal().copy())
+    for a in base:
+        a.setflags(write=False)
+    return base
+
+
+def realify_shifted(op: Composable, lam: complex) -> np.ndarray:
+    """``realify(coerce(op).shifted(lam))``, bitwise.
+
+    An :class:`AntilinearOperator` or :class:`RealLinearOperator` is
+    realified once (:func:`derived`); each finite shift copies that matrix
+    and rewrites only the 4n entries on the diagonals of its four blocks,
+    with the expressions :func:`realify` evaluates on the shifted diagonal
+    ``d = diag(lin) - lam``.  A mutable ndarray, a :class:`Conjugation`, a
+    non-finite ``lam`` and a linear part with an off-diagonal ``-0.0``
+    take the direct path instead.
+
+    Raises:
+        DimensionMismatch: if ``op`` is not square.
+    """
+    base = None
+    if isinstance(op, (AntilinearOperator, RealLinearOperator)) and np.isfinite(lam):
+        base = derived(op, "shift_base", lambda: _shift_base(op))
+    if base is None:
+        return realify(coerce(op).shifted(lam))
+    r0, lin_diag, qr, qi = base
+    n = lin_diag.shape[0]
+    # the diagonal of op.lin - lam * np.eye(n), from the same ufunc loops
+    d = lin_diag - lam * np.ones(n)
+    r = r0.copy()
+    i = np.arange(n)
+    r[i, i] = d.real + qr
+    r[i, i + n] = qi - d.imag
+    r[i + n, i] = d.imag + qi
+    r[i + n, i + n] = d.real - qr
+    return r
 
 
 def unrealify(r) -> RealLinearOperator:

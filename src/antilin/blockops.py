@@ -96,11 +96,20 @@ class BlockAntilinearMatrix:
         return AntilinearOperator(np.vstack([top, bot]))
 
     @cached_property
+    def flat_realified(self) -> np.ndarray:
+        """``realify(self.flatten())``, made on first use and read-only:
+        :attr:`flat_singular_values` and every :func:`factorization_residual`
+        of this block read the same matrix."""
+        r = realify(self.flatten())
+        r.setflags(write=False)
+        return r
+
+    @cached_property
     def flat_singular_values(self) -> np.ndarray:
-        """Singular values of ``realify(self.flatten())``, descending, from
-        one SVD made on first use: :func:`rank_link` ranks the flat matrix
-        with them and the CLI reads the flat norm from ``[0]``."""
-        s = singular_values(realify(self.flatten()))
+        """Singular values of :attr:`flat_realified`, descending, from one
+        SVD made on first use: :func:`rank_link` ranks the flat matrix with
+        them and the CLI reads the flat norm from ``[0]``."""
+        s = singular_values(self.flat_realified)
         s.setflags(write=False)  # shared by every reader of this block
         return s
 
@@ -254,8 +263,7 @@ def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -
     left, mid, right = (_block2(*(x[::-1] if swapped else x)) for x in factors)
 
     rhs = compose(left, compose(mid, right)).shifted(-mu)
-    flat = RealLinearOperator.from_antilinear(blk.flatten())
-    return spectral_norm(realify(flat) - realify(rhs))
+    return spectral_norm(blk.flat_realified - realify(rhs))
 
 
 @dataclass(frozen=True)
@@ -313,8 +321,10 @@ def correspondence_scan(
     Both memberships are the verdict of comparing a smallest singular value
     with ``tol * (1 + norm)``, decided by
     :func:`~antilin.matkernel.is_singular` (an SVD only where its bracket
-    cannot decide).  The blocks are converted once per scan, and the
-    mu-independent pivots F (T2) and B (T1) are inverted once per scan.
+    cannot decide).  The blocks are converted once per scan, the flat
+    membership probes share one realification of the flattened matrix
+    (:func:`~antilin.antiop.realify_shifted`), and the mu-independent
+    pivots F (T2) and B (T1) are inverted once per scan.
     """
     flat = blk.flatten()
     blocks = _real_blocks(blk)

@@ -34,6 +34,11 @@ every float finite and every int within ``|int| <= 2**53``.
   (``re + 1j*im`` is not).  Any other list goes through the per-entry loop,
   which names the first bad entry (and rounds a larger int to the same
   float).
+
+:func:`parse_payload` validates each entries list once: a list the matrix
+path admitted is rendered in the digest's canonical JSON without being
+checked again.  Only its ``id`` is kept, not its flat items, so the load
+holds no extra copy of the entries while the operator is built.
 """
 
 from __future__ import annotations
@@ -100,19 +105,27 @@ def _numeric_rows(rows: list, width: Optional[int] = None) -> Optional[list]:
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, %.17g floats, no whitespace."""
+    return _canonical(obj, set())
+
+
+def _canonical(obj, admitted: set) -> str:
+    """:func:`canonical_json`, where ``admitted`` holds the ``id`` of each
+    list in ``obj`` that :func:`_numeric_rows` has already admitted."""
     if isinstance(obj, dict):
         items = sorted(obj.items())
         inner = ",".join(
-            f"{json.dumps(str(k), ensure_ascii=True)}:{canonical_json(v)}"
+            f"{json.dumps(str(k), ensure_ascii=True)}:{_canonical(v, admitted)}"
             for k, v in items
         )
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        flat = _numeric_rows(obj) if type(obj) is list else None
+        flat = None
+        if type(obj) is list:
+            flat = [x for r in obj for x in r] if id(obj) in admitted else _numeric_rows(obj)
         if flat is not None:
             row = "[" + ",".join(["%.17g"] * len(obj[0])) + "]"
             return "[" + ",".join([row] * len(obj)) % tuple(flat) + "]"
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
+        return "[" + ",".join(_canonical(v, admitted) for v in obj) + "]"
     return _canon_scalar(obj)
 
 
@@ -123,6 +136,12 @@ def entries_from_matrix(a) -> list:
 
 
 def matrix_from_entries(entries, rows: int, cols: int, where: str) -> np.ndarray:
+    return _matrix_from_entries(entries, rows, cols, where, set())
+
+
+def _matrix_from_entries(entries, rows: int, cols: int, where: str, admitted: set) -> np.ndarray:
+    """:func:`matrix_from_entries`; the ``id`` of a list the bulk path
+    admits is added to ``admitted``, for :func:`_canonical`."""
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InvalidOperatorFile(
             f"{where}: expected {rows * cols} [re, im] entries, got "
@@ -130,6 +149,7 @@ def matrix_from_entries(entries, rows: int, cols: int, where: str) -> np.ndarray
         )
     flat = _numeric_rows(entries, 2)
     if flat is not None:
+        admitted.add(id(entries))
         return np.array(flat, dtype=float).view(complex).reshape(rows, cols)
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
@@ -179,10 +199,11 @@ def parse_payload(payload: dict) -> LoadedOperator:
     kind = payload.get("kind")
     if not isinstance(payload.get("meta", {}), dict):
         raise InvalidOperatorFile("meta must be an object")
+    admitted: set = set()  # entries lists validated once, for the matrix and the digest
 
     if kind in ("antilinear", "conjugation"):
         rows, cols = _require_dims(payload)
-        mat = matrix_from_entries(payload.get("entries"), rows, cols, "entries")
+        mat = _matrix_from_entries(payload.get("entries"), rows, cols, "entries", admitted)
         if kind == "conjugation":
             try:
                 obj: LoadedObject = make_conjugation(mat)
@@ -197,7 +218,7 @@ def parse_payload(payload: dict) -> LoadedOperator:
             raise InvalidOperatorFile("block kind requires blocks a, b, f, e")
         shapes = {"a": (n, n), "b": (n, m), "f": (m, n), "e": (m, m)}
         mats = {
-            name: matrix_from_entries(blocks[name], *shape, where=f"blocks.{name}")
+            name: _matrix_from_entries(blocks[name], *shape, f"blocks.{name}", admitted)
             for name, shape in shapes.items()
         }
         obj = BlockAntilinearMatrix(
@@ -209,7 +230,7 @@ def parse_payload(payload: dict) -> LoadedOperator:
     else:
         raise InvalidOperatorFile(f"unknown kind {kind!r}")
 
-    digest = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+    digest = hashlib.sha256(_canonical(payload, admitted).encode("ascii")).hexdigest()
     return LoadedOperator(kind=kind, obj=obj, digest=digest)
 
 

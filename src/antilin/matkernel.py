@@ -26,6 +26,10 @@ The singularity verdict is defined by one SVD (:func:`singularity`).
 :func:`is_singular` returns that same verdict more cheaply: a Cholesky
 factorization of the shifted Gram matrix proves "not singular", one linear
 solve proves "singular", and the SVD runs only when neither bound decides.
+Each certificate alone proves the SVD verdict, so the order in which they
+run is a cost choice and never changes a verdict: Cholesky first by
+default, the solve first for a caller that expects a singular matrix
+(the spectrum crosscheck on the circles it predicts).
 The bounds (Weyl's inequality for the SVD's own error; Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2nd ed., 3.5 for the products and
 Ch. 10 for Cholesky) are derived in its docstring.
@@ -227,34 +231,64 @@ def is_singular(m, tol: float = SING_TOL) -> bool:
     overflows leave the point undecided.  An undecided point runs
     :func:`singularity` itself, so the verdict always equals its
     ``smin <= threshold``.
+
+    Either certificate alone proves that verdict, so the order in which
+    they are tried is a cost choice, never a verdict: the Cholesky runs
+    first here, and a caller that expects a singular matrix can ask the
+    private path for the solve first and skip a Cholesky bound to fail.
     """
+    return _is_singular(m, tol)
+
+
+def _is_singular(m, tol: float, singular_first: bool = False) -> bool:
+    """:func:`is_singular`, trying the solve ("singular") before the
+    Cholesky ("not singular") when ``singular_first``."""
     m = np.asarray(m, dtype=float)
     _require_square(m, "singularity input")
-    verdict = _singularity_bracket(m, tol)
+    verdict = _singularity_bracket(m, tol, singular_first)
     if verdict is None:
         smin, threshold = singularity(m, tol)
         return smin <= threshold
     return verdict
 
 
-def _singularity_bracket(m: np.ndarray, tol: float) -> bool | None:
+def _singularity_bracket(m: np.ndarray, tol: float, singular_first: bool) -> bool | None:
     """True or False when the bounds of :func:`is_singular` prove the SVD
-    verdict, None when they cannot."""
+    verdict, None when they cannot; the first certificate that succeeds
+    decides."""
     n = m.shape[0]
     fro = float(np.linalg.norm(m))
     if not (0.0 < tol < 1.0 and 1e-100 < fro < 1e100):
         return None
     eps = float(np.finfo(float).eps)
     delta = 8.0 * n * (n + 1) * eps * fro
+    certificates = (_proves_singular, _proves_nonsingular)
+    for certificate in certificates if singular_first else certificates[::-1]:
+        verdict = certificate(m, tol, fro, eps, delta)
+        if verdict is not None:
+            return verdict
+    return None
+
+
+def _proves_nonsingular(m: np.ndarray, tol: float, fro: float, eps: float,
+                        delta: float) -> bool | None:
+    """False when the Cholesky of the shifted Gram matrix succeeds."""
+    n = m.shape[0]
     target = tol * (1.0 + fro + delta) + delta
     theta = (target**2 + 16.0 * n * eps * (fro**2 + target**2)) * (1.0 + 32.0 * eps)
     gram = m.T @ m
     gram.flat[:: n + 1] -= theta
     try:
         np.linalg.cholesky(gram)
-        return False
     except np.linalg.LinAlgError:
-        pass
+        return None
+    return False
+
+
+def _proves_singular(m: np.ndarray, tol: float, fro: float, eps: float,
+                     delta: float) -> bool | None:
+    """True when the residual of one solve is small enough."""
+    n = m.shape[0]
     try:
         x = np.linalg.solve(m, np.ones(n))
     except np.linalg.LinAlgError:

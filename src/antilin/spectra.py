@@ -14,6 +14,12 @@ of its realification is (numerically) zero.  In finite dimension a
 real-linear map is bijective iff injective, so the spectrum is pure point
 spectrum and the continuous and residual parts are empty; see
 :data:`CLASSIFICATION_NOTE`.
+
+A probe does only the work that decides its verdict: the operator is
+realified once and each ``lambda`` patches the diagonals
+(:func:`~antilin.antiop.realify_shifted`), and :func:`spectrum_crosscheck`
+lets its prediction pick which certificate of the singularity bracket runs
+first.  Neither changes a verdict or a report byte.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .antiop import AntilinearOperator, Composable, coerce, realify
+from .antiop import AntilinearOperator, Composable, realify_shifted
 from .errors import DimensionMismatch
-from .matkernel import SING_TOL, is_singular
+from .matkernel import SING_TOL, _is_singular, is_singular
 
 DEDUP_ATOL = 1e-7
 
@@ -101,9 +107,11 @@ def is_in_spectrum(op: Composable, lam: complex, tol: float = SING_TOL) -> bool:
     comparing the smallest singular value of ``realify(op - lam)`` against
     ``tol * (1 + ||realify(op - lam)||)``; :func:`~antilin.matkernel.is_singular`
     proves it from a Cholesky/solve bracket and runs that SVD only when the
-    bracket cannot decide.
+    bracket cannot decide.  The matrix comes from
+    :func:`~antilin.antiop.realify_shifted`: an immutable operator is
+    realified once, and each probe patches only the shifted diagonals.
     """
-    return is_singular(realify(coerce(op).shifted(lam)), tol)
+    return is_singular(realify_shifted(op, lam), tol)
 
 
 @dataclass(frozen=True)
@@ -158,6 +166,12 @@ def spectrum_crosscheck(
     midpoint of every gap between consecutive circles plus one radius below
     the smallest positive circle and one beyond the largest (expected
     non-member at each angle).
+
+    Each probe asks the bracket of :func:`~antilin.matkernel.is_singular`
+    for the certificate its prediction calls for first: the solve that
+    proves "singular" on a circle, the Cholesky that proves "not singular"
+    in a gap.  Either certificate proves the SVD verdict, so the prediction
+    decides only what a probe costs, never its verdict.
     """
     desc = antilinear_spectrum(t, tol=max(tol, 1e-8))
     radii = list(desc.radii)
@@ -180,7 +194,7 @@ def spectrum_crosscheck(
         ]
         for theta in angles:
             lam = r * np.exp(1j * theta)
-            member = is_in_spectrum(t, lam, tol=tol)
+            member = _is_singular(realify_shifted(t, lam), tol, singular_first=expected)
             points.append(
                 CrosscheckPoint(
                     radius=float(r),

@@ -1,14 +1,20 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import antilin.antiop as antiop
 from antilin.antiop import (
     AntilinearOperator,
     RealLinearOperator,
+    coerce,
     compose,
     from_factored,
     make_conjugation,
     op_norm,
     realify,
+    realify_shifted,
     standard_conjugation,
     to_factored,
     unrealify,
@@ -174,6 +180,96 @@ class TestRealify:
         ker = vh[rank:].conj().T
         p_ker = ker @ ker.conj().T
         assert spectral_norm(p_ker - (np.eye(12) - p_range)) <= 1e-8
+
+
+def _bitwise(a, b) -> bool:
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+def _block_realify(op):
+    """The ``np.block`` formula of the module docstring, verbatim."""
+    op = coerce(op)
+    pr, pi = op.lin.real, op.lin.imag
+    qr, qi = op.anti.real, op.anti.imag
+    return np.block([[pr + qr, -pi + qi], [pi + qi, pr - qr]])
+
+
+def _signed_zeros(rng, a):
+    """``a`` with about half of its real and imaginary parts set to +-0.0."""
+    re, im = a.real.copy(), a.imag.copy()
+    for part in (re, im):
+        hit = rng.random(part.shape) < 0.5
+        part[hit] = np.where(rng.random(part.shape) < 0.5, -0.0, 0.0)[hit]
+    out = np.empty(a.shape, dtype=complex)
+    out.real, out.imag = re, im   # re + 1j*im would lose -0.0 parts
+    return out
+
+
+# shifts: zero, tiny, O(1), O(100), and every sign pattern of a -0.0 part
+SHIFTS = (
+    0, 0.0, -0.0, 1e-9, -1e-9j, 0.7 - 0.2j, -120.0 + 40.0j, np.complex128(0.3 - 2.0j),
+    np.float64(-2.0), -3, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+    complex(-1.0, -0.0), complex(2.0, -0.0), complex(-0.0, 1.0), complex(-0.0, -1.0),
+)
+
+
+class TestRealifyBitwise:
+    """``realify`` and ``realify_shifted`` against the formulas they replace,
+    bit for bit: equal values and equal sign bits, signed zeros included."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (6, 2), (4, 4)])
+    def test_realify_matches_block_formula(self, rng, shape):
+        for lin, anti in ((crandn(rng, *shape), crandn(rng, *shape)),
+                          (_signed_zeros(rng, crandn(rng, *shape)),
+                           _signed_zeros(rng, crandn(rng, *shape)))):
+            for op in (RealLinearOperator(lin, anti), AntilinearOperator(anti)):
+                assert _bitwise(realify(op), _block_realify(op))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_shifted_matches_realify_of_shift(self, rng, n, zeros):
+        lin, anti = crandn(rng, n, n), crandn(rng, n, n)
+        if zeros:
+            # off-diagonal -0.0 in the linear part takes the direct path
+            lin, anti = _signed_zeros(rng, lin), _signed_zeros(rng, anti)
+        ops = (AntilinearOperator(anti), RealLinearOperator(lin, anti),
+               RealLinearOperator.from_linear(lin), anti.copy())
+        for op in ops:
+            for lam in SHIFTS + tuple(complex(z) for z in 10 * crandn(rng, 3)):
+                ref = realify(coerce(op).shifted(lam))
+                assert _bitwise(realify_shifted(op, lam), ref), (type(op), lam)
+
+    def test_each_probe_is_a_fresh_copy(self, rng):
+        t = random_antilinear(rng, 4)
+        first = realify_shifted(t, 0.5)
+        first[0, 0] = 99.0   # a caller may write to its probe
+        assert _bitwise(realify_shifted(t, 0.5), realify(coerce(t).shifted(0.5)))
+
+    def test_shift_of_a_rectangle_is_rejected(self, rng):
+        for op in (random_antilinear(rng, 3, 5), crandn(rng, 3, 5)):
+            with pytest.raises(DimensionMismatch):
+                realify_shifted(op, 0.5)
+
+    def test_base_dies_with_its_operator(self, monkeypatch):
+        bases = []
+        original = antiop._shift_base
+        monkeypatch.setattr(antiop, "_shift_base", lambda op: bases.append(1) or original(op))
+        for _ in range(2):   # a new operator object never inherits a base
+            t = AntilinearOperator(np.eye(3) + 0.1j)
+            for lam in (0.0, 1.0, 2.0j):
+                realify_shifted(t, lam)
+            ref = weakref.ref(t)
+            del t
+            gc.collect()
+            assert ref() is None
+        assert len(bases) == 2
+        plain = np.eye(3, dtype=complex)   # mutable: never cached
+        realify_shifted(plain, 1.0)
+        assert len(bases) == 2
 
 
 class TestFactoredForm:

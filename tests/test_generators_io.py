@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antilin.io as io_mod
 from antilin.antiop import AntilinearOperator
 from antilin.blockops import BlockAntilinearMatrix
 from antilin.errors import InvalidOperatorFile, UnknownKind
 from antilin.generators import (
     KINDS,
+    crandn,
     gen_block,
     gen_operator,
     gen_payload,
@@ -347,6 +350,27 @@ class TestBulkPaths:
         with pytest.raises(InvalidOperatorFile) as want:
             _reference_matrix(entries, 2, 3, "blocks.b")
         assert str(got.value) == str(want.value)
+
+    def test_load_checks_each_entries_list_once(self, rng, monkeypatch):
+        # the digest renders the lists the matrix path admitted without a
+        # second check; a list it refused (2**60 > 2**53) is checked again
+        # by the recursive path, as canonical_json alone would
+        op = {"schema": SCHEMA, "kind": "antilinear", "dims": [3, 2],
+              "entries": entries_from_matrix(crandn(rng, 3, 2)),
+              "meta": {"seed": 0, "generator": "test", "description": "x"}}
+        rows = {"a": [[7, -(2**53)]], "b": [[2**60, 0.5]], "f": [[-0.0, 1e-310]],
+                "e": [[0.0, -0.0]]}
+        blk = {"schema": SCHEMA, "kind": "block", "dims": [1, 1], "meta": {}, "blocks": rows}
+        original = io_mod._numeric_rows
+        for payload, lists, checks in ((op, [op["entries"]], [1]),
+                                       (blk, list(rows.values()), [1, 2, 1, 1])):
+            want = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+            seen = []
+            with monkeypatch.context() as m:
+                m.setattr(io_mod, "_numeric_rows",
+                          lambda r, *a: seen.append(r) or original(r, *a))
+                assert parse_payload(payload).digest == want
+            assert [sum(x is r for x in seen) for r in lists] == checks
 
     @pytest.mark.parametrize("position", [0, 3])
     def test_huge_int_entry_is_not_finite(self, position):

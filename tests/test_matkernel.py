@@ -8,6 +8,7 @@ from antilin.errors import DimensionMismatch, NotHermitian, NotPsd, NotSymmetric
 from antilin.generators import crandn, haar_unitary
 from antilin.matkernel import (
     SING_TOL,
+    _is_singular,
     is_singular,
     pinv,
     psd_sqrt,
@@ -217,6 +218,31 @@ class TestIsSingular:
     def test_agrees_with_svd_verdict(self, name):
         tol, m = CORPUS[name]
         assert is_singular(m, tol) == _svd_verdict(m, tol)
+
+    @pytest.mark.parametrize("singular_first", [False, True])
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_both_certificate_orders_give_the_svd_verdict(self, name, singular_first):
+        # the order of the Cholesky and the solve is a cost, never a verdict
+        tol, m = CORPUS[name]
+        assert _is_singular(m, tol, singular_first) == _svd_verdict(m, tol)
+
+    @pytest.mark.parametrize("singular_first", [False, True])
+    def test_order_skips_the_certificate_bound_to_fail(self, monkeypatch, singular_first):
+        calls = []
+        for kernel in ("cholesky", "solve"):
+            original = getattr(np.linalg, kernel)
+            monkeypatch.setattr(
+                np.linalg, kernel,
+                lambda *a, _k=kernel, _o=original, **k: calls.append(_k) or _o(*a, **k),
+            )
+        far = CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*1e-06"][1]    # singular
+        near = CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*100.0"][1]   # not singular
+        assert _is_singular(far, SING_TOL, singular_first)
+        assert not _is_singular(near, SING_TOL, singular_first)
+        if singular_first:
+            assert calls == ["solve", "solve", "cholesky"]
+        else:
+            assert calls == ["cholesky", "solve", "cholesky"]
 
     @pytest.mark.parametrize("tol", [SING_TOL, 1e-3])
     def test_corpus_straddles_the_cutoff(self, tol):

@@ -1,7 +1,9 @@
 """An invocation computes only what it uses.
 
 These tests pin the amount of work, not its result: one Takagi
-factorization per operator in ``numrange``, span powers built only up to
+factorization per operator in ``numrange``, one realification per
+operator in ``spectrum`` and no Cholesky on the probes it predicts to be
+members, span powers built only up to
 the degree ``minimal_span`` reaches, one eigensolve per spectrum, no
 second factoring of the same matrix in ``rank_link`` or ``block``, the
 mu-independent pivots inverted once per scan, each complement of a
@@ -17,17 +19,20 @@ import contextlib
 import gc
 import hashlib
 import io
+import json
 import weakref
 from collections import Counter
 
 import numpy as np
 import numpy.linalg._linalg as npl
 
+import antilin.antiop as antiop
 import antilin.blockops as blockops
 import antilin.cli as cli
 import antilin.extensions as extensions
 import antilin.matkernel as matkernel
 import antilin.numrange as numrange
+import antilin.spectra as spectra
 import antilin.structure as structure
 from antilin.antiop import AntilinearOperator, RealLinearOperator, compose, realify
 from antilin.blockops import correspondence_scan, invert_real_linear, rank_link
@@ -120,6 +125,42 @@ def test_one_eigensolve_per_spectrum(tmp_path, monkeypatch):
             _counting(m, np.linalg, "eigvals", calls)
             _run(argv)
         assert len(calls) == 1, argv
+
+
+def test_spectrum_realifies_once_and_member_probes_run_no_cholesky(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _gen("twisted_normal", 16)
+    bases, realifies, predictions, choleskys = [], [], [], []
+    _counting(monkeypatch, antiop, "_shift_base", bases, lambda op: id(op))
+    _counting(monkeypatch, antiop, "realify", realifies)
+    # each probe's prediction, then the prediction of the probe each Cholesky runs in
+    _counting(monkeypatch, spectra, "_is_singular", predictions,
+              lambda m, tol, singular_first=False: singular_first)
+    _counting(monkeypatch, np.linalg, "cholesky", choleskys, lambda *a, **k: predictions[-1])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["spectrum", "--input", path]) == 0
+    summary = json.loads(out.getvalue())["summary"]
+    assert len(bases) == 1 and len(realifies) == 1   # one operator, one realification
+    assert predictions.count(True) == summary["members_tested"] == 16 * 8
+    assert predictions.count(False) == summary["nonmembers_tested"]
+    assert True not in choleskys
+    assert len(choleskys) == summary["nonmembers_tested"]
+
+
+def test_no_realification_carries_over_between_invocations(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    op = _gen("nonnormal", 5)
+    blk = _gen("block", 3, path="blk.json", dim2=2)
+    for argv in (["spectrum", "--input", op], ["block", "--input", blk]):
+        counts = []
+        for _ in range(2):
+            bases = []
+            with monkeypatch.context() as m:
+                _counting(m, antiop, "_shift_base", bases)
+                _run(argv)
+            counts.append(len(bases))
+        assert counts == [1, 1], argv   # the block's flat probes share one base
 
 
 def test_rank_link_factors_flat_matrix_and_pivot_once(rng, monkeypatch):
