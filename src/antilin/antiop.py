@@ -314,11 +314,23 @@ def _shift_base(op: Union[AntilinearOperator, RealLinearOperator]):
     parts = rop.lin.view(float).reshape(n, n, 2)[~np.eye(n, dtype=bool)]
     if np.any((parts == 0.0) & np.signbit(parts)):
         return None
-    base = (realify(op), rop.lin.diagonal().copy(), rop.anti.real.diagonal().copy(),
+    base = (_realified(op), rop.lin.diagonal().copy(), rop.anti.real.diagonal().copy(),
             rop.anti.imag.diagonal().copy())
     for a in base:
         a.setflags(write=False)
     return base
+
+
+def _realified(op: Union[AntilinearOperator, RealLinearOperator]) -> np.ndarray:
+    """``realify(op)``, made once per operator (:func:`derived`) and
+    read-only, so every reader of one operator shares one matrix."""
+
+    def compute():
+        r = realify(op)
+        r.setflags(write=False)
+        return r
+
+    return derived(op, "realified", compute)
 
 
 def realify_shifted(op: Composable, lam: complex) -> np.ndarray:
@@ -345,11 +357,12 @@ def realify_shifted(op: Composable, lam: complex) -> np.ndarray:
     # the diagonal of op.lin - lam * np.eye(n), from the same ufunc loops
     d = lin_diag - lam * np.ones(n)
     r = r0.copy()
-    i = np.arange(n)
-    r[i, i] = d.real + qr
-    r[i, i + n] = qi - d.imag
-    r[i + n, i] = d.imag + qi
-    r[i + n, i + n] = d.real - qr
+    # the diagonals of the four blocks are strided views of the flat array
+    flat, step = r.reshape(-1), 2 * n + 1
+    flat[0 : 2 * n * n : step] = d.real + qr
+    flat[n : 2 * n * n : step] = qi - d.imag
+    flat[2 * n * n :: step] = d.imag + qi
+    flat[2 * n * n + n :: step] = d.real - qr
     return r
 
 

@@ -38,7 +38,9 @@ import numpy as np
 from .antiop import (
     AntilinearOperator,
     RealLinearOperator,
+    _realified,
     compose,
+    derived,
     realify,
     unrealify,
 )
@@ -90,19 +92,37 @@ class BlockAntilinearMatrix:
         """The (n+m) x (n+m) antilinear operator with the block canonical
         matrix; entrywise conjugation is block compatible, so the block
         assembly of the four canonical matrices is the canonical matrix of
-        the assembled operator."""
+        the assembled operator.  Made once per block: every caller gets the
+        same operator, and so the same realification."""
+        return self._flat
+
+    @cached_property
+    def _flat(self) -> AntilinearOperator:
         top = np.hstack([self.a.canon, self.b.canon])
         bot = np.hstack([self.f.canon, self.e.canon])
         return AntilinearOperator(np.vstack([top, bot]))
 
-    @cached_property
+    @property
     def flat_realified(self) -> np.ndarray:
         """``realify(self.flatten())``, made on first use and read-only:
-        :attr:`flat_singular_values` and every :func:`factorization_residual`
-        of this block read the same matrix."""
-        r = realify(self.flatten())
-        r.setflags(write=False)
-        return r
+        :attr:`flat_singular_values`, every :func:`factorization_residual`
+        of this block and the shift base of the flat membership probes of
+        :func:`correspondence_scan` read the same matrix."""
+        return _realified(self.flatten())
+
+    @cached_property
+    def _real(self) -> tuple:
+        """The four blocks as real-linear operators ``(a, b, f, e)``,
+        converted once per block."""
+        return tuple(
+            RealLinearOperator.from_antilinear(x) for x in (self.a, self.b, self.f, self.e)
+        )
+
+    @cached_property
+    def _quadratic_pivots(self) -> dict:
+        """``(selector, tol) -> (pivot, inverse)`` of the mu-independent
+        pivots F (T2) and B (T1), or the error their inversion raised."""
+        return {}
 
     @cached_property
     def flat_singular_values(self) -> np.ndarray:
@@ -130,7 +150,7 @@ def invert_real_linear(
     """
     if op.dim_in != op.dim_out:
         raise DimensionMismatch(f"{pivot_name} must be square to invert")
-    r = realify(op)
+    r = _realified(op)
     if is_singular(r, tol):
         raise PivotSingular(pivot_name, singularity(r, tol)[0])
     return unrealify(np.linalg.inv(r))
@@ -147,18 +167,14 @@ class ComplementResult:
     pivot: RealLinearOperator
     pivot_inverse: RealLinearOperator
 
-    @cached_property
+    @property
     def pivot_condition(self) -> float:
         """Smallest singular value of ``realify(pivot)``, from one SVD made
-        on first access."""
-        return singularity(realify(self.pivot))[0]
-
-
-def _real_blocks(blk: BlockAntilinearMatrix) -> tuple:
-    """The four blocks as real-linear operators ``(a, b, f, e)``."""
-    return tuple(
-        RealLinearOperator.from_antilinear(x) for x in (blk.a, blk.b, blk.f, blk.e)
-    )
+        on first access per pivot: the complements of one block at every
+        mu share its F and B pivots, and with them this value."""
+        return derived(
+            self.pivot, "pivot_condition", lambda: singularity(_realified(self.pivot))[0]
+        )
 
 
 def _oriented(blocks: tuple, selector: str) -> tuple:
@@ -177,15 +193,31 @@ def _oriented(blocks: tuple, selector: str) -> tuple:
     return selector[0] == "S", swapped, ((e, f, b, a) if swapped else blocks)
 
 
-def _inverted_pivot(oriented: tuple, mu: complex, tol: float) -> tuple:
+def _inverted_pivot(
+    blk: BlockAntilinearMatrix, oriented: tuple, selector: str, mu: complex, tol: float
+) -> tuple:
     """``(pivot, inverse)`` for an :func:`_oriented` selector at ``mu``: the
-    pivot is ``A - mu``, ``E - mu``, ``F`` or ``B``."""
+    pivot is ``A - mu``, ``E - mu``, ``F`` or ``B``.  F and B do not depend
+    on mu, so each is inverted once per block and ``tol``; a singular one
+    raises the same error at every mu.
+
+    Raises:
+        PivotSingular, DimensionMismatch: as :func:`invert_real_linear`.
+    """
     schur, swapped, (a, b, f, e) = oriented
     if schur:
-        pivot, name = a.shifted(mu), "E - mu" if swapped else "A - mu"
-    else:
-        pivot, name = f, "B" if swapped else "F"
-    return pivot, invert_real_linear(pivot, name, tol)
+        pivot = a.shifted(mu)
+        return pivot, invert_real_linear(pivot, "E - mu" if swapped else "A - mu", tol)
+    fixed = blk._quadratic_pivots
+    key = (selector, tol)
+    if key not in fixed:
+        try:
+            fixed[key] = f, invert_real_linear(f, "B" if swapped else "F", tol)
+        except (PivotSingular, DimensionMismatch) as exc:
+            fixed[key] = exc
+    if isinstance(fixed[key], Exception):
+        raise fixed[key].with_traceback(None)
+    return fixed[key]
 
 
 def _complement(
@@ -217,8 +249,8 @@ def complement(
         ValueError: when ``selector`` is not one of :data:`SELECTORS`.
     """
     mu = complex(mu)
-    oriented = _oriented(_real_blocks(blk), selector)
-    return _complement(oriented, selector, mu, *_inverted_pivot(oriented, mu, tol))
+    oriented = _oriented(blk._real, selector)
+    return _complement(oriented, selector, mu, *_inverted_pivot(blk, oriented, selector, mu, tol))
 
 
 def _block2(op11, op12, op21, op22) -> RealLinearOperator:
@@ -238,7 +270,7 @@ def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -
     dimension the identity is exact, so the residual is pure floating-point
     noise.
     """
-    schur, swapped, (a, b, f, e) = _oriented(_real_blocks(blk), comp.selector)
+    schur, swapped, (a, b, f, e) = _oriented(blk._real, comp.selector)
     mu, inv = comp.mu, comp.pivot_inverse
     n, m = a.dim_in, e.dim_in
     i_n = RealLinearOperator.identity(n)
@@ -321,34 +353,27 @@ def correspondence_scan(
     Both memberships are the verdict of comparing a smallest singular value
     with ``tol * (1 + norm)``, decided by
     :func:`~antilin.matkernel.is_singular` (an SVD only where its bracket
-    cannot decide).  The blocks are converted once per scan, the flat
-    membership probes share one realification of the flattened matrix
-    (:func:`~antilin.antiop.realify_shifted`), and the mu-independent
-    pivots F (T2) and B (T1) are inverted once per scan.
+    cannot decide).  The blocks are converted once per block, the flat
+    membership probes share the block's one realification of the flattened
+    matrix (:func:`~antilin.antiop.realify_shifted`), and the mu-independent
+    pivots F (T2) and B (T1) are inverted once per block, shared with every
+    :func:`complement` of it.
     """
     flat = blk.flatten()
-    blocks = _real_blocks(blk)
-    oriented = {sel: _oriented(blocks, sel) for sel in SELECTORS}
-    fixed = {}  # the quadratic pivots F and B do not depend on mu: inverted at first use
+    oriented = {sel: _oriented(blk._real, sel) for sel in SELECTORS}
     entries = []
     for mu in samples:
         mu = complex(mu)
         in_flat = is_in_spectrum(flat, mu, tol)
         for sel, orient in oriented.items():
-            inverted = fixed.get(sel)
-            if inverted is None:
-                try:
-                    inverted = _inverted_pivot(orient, mu, tol)
-                except (PivotSingular, DimensionMismatch) as exc:
-                    inverted = str(exc)  # the skip reason
-                if not orient[0]:  # a quadratic pivot
-                    fixed[sel] = inverted
-            if isinstance(inverted, str):
+            try:
+                inverted = _inverted_pivot(blk, orient, sel, mu, tol)
+            except (PivotSingular, DimensionMismatch) as exc:
                 entries.append(
                     ScanEntry(
                         mu=mu, selector=sel,
                         member_block=None, member_complement=None,
-                        skipped_reason=inverted,
+                        skipped_reason=str(exc),
                     )
                 )
                 continue

@@ -29,7 +29,11 @@ solve proves "singular", and the SVD runs only when neither bound decides.
 Each certificate alone proves the SVD verdict, so the order in which they
 run is a cost choice and never changes a verdict: Cholesky first by
 default, the solve first for a caller that expects a singular matrix
-(the spectrum crosscheck on the circles it predicts).
+(the spectrum crosscheck on the circles it predicts).  For the phases of
+one spectrum circle, whose realified matrices are rotations of each other
+up to rounding, one factorization serves the whole circle: each other phase
+is proved on its own matrix, by the rotated solve vector or by a Weyl
+bound through its measured distance from the rotated first matrix.
 The bounds (Weyl's inequality for the SVD's own error; Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2nd ed., 3.5 for the products and
 Ch. 10 for Cholesky) are derived in its docstring.
@@ -37,7 +41,9 @@ Ch. 10 for Cholesky) are derived in its docstring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -236,8 +242,106 @@ def is_singular(m, tol: float = SING_TOL) -> bool:
     they are tried is a cost choice, never a verdict: the Cholesky runs
     first here, and a caller that expects a singular matrix can ask the
     private path for the solve first and skip a Cholesky bound to fail.
+
+    *The phases of a circle.*  The private ``_phase_verdicts`` decides
+    matrices ``m_k`` that are, up to rounding, ``R_k m_0 R_k`` with ``R_k =
+    [[c I, -s I], [s I, c I]]``, ``c = cos(theta_k / 2)`` and ``s =
+    sin(theta_k / 2)``: the realified phase law ``T - r e^(i theta) =
+    e^(i theta/2) (T - r) e^(i theta/2)`` of an antilinear T.  Whatever
+    floats c and s are, ``R^T R = q I`` with ``q = c^2 + s^2``, so
+    ``s_min(R m_0 R) = q s_min(m_0)`` exactly.  Phase 0 runs the bracket
+    above; every other phase is proved from phase 0's work and a quantity
+    measured on its own matrix, or else runs its own bracket and SVD:
+
+    - A witness.  The "singular" bound holds for every x, so ``x_k = R_k^T
+      x_0`` (the vector ``e^(-i theta_k/2) x_0``) for phase 0's solve vector
+      ``x_0`` proves ``m_k`` singular when the residual, F, colmax and delta
+      of ``m_k`` pass that bound.
+    - A distance.  ``P = fl(R m_0 R)`` is formed as ``c^2 m_0 + cs (J m_0 +
+      m_0 J) + s^2 J m_0 J`` with ``J = [[0, -I], [I, 0]]`` (J m and m J
+      only move and negate blocks; their sum is rounded once).  Each entry
+      of P then carries at most five roundings on terms bounded by the
+      entries of ``|R| |m_0| |R|``, so ``|P - R m_0 R| <= gamma_5 |R| |m_0|
+      |R|`` entrywise and ``||P - R m_0 R||_F <= gamma_5 (|c| + |s|)^2 F_0``,
+      as ``|| |R| ||_2 = |c| + |s|``.  With ``gamma_5 < 2.6 eps`` and room
+      for the rounding of ``F_0``, that is below::
+
+          e_k = 8 eps (|c| + |s|)^2 F_0.
+
+      The measured ``d_k = ||fl(m_k - P)||_F`` is within a relative ``(n^2 +
+      1) eps`` of ``||m_k - P||_F``, so ``||m_k - P||_F <= 2 d_k`` while
+      ``n^2 eps < 1``.  By Weyl, ``s_min(m_k) >= q s_min(m_0) - 2 d_k -
+      e_k``.  The Cholesky of phase k would prove ``s_min(m_k) > target_k``
+      with the ``1 + 16 eps`` its theta keeps for evaluating the bounds, so
+      a proof of ``s_min(m_0) > need_k`` decides phase k, where::
+
+          need_k = (target_k + 2 d_k + e_k) (1 + 32 eps) / q.
+
+      The second ``16 eps`` covers the rounding of q (one eps) and of need_k
+      itself (two).  One Cholesky of ``m_0`` whose target is the largest
+      need_k proves every phase at once; it proves phase 0 too, as that
+      target is at least ``target_0``.  A phase whose need_k exceeds twice
+      ``target_0`` is left out of the maximum and runs its own bracket, so a
+      distance too large to transfer cannot push phase 0's Cholesky far
+      past its own target.  When the SVD decided phase 0 "not singular",
+      ``s_min(m_0) > (s^_min - delta_0)(1 - eps)`` (the factor covers the
+      rounding of the difference) is the bound compared with need_k.
+
+    No phase is decided by the phase law alone: the witness residual and
+    the distance ``d_k`` are measured on ``m_k`` itself, so a matrix that
+    breaks the law fails them and runs its own bracket.  The transfer
+    applies where the bracket does, for each phase.
     """
     return _is_singular(m, tol)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+class _Bracket:
+    """The bounds of :func:`is_singular` for one square real matrix ``m``;
+    ``applies`` is false where they are skipped."""
+
+    def __init__(self, m: np.ndarray, tol: float):
+        n = m.shape[0]
+        self.m, self.tol = m, tol
+        self.fro = fro = float(np.linalg.norm(m))
+        self.applies = 0.0 < tol < 1.0 and 1e-100 < fro < 1e100
+        self.delta = delta = 8.0 * n * (n + 1) * _EPS * fro
+        self.target = tol * (1.0 + fro + delta) + delta
+
+    def above(self, floor: float) -> bool:
+        """True when the Cholesky of the shifted Gram matrix proves
+        ``s_min(m) > floor``."""
+        m, n, fro = self.m, self.m.shape[0], self.fro
+        theta = (floor**2 + 16.0 * n * _EPS * (fro**2 + floor**2)) * (1.0 + 32.0 * _EPS)
+        gram = m.T @ m
+        gram.flat[:: n + 1] -= theta
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def solve(self) -> np.ndarray | None:
+        """``solve(m, 1)``, None when the solve fails."""
+        try:
+            return np.linalg.solve(self.m, np.ones(self.m.shape[0]))
+        except np.linalg.LinAlgError:
+            return None
+
+    def witnessed(self, x: np.ndarray) -> bool:
+        """True when the residual of ``x`` proves ``m`` singular."""
+        m, n = self.m, self.m.shape[0]
+        # a nearly singular m makes x huge; overflow only leaves the point undecided
+        with np.errstate(over="ignore", invalid="ignore"):
+            xnorm = float(np.linalg.norm(x))
+            if not 0.0 < xnorm < np.inf:
+                return False
+            rho = float(np.linalg.norm(m @ x)) / xnorm
+        colmax = float(np.linalg.norm(m, axis=0).max())
+        bound = rho + 16.0 * n * _EPS * self.fro + self.delta
+        return bound < self.tol * (1.0 + colmax - self.delta) * (1.0 - 16.0 * _EPS)
 
 
 def _is_singular(m, tol: float, singular_first: bool = False) -> bool:
@@ -245,65 +349,128 @@ def _is_singular(m, tol: float, singular_first: bool = False) -> bool:
     Cholesky ("not singular") when ``singular_first``."""
     m = np.asarray(m, dtype=float)
     _require_square(m, "singularity input")
-    verdict = _singularity_bracket(m, tol, singular_first)
-    if verdict is None:
-        smin, threshold = singularity(m, tol)
+    return _decide(_Bracket(m, tol), singular_first)
+
+
+def _decide(b: _Bracket, singular_first: bool) -> bool:
+    """The verdict of :func:`singularity` on ``b.m``: the first certificate
+    of the bracket that succeeds decides, the SVD when none does."""
+    proof = _proof(b, singular_first, lambda: b.target) if b.applies else None
+    if proof is None:
+        smin, threshold = singularity(b.m, b.tol)
         return smin <= threshold
-    return verdict
+    return proof[0]
 
 
-def _singularity_bracket(m: np.ndarray, tol: float, singular_first: bool) -> bool | None:
-    """True or False when the bounds of :func:`is_singular` prove the SVD
-    verdict, None when they cannot; the first certificate that succeeds
-    decides."""
-    n = m.shape[0]
-    fro = float(np.linalg.norm(m))
-    if not (0.0 < tol < 1.0 and 1e-100 < fro < 1e100):
-        return None
-    eps = float(np.finfo(float).eps)
-    delta = 8.0 * n * (n + 1) * eps * fro
-    certificates = (_proves_singular, _proves_nonsingular)
-    for certificate in certificates if singular_first else certificates[::-1]:
-        verdict = certificate(m, tol, fro, eps, delta)
-        if verdict is not None:
-            return verdict
+def _proof(b: _Bracket, singular_first: bool, floor: Callable[[], float]):
+    """The first certificate of the bracket that succeeds, in the order
+    ``singular_first`` asks for: ``(True, x)`` for a solve vector ``x``
+    that proves ``b.m`` singular, ``(False, f)`` for a Cholesky that proves
+    ``s_min(b.m) > f = floor()`` (at least ``b.target``); None when
+    neither does."""
+    for singular in (True, False) if singular_first else (False, True):
+        if singular:
+            x = b.solve()
+            if x is not None and b.witnessed(x):
+                return True, x
+        else:
+            f = floor()
+            if b.above(f):
+                return False, f
     return None
 
 
-def _proves_nonsingular(m: np.ndarray, tol: float, fro: float, eps: float,
-                        delta: float) -> bool | None:
-    """False when the Cholesky of the shifted Gram matrix succeeds."""
-    n = m.shape[0]
-    target = tol * (1.0 + fro + delta) + delta
-    theta = (target**2 + 16.0 * n * eps * (fro**2 + target**2)) * (1.0 + 32.0 * eps)
-    gram = m.T @ m
-    gram.flat[:: n + 1] -= theta
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
-    return False
+def _phase_terms(m: np.ndarray) -> tuple:
+    """``(J m + m J, J m J)`` for ``J = [[0, -I], [I, 0]]``: blocks of ``m``
+    moved and negated, one rounding in each entry of the sum."""
+    h = m.shape[0] // 2
+    a, b, f, e = m[:h, :h], m[:h, h:], m[h:, :h], m[h:, h:]
+    jsum, jmj = np.empty_like(m), np.empty_like(m)
+    np.subtract(b, f, out=jsum[:h, :h])
+    jsum[h:, h:] = jsum[:h, :h]
+    np.add(a, e, out=jsum[h:, :h])
+    np.negative(jsum[h:, :h], out=jsum[:h, h:])
+    np.negative(e, out=jmj[:h, :h])
+    jmj[:h, h:] = f
+    jmj[h:, :h] = b
+    np.negative(a, out=jmj[h:, h:])
+    return jsum, jmj
 
 
-def _proves_singular(m: np.ndarray, tol: float, fro: float, eps: float,
-                     delta: float) -> bool | None:
-    """True when the residual of one solve is small enough."""
-    n = m.shape[0]
-    try:
-        x = np.linalg.solve(m, np.ones(n))
-    except np.linalg.LinAlgError:
-        return None
-    # a nearly singular m makes x huge; overflow only leaves the point undecided
-    with np.errstate(over="ignore", invalid="ignore"):
-        xnorm = float(np.linalg.norm(x))
-        if not 0.0 < xnorm < np.inf:
-            return None
-        rho = float(np.linalg.norm(m @ x)) / xnorm
-    colmax = float(np.linalg.norm(m, axis=0).max())
-    bound = rho + 16.0 * n * eps * fro + delta
-    if bound < tol * (1.0 + colmax - delta) * (1.0 - 16.0 * eps):
-        return True
-    return None
+def _rotated(m: np.ndarray, c: float, s: float, terms: tuple) -> np.ndarray:
+    """``fl(R m R)`` for ``R = [[c I, -s I], [s I, c I]]``, as ``c^2 m + cs
+    (J m + m J) + s^2 J m J`` from ``terms = _phase_terms(m)``."""
+    p = (c * c) * m
+    p += (c * s) * terms[0]
+    p += (s * s) * terms[1]
+    return p
+
+
+def _phase_verdicts(mats, angles, tol: float, singular_first: bool) -> list:
+    """``[smin <= threshold of singularity(m, tol) for m in mats]`` for
+    the phases of one circle: ``mats[k]`` is expected to equal ``R_k
+    mats[0] R_k`` up to rounding, ``R_k`` the rotation by ``angles[k] / 2``
+    on the (Re, Im) halves (``angles[0] = 0``).
+
+    Phase 0 runs the bracket of :func:`is_singular` in the order
+    ``singular_first`` asks for, its Cholesky aimed at every phase; each
+    other phase is proved on its own matrix by the rotated solve vector or
+    the Weyl distance derived there, and runs its own bracket and SVD when
+    neither proves it.  Each verdict is that of :func:`singularity`.
+    """
+    b0 = _Bracket(mats[0], tol)
+    if not b0.applies or b0.m.shape[0] % 2:
+        return [_is_singular(m, tol, singular_first) for m in mats]
+    # (bracket, c, s) of every other phase, and its need_k once measured
+    others = [(_Bracket(m, tol), math.cos(0.5 * angle), math.sin(0.5 * angle))
+              for m, angle in zip(mats[1:], angles[1:])]
+    needs: dict = {}
+    terms: list = []   # J m_0 + m_0 J and J m_0 J, made for the first distance
+
+    def need(k: int) -> float:
+        if k not in needs:
+            b, c, s = others[k]
+            if not terms:
+                terms.extend(_phase_terms(b0.m))
+            diff = _rotated(b0.m, c, s, terms)
+            np.subtract(b.m, diff, out=diff)
+            d = float(np.linalg.norm(diff))
+            e = 8.0 * _EPS * (abs(c) + abs(s)) ** 2 * b0.fro
+            needs[k] = (b.target + 2.0 * d + e) * (1.0 + 32.0 * _EPS) / (c * c + s * s)
+        return needs[k]
+
+    def circle_floor() -> float:
+        return max([b0.target] + [
+            need(k) for k, (b, _, _) in enumerate(others)
+            if b.applies and need(k) <= 2.0 * b0.target
+        ])
+
+    # phase 0's certificate: a solve vector that proves it singular, or a
+    # proved s_min(m_0) > lower
+    witness, lower = None, 0.0
+    proof = _proof(b0, singular_first, circle_floor)
+    if proof is None:
+        smin, threshold = singularity(b0.m, tol)
+        verdicts = [smin <= threshold]
+        if not verdicts[0]:
+            lower = (smin - b0.delta) * (1.0 - _EPS)
+    elif proof[0]:
+        verdicts, witness = [True], proof[1]
+    else:
+        verdicts, lower = [False], proof[1]
+
+    if witness is not None:
+        h = b0.m.shape[0] // 2
+        u, v = witness[:h], witness[h:]
+    for k, (b, c, s) in enumerate(others):
+        if b.applies and witness is not None and b.witnessed(
+                np.concatenate([c * u + s * v, c * v - s * u])):
+            verdicts.append(True)
+        elif b.applies and lower > 0.0 and need(k) <= lower:
+            verdicts.append(False)
+        else:
+            verdicts.append(_decide(b, singular_first))
+    return verdicts
 
 
 @dataclass(frozen=True, eq=False)

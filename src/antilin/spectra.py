@@ -19,7 +19,12 @@ A probe does only the work that decides its verdict: the operator is
 realified once and each ``lambda`` patches the diagonals
 (:func:`~antilin.antiop.realify_shifted`), and :func:`spectrum_crosscheck`
 lets its prediction pick which certificate of the singularity bracket runs
-first.  Neither changes a verdict or a report byte.
+first and factors one matrix per circle.  The phase law makes
+``realify(T - r e^(i theta))`` the rotation ``R realify(T - r) R`` with
+``R = realify(e^(i theta/2))``, so the first phase's solve vector or
+Cholesky carries over to the others; each phase is still proved on its own
+matrix, by a residual or a distance measured there.  None of this changes a
+verdict or a report byte.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .antiop import AntilinearOperator, Composable, realify_shifted
 from .errors import DimensionMismatch
-from .matkernel import SING_TOL, _is_singular, is_singular
+from .matkernel import SING_TOL, _phase_verdicts, is_singular
 
 DEDUP_ATOL = 1e-7
 
@@ -167,11 +172,18 @@ def spectrum_crosscheck(
     the smallest positive circle and one beyond the largest (expected
     non-member at each angle).
 
-    Each probe asks the bracket of :func:`~antilin.matkernel.is_singular`
+    Each circle asks the bracket of :func:`~antilin.matkernel.is_singular`
     for the certificate its prediction calls for first: the solve that
     proves "singular" on a circle, the Cholesky that proves "not singular"
     in a gap.  Either certificate proves the SVD verdict, so the prediction
-    decides only what a probe costs, never its verdict.
+    decides only what a probe costs, never its verdict.  That one
+    factorization, made at phase 0, serves the whole circle, but each phase
+    is proved on its own matrix ``realify(t - r e^(i theta))``: on a circle
+    by the residual of the phase-0 solve vector rotated by
+    ``e^(-i theta/2)``, in a gap by a Weyl bound through the measured
+    distance between that matrix and the rotated phase-0 matrix (derived in
+    :func:`~antilin.matkernel.is_singular`).  A phase that neither proves
+    runs its own bracket and, where that cannot decide, its own SVD.
     """
     desc = antilinear_spectrum(t, tol=max(tol, 1e-8))
     radii = list(desc.radii)
@@ -192,9 +204,9 @@ def spectrum_crosscheck(
         angles = [0.0] if r <= DEDUP_ATOL else [
             2.0 * np.pi * k / phases for k in range(phases)
         ]
-        for theta in angles:
-            lam = r * np.exp(1j * theta)
-            member = _is_singular(realify_shifted(t, lam), tol, singular_first=expected)
+        mats = [realify_shifted(t, r * np.exp(1j * theta)) for theta in angles]
+        verdicts = _phase_verdicts(mats, angles, tol, singular_first=expected)
+        for theta, member in zip(angles, verdicts):
             points.append(
                 CrosscheckPoint(
                     radius=float(r),

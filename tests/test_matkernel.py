@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,9 @@ from antilin.generators import crandn, haar_unitary
 from antilin.matkernel import (
     SING_TOL,
     _is_singular,
+    _phase_terms,
+    _phase_verdicts,
+    _rotated,
     is_singular,
     pinv,
     psd_sqrt,
@@ -276,6 +282,140 @@ class TestIsSingular:
             m = m.copy()
             m[:, -1] = m[:, :-1].sum(axis=1) + collapse
         assert is_singular(m, tol) == _svd_verdict(m, tol)
+
+
+ANGLES = [2.0 * np.pi * k / 8 for k in range(8)]
+
+
+def _rotation(angle: float, h: int) -> np.ndarray:
+    """``[[c I, -s I], [s I, c I]]`` with ``c + i s = e^(i angle / 2)``."""
+    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+    eye = np.eye(h)
+    return np.block([[c * eye, -s * eye], [s * eye, c * eye]])
+
+
+def _circle(m0: np.ndarray, angles=ANGLES) -> list:
+    """``R_k m0 R_k`` for every phase, the realified phase law."""
+    h = m0.shape[0] // 2
+    return [_rotation(a, h) @ m0 @ _rotation(a, h) for a in angles]
+
+
+def _kernel_calls(monkeypatch) -> list:
+    calls = []
+    for kernel in ("cholesky", "solve", "svd"):
+        original = getattr(np.linalg, kernel)
+        monkeypatch.setattr(
+            np.linalg, kernel,
+            lambda *a, _k=kernel, _o=original, **k: calls.append(_k) or _o(*a, **k),
+        )
+    return calls
+
+
+EVEN_CORPUS = [name for name, (_, m) in CORPUS.items() if m.shape[0] >= 2 and m.shape[0] % 2 == 0]
+
+
+class TestPhaseVerdicts:
+    """``_phase_verdicts`` returns the SVD verdict of every phase's own
+    matrix, whatever phase 0 proves and whatever the matrices are."""
+
+    @pytest.mark.parametrize("tiny_tol", [False, True])
+    @pytest.mark.parametrize("singular_first", [False, True])
+    @pytest.mark.parametrize("name", EVEN_CORPUS)
+    def test_circle_of_every_corpus_matrix(self, name, singular_first, tiny_tol):
+        # a circle on either side of the cutoff, and far from it; at tol
+        # 1e-30 the distances outweigh the cutoff
+        tol, m0 = CORPUS[name]
+        tol = 1e-30 if tiny_tol else tol
+        mats = _circle(m0)
+        assert _phase_verdicts(mats, ANGLES, tol, singular_first) == [
+            _svd_verdict(m, tol) for m in mats
+        ]
+
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_circle_at_the_cutoff_runs_every_svd(self, monkeypatch, n, factor):
+        # no bound decides so close to the cutoff: each phase falls back to
+        # its own bracket and SVD
+        tol, m0 = CORPUS[f"tol={SING_TOL} n={n} smin=cutoff*{factor}"]
+        mats = _circle(m0)
+        calls = _kernel_calls(monkeypatch)
+        verdicts = _phase_verdicts(mats, ANGLES, tol, factor < 1)
+        assert calls.count("svd") == 8
+        assert verdicts == [factor < 1] * 8 == [_svd_verdict(m, tol) for m in mats]
+
+    def test_one_factorization_proves_a_rotated_circle(self, monkeypatch):
+        singular = _circle(CORPUS[f"tol={SING_TOL} n=16 kappa=1e12"][1])
+        regular = _circle(CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*10000000.0"][1])
+        calls = _kernel_calls(monkeypatch)
+        assert _phase_verdicts(singular, ANGLES, SING_TOL, True) == [True] * 8
+        assert calls == ["solve"]
+        assert _phase_verdicts(regular, ANGLES, SING_TOL, False) == [False] * 8
+        assert calls == ["solve", "cholesky"]
+
+    def test_a_witness_that_is_not_rotated_falls_back(self, monkeypatch):
+        # phase 0 is singular, the other phases are rotations of another
+        # singular matrix: the rotated solve vector is no null vector there
+        m0 = CORPUS[f"tol={SING_TOL} n=16 kappa=1e12"][1]
+        other = CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*1e-06"][1]
+        mats = [m0] + _circle(other)[1:]
+        expected = [_svd_verdict(m) for m in mats]
+        calls = _kernel_calls(monkeypatch)
+        assert _phase_verdicts(mats, ANGLES, SING_TOL, True) == [True] * 8 == expected
+        assert calls == ["solve"] * 8
+
+    def test_a_distance_too_large_to_transfer_falls_back(self, monkeypatch):
+        # phase 0 is regular; the others alternate between rotations of
+        # another regular and of a singular matrix, far from R_k m0 R_k
+        m0 = CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*100.0"][1]
+        regular = _circle(CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*10000000.0"][1])
+        singular = _circle(CORPUS[f"tol={SING_TOL} n=16 kappa=1e12"][1])
+        mats = [m0] + [(singular if k % 2 else regular)[k] for k in range(1, 8)]
+        expected = [_svd_verdict(m) for m in mats]
+        calls = _kernel_calls(monkeypatch)
+        verdicts = _phase_verdicts(mats, ANGLES, SING_TOL, False)
+        assert verdicts == [bool(k % 2) for k in range(8)] == expected
+        # every phase ran its own Cholesky, the singular ones their solve too
+        assert calls.count("cholesky") == 8 and calls.count("solve") == 4
+        assert "svd" not in calls
+
+    def test_wrong_angles_still_give_the_svd_verdicts(self):
+        # the angles claim another law: only measured bounds may decide
+        for name in (f"tol={SING_TOL} n=16 kappa=1e12", f"tol={SING_TOL} n=16 smin=cutoff*100.0"):
+            tol, m0 = CORPUS[name]
+            mats = _circle(m0)
+            wrong = [0.0] + [a + 0.5 for a in ANGLES[1:]]
+            for singular_first in (False, True):
+                assert _phase_verdicts(mats, wrong, tol, singular_first) == [
+                    _svd_verdict(m, tol) for m in mats
+                ]
+
+    @pytest.mark.parametrize("tol", [0.0, 2.0])
+    def test_no_transfer_outside_the_bracket(self, monkeypatch, tol):
+        mats = _circle(CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*100.0"][1])
+        expected = [_svd_verdict(m, tol) for m in mats]
+        calls = _kernel_calls(monkeypatch)
+        assert _phase_verdicts(mats, ANGLES, tol, False) == expected
+        assert calls == ["svd"] * 8
+
+    def test_rotation_rounding_within_e_k(self, rng):
+        # |fl(R m R) - R m R|_F <= e_k = 8 eps (|c| + |s|)^2 F, exactly
+        eps = np.finfo(float).eps
+        for scale in (1.0, 1e-40, 1e40):
+            m = rng.standard_normal((8, 8)) * scale
+            terms = _phase_terms(m)
+            for angle in ANGLES + [1.0, -2.5, 3.0]:
+                c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+                p = _rotated(m, c, s, terms)
+                r = [[Fraction(x) for x in row] for row in _rotation(angle, 4)]
+                mf = [[Fraction(x) for x in row] for row in m]
+                rm = [[sum(r[i][k] * mf[k][j] for k in range(8)) for j in range(8)]
+                      for i in range(8)]
+                rmr = [[sum(rm[i][k] * r[k][j] for k in range(8)) for j in range(8)]
+                       for i in range(8)]
+                err2 = sum((Fraction(p[i, j]) - rmr[i][j]) ** 2
+                           for i in range(8) for j in range(8))
+                e_k = 8.0 * eps * (abs(c) + abs(s)) ** 2 * float(np.linalg.norm(m))
+                assert err2 <= Fraction(e_k) ** 2
 
 
 def test_numerical_rank(rng):

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from antilin.antiop import AntilinearOperator, RealLinearOperator
+import antilin.matkernel as matkernel
+import antilin.spectra as spectra
+from antilin.antiop import AntilinearOperator, RealLinearOperator, realify_shifted
 from antilin.errors import DimensionMismatch
+from antilin.generators import KINDS, gen_payload
+from antilin.io import parse_payload
+from antilin.matkernel import SING_TOL, singularity
 from antilin.spectra import (
     CLASSIFICATION_NOTE,
     antilinear_spectrum,
@@ -113,3 +118,50 @@ def test_eig_closed_under_conjugation(rng):
         ev = np.linalg.eigvals(a @ np.conj(a))
         for mu in ev:
             assert np.min(np.abs(ev - np.conj(mu))) <= 1e-8 * (1 + abs(mu))
+
+
+def _generated(kind, dim, seed):
+    return parse_payload(gen_payload(kind, dim, seed)).obj
+
+
+def _svd_verdicts(t, points, tol=SING_TOL) -> list:
+    """The verdict of one SVD of each point's own realified matrix."""
+    out = []
+    for p in points:
+        smin, threshold = singularity(realify_shifted(t, p.radius * np.exp(1j * p.phase)), tol)
+        out.append(smin <= threshold)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [4, 8, 16])
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "block"])
+def test_every_phase_verdict_is_the_svd_verdict(kind, dim, seed):
+    # one factorization per circle proves each phase on its own matrix
+    t = _generated(kind, dim, seed)
+    rep = spectrum_crosscheck(t)
+    assert [p.oracle_member for p in rep.points] == _svd_verdicts(t, rep.points)
+
+
+def test_undecided_gap_circle_of_twisted_normal_64(monkeypatch):
+    # the one circle of twisted_normal d=64 whose phase-0 bracket cannot
+    # decide: its SVD decides phase 0, and every phase still gets the
+    # verdict of its own SVD
+    t = _generated("twisted_normal", 64, 0)
+    circles, undecided = [], []
+    original = spectra._phase_verdicts
+
+    def recording(mats, angles, tol, singular_first):
+        circles.append(singular_first)
+        return original(mats, angles, tol, singular_first)
+
+    monkeypatch.setattr(spectra, "_phase_verdicts", recording)
+    monkeypatch.setattr(matkernel, "singularity", lambda m, tol=SING_TOL: undecided.append(
+        (len(circles), m.shape)) or singularity(m, tol))
+    rep = spectrum_crosscheck(t)
+    assert len(undecided) == 1 and len(rep.points) == 1032
+    index, shape = undecided[0]
+    assert shape == (128, 128) and circles[index - 1] is False   # a gap circle
+    gap = rep.points[8 * (index - 1): 8 * index]
+    assert len({p.radius for p in gap}) == 1
+    assert [p.oracle_member for p in gap] == _svd_verdicts(t, gap) == [False] * 8

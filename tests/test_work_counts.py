@@ -2,11 +2,11 @@
 
 These tests pin the amount of work, not its result: one Takagi
 factorization per operator in ``numrange``, one realification per
-operator in ``spectrum`` and no Cholesky on the probes it predicts to be
-members, span powers built only up to
-the degree ``minimal_span`` reaches, one eigensolve per spectrum, no
+operator in ``spectrum`` and one factorization per spectrum circle (a
+solve on a member circle, a Cholesky on a gap), span powers built only up
+to the degree ``minimal_span`` reaches, one eigensolve per spectrum, no
 second factoring of the same matrix in ``rank_link`` or ``block``, the
-mu-independent pivots inverted once per scan, each complement of a
+mu-independent pivots inverted once per block, each complement of a
 ``block`` run evaluated once, no operator's matrix factored twice by
 ``identities`` or ``inspect``, the Moore-Penrose residuals computed only
 where they are read, normality decided once per invocation, no
@@ -128,24 +128,31 @@ def test_one_eigensolve_per_spectrum(tmp_path, monkeypatch):
 
 
 def test_spectrum_realifies_once_and_member_probes_run_no_cholesky(tmp_path, monkeypatch):
+    # one factorization per circle: a solve on each member circle and a
+    # Cholesky on each gap circle; the other phases are proved without one
     monkeypatch.chdir(tmp_path)
     path = _gen("twisted_normal", 16)
-    bases, realifies, predictions, choleskys = [], [], [], []
+    bases, realifies, circles, solves, choleskys, svds = [], [], [], [], [], []
     _counting(monkeypatch, antiop, "_shift_base", bases, lambda op: id(op))
     _counting(monkeypatch, antiop, "realify", realifies)
-    # each probe's prediction, then the prediction of the probe each Cholesky runs in
-    _counting(monkeypatch, spectra, "_is_singular", predictions,
-              lambda m, tol, singular_first=False: singular_first)
-    _counting(monkeypatch, np.linalg, "cholesky", choleskys, lambda *a, **k: predictions[-1])
+    # (phases, prediction) of each circle, then the prediction of the
+    # circle each kernel runs in
+    _counting(monkeypatch, spectra, "_phase_verdicts", circles,
+              lambda mats, angles, tol, singular_first: (len(mats), singular_first))
+    for name, calls in (("solve", solves), ("cholesky", choleskys), ("svd", svds)):
+        _counting(monkeypatch, np.linalg, name, calls, lambda *a, **k: circles[-1][1])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["spectrum", "--input", path]) == 0
     summary = json.loads(out.getvalue())["summary"]
     assert len(bases) == 1 and len(realifies) == 1   # one operator, one realification
-    assert predictions.count(True) == summary["members_tested"] == 16 * 8
-    assert predictions.count(False) == summary["nonmembers_tested"]
-    assert True not in choleskys
-    assert len(choleskys) == summary["nonmembers_tested"]
+    members = [k for k, expected in circles if expected]
+    gaps = [k for k, expected in circles if not expected]
+    assert members == [8] * 16 and sum(members) == summary["members_tested"]
+    assert sum(gaps) == summary["nonmembers_tested"]
+    assert solves == [True] * len(members)
+    assert choleskys == [False] * len(gaps)
+    assert svds == []
 
 
 def test_no_realification_carries_over_between_invocations(tmp_path, monkeypatch):
@@ -236,6 +243,19 @@ def test_no_matrix_factored_twice(tmp_path, monkeypatch):
                 _run([cmd, "--input", path])
             repeated = [c for c, k in Counter(calls).items() if k > 1]
             assert repeated == [], (kind, cmd)
+    # block: the pivots F and B are inverted and conditioned once per run,
+    # whatever the number of mu, and the flattened block realified once
+    for n in (3, 8):
+        path = _gen("block", n, path=f"block-{n}.json", dim2=n)
+        with monkeypatch.context() as m:
+            calls = _kernel_inputs(m, names=("svd", "inv"))
+            realifies = []
+            _counting(m, antiop, "realify", realifies, lambda op: np.shape(op.canon)
+                      if isinstance(op, AntilinearOperator) else None)
+            _run(["block", "--input", path])
+        repeated = [c[:2] for c, k in Counter(calls).items() if k > 1]
+        assert repeated == [], n
+        assert realifies.count((2 * n, 2 * n)) == 1, n
 
 
 def test_identities_computes_no_unread_mp_residuals(tmp_path, monkeypatch):

@@ -14,11 +14,12 @@ to the file: ``block`` on block files, ``inspect``, ``identities``,
 ``gen --kind block --dim 64 --dim2 64 --seed 1``, whose scan has verdicts
 near the singularity threshold (it exits 1 with one scan disagreement), so
 verdicts that only the SVD can decide are compared on every run.  It runs
-the benchmark's probe-heavy shapes: ``spectrum`` on ``twisted_normal`` (64
-circles, 1032 membership probes) and ``nonnormal`` at d = 64 (generator and
-subcommand seed 0); ``block`` at n = m = 32 seed 0 is already in the grid.
-So every probe of the cached realification and of both certificate orders
-is compared at the size where they do the most.  And it
+``spectrum`` at d = 64 on every operator kind and seeds 0-2 (generator and
+subcommand seed alike), the benchmark's probe-heavy shapes among them
+(``twisted_normal`` seed 0 has 64 circles and 1032 membership probes);
+``block`` at n = m = 32 seed 0 is already in the grid.  So every probe of
+the cached realification, of both certificate orders and of the per-circle
+proofs is compared at the size where they do the most.  And it
 runs the benchmark's factor-heavy shapes at d = 128 (generator and
 subcommand seed 0): ``inspect``, ``identities`` and ``numrange`` on
 ``selfadjoint``, ``scaled_antiunitary``, ``nonnormal`` and ``nilpotent``,
@@ -67,7 +68,6 @@ DIMS = (4, 16, 32)
 SEEDS = (0, 1, 2)
 # (kind, dim, generator seed, --seed of the subcommand, subcommands)
 NEAR_THRESHOLD = (("block", 64, 1, 0, ("block",)),)
-PROBE_HEAVY = tuple((kind, 64, 0, 0, ("spectrum",)) for kind in ("twisted_normal", "nonnormal"))
 FACTOR_HEAVY = tuple(
     (kind, 128, 0, 0, ("inspect", "identities", "numrange") + extra)
     for kind, extra in (
@@ -153,7 +153,9 @@ def worker() -> list:
         (k, d, s, s, ("block",) if k == "block" else OPERATOR_COMMANDS)
         for k in KINDS for d in DIMS for s in SEEDS
     ]
-    cases += NEAR_THRESHOLD + PROBE_HEAVY + FACTOR_HEAVY
+    cases += NEAR_THRESHOLD
+    cases += [(k, 64, s, s, ("spectrum",)) for k in KINDS if k != "block" for s in SEEDS]
+    cases += FACTOR_HEAVY
     records = []
     for kind, dim, seed, run_seed, cmds in cases:
         path = f"ops/{kind}-{dim}-s{seed}.json"
