@@ -31,7 +31,11 @@ Representations
 All value types are immutable and every operation is a pure function, so
 everything here is safe to share across threads.  Because an operator never
 changes, whatever is computed from it can be kept for its lifetime:
-:func:`derived` is the one per-operator cache the package uses for that.
+:func:`derived` keeps such values on an operator (its realification, its
+factorizations, and a block pivot's inverse and smallest singular value).
+Composite results that are not operators, such as a block matrix or a
+Moore-Penrose result, keep their own derived fields with
+``functools.cached_property``.
 """
 
 from __future__ import annotations

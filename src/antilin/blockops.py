@@ -48,7 +48,6 @@ from .errors import DimensionMismatch, PivotSingular
 from .matkernel import (
     SING_TOL,
     is_singular,
-    rank_above,
     singular_values,
     singularity,
     spectral_norm,
@@ -119,12 +118,6 @@ class BlockAntilinearMatrix:
         )
 
     @cached_property
-    def _quadratic_pivots(self) -> dict:
-        """``(selector, tol) -> (pivot, inverse)`` of the mu-independent
-        pivots F (T2) and B (T1), or the error their inversion raised."""
-        return {}
-
-    @cached_property
     def flat_singular_values(self) -> np.ndarray:
         """Singular values of :attr:`flat_realified`, descending, from one
         SVD made on first use: :func:`rank_link` ranks the flat matrix with
@@ -134,26 +127,48 @@ class BlockAntilinearMatrix:
         return s
 
 
+def _min_singular(op: RealLinearOperator) -> float:
+    """Smallest singular value of ``realify(op)``, from one SVD per operator
+    (:func:`~antilin.antiop.derived`): the value a :class:`PivotSingular`
+    names and :attr:`ComplementResult.pivot_condition` reports."""
+    return derived(op, "min_singular", lambda: singularity(_realified(op))[0])
+
+
+def _inverse(op: RealLinearOperator, tol: float) -> Optional[RealLinearOperator]:
+    """The inverse of a square ``op``, or None for "singular"."""
+    r = _realified(op)
+    if not is_singular(r, tol):
+        try:
+            return unrealify(np.linalg.inv(r))
+        except np.linalg.LinAlgError:
+            pass
+    return None
+
+
 def invert_real_linear(
     op: RealLinearOperator, pivot_name: str = "operator", tol: float = SING_TOL
 ) -> RealLinearOperator:
     """Inverse of a bijective real-linear operator via its realification.
 
     The pivot test is :func:`~antilin.matkernel.is_singular` on
-    ``realify(op)``; a singular pivot is confirmed by
-    :func:`~antilin.matkernel.singularity`, whose exact smallest singular
-    value the error names.
+    ``realify(op)``, then LU, which can still find the matrix singular when
+    ``tol`` is 0 or tiny (a smallest singular value far below ``eps *
+    ||realify(op)||`` passes the test); that counts as singular too.  The
+    outcome is kept on ``op`` per ``tol`` (:func:`~antilin.antiop.derived`),
+    so an operator is tested and inverted once, and a singular one is named
+    with its smallest singular value from one SVD.
 
     Raises:
         PivotSingular: when the smallest singular value of the
-            realification is at or below ``tol * (1 + ||realify(op)||)``.
+            realification is at or below ``tol * (1 + ||realify(op)||)``,
+            or LU finds the realification singular.
     """
     if op.dim_in != op.dim_out:
         raise DimensionMismatch(f"{pivot_name} must be square to invert")
-    r = _realified(op)
-    if is_singular(r, tol):
-        raise PivotSingular(pivot_name, singularity(r, tol)[0])
-    return unrealify(np.linalg.inv(r))
+    inv = derived(op, ("inverse", tol), lambda: _inverse(op, tol))
+    if inv is None:
+        raise PivotSingular(pivot_name, _min_singular(op))
+    return inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +187,7 @@ class ComplementResult:
         """Smallest singular value of ``realify(pivot)``, from one SVD made
         on first access per pivot: the complements of one block at every
         mu share its F and B pivots, and with them this value."""
-        return derived(
-            self.pivot, "pivot_condition", lambda: singularity(_realified(self.pivot))[0]
-        )
+        return _min_singular(self.pivot)
 
 
 def _oriented(blocks: tuple, selector: str) -> tuple:
@@ -193,31 +206,23 @@ def _oriented(blocks: tuple, selector: str) -> tuple:
     return selector[0] == "S", swapped, ((e, f, b, a) if swapped else blocks)
 
 
-def _inverted_pivot(
-    blk: BlockAntilinearMatrix, oriented: tuple, selector: str, mu: complex, tol: float
-) -> tuple:
+def _inverted_pivot(oriented: tuple, mu: complex, tol: float) -> tuple:
     """``(pivot, inverse)`` for an :func:`_oriented` selector at ``mu``: the
     pivot is ``A - mu``, ``E - mu``, ``F`` or ``B``.  F and B do not depend
-    on mu, so each is inverted once per block and ``tol``; a singular one
-    raises the same error at every mu.
+    on mu, and a block hands out one operator object for each, so
+    :func:`invert_real_linear` tests and inverts each once per block and
+    ``tol``; a singular one raises at every mu, naming the same smallest
+    singular value.
 
     Raises:
         PivotSingular, DimensionMismatch: as :func:`invert_real_linear`.
     """
     schur, swapped, (a, b, f, e) = oriented
     if schur:
-        pivot = a.shifted(mu)
-        return pivot, invert_real_linear(pivot, "E - mu" if swapped else "A - mu", tol)
-    fixed = blk._quadratic_pivots
-    key = (selector, tol)
-    if key not in fixed:
-        try:
-            fixed[key] = f, invert_real_linear(f, "B" if swapped else "F", tol)
-        except (PivotSingular, DimensionMismatch) as exc:
-            fixed[key] = exc
-    if isinstance(fixed[key], Exception):
-        raise fixed[key].with_traceback(None)
-    return fixed[key]
+        pivot, name = a.shifted(mu), "E - mu" if swapped else "A - mu"
+    else:
+        pivot, name = f, "B" if swapped else "F"
+    return pivot, invert_real_linear(pivot, name, tol)
 
 
 def _complement(
@@ -250,7 +255,7 @@ def complement(
     """
     mu = complex(mu)
     oriented = _oriented(blk._real, selector)
-    return _complement(oriented, selector, mu, *_inverted_pivot(blk, oriented, selector, mu, tol))
+    return _complement(oriented, selector, mu, *_inverted_pivot(oriented, mu, tol))
 
 
 def _block2(op11, op12, op21, op22) -> RealLinearOperator:
@@ -355,9 +360,11 @@ def correspondence_scan(
     :func:`~antilin.matkernel.is_singular` (an SVD only where its bracket
     cannot decide).  The blocks are converted once per block, the flat
     membership probes share the block's one realification of the flattened
-    matrix (:func:`~antilin.antiop.realify_shifted`), and the mu-independent
-    pivots F (T2) and B (T1) are inverted once per block, shared with every
-    :func:`complement` of it.
+    matrix (:func:`~antilin.antiop.realify_shifted`).  Each pivot is tested,
+    inverted and conditioned once per operator object
+    (:func:`invert_real_linear`): the mu-independent pivots F (T2) and B
+    (T1) once per block and ``tol``, shared with every :func:`complement`
+    of it, and a singular one is skipped at every mu with the same reason.
     """
     flat = blk.flatten()
     oriented = {sel: _oriented(blk._real, sel) for sel in SELECTORS}
@@ -367,7 +374,7 @@ def correspondence_scan(
         in_flat = is_in_spectrum(flat, mu, tol)
         for sel, orient in oriented.items():
             try:
-                inverted = _inverted_pivot(blk, orient, sel, mu, tol)
+                inverted = _inverted_pivot(orient, mu, tol)
             except (PivotSingular, DimensionMismatch) as exc:
                 entries.append(
                     ScanEntry(
@@ -461,7 +468,7 @@ def rank_link(blk: BlockAntilinearMatrix, tol: float = SING_TOL) -> RankLinkRepo
         s2 = complement(blk, "S2", 0.0, tol)  # its pivot A - 0 is A itself
     except PivotSingular as exc:
         raise PivotSingular("A", exc.min_singular) from None
-    rank_s2 = rank_above(realify(s2.op), floor)
+    rank_s2 = int(np.count_nonzero(singular_values(realify(s2.op)) > floor))
     primal = rank_flat == 2 * blk.n + rank_s2
     f_rel = spectral_norm(
         realify(compose(RealLinearOperator.from_antilinear(blk.f), s2.pivot_inverse))
@@ -474,7 +481,7 @@ def rank_link(blk: BlockAntilinearMatrix, tol: float = SING_TOL) -> RankLinkRepo
     except PivotSingular:
         pass
     else:
-        rank_s1 = rank_above(realify(s1.op), floor)
+        rank_s1 = int(np.count_nonzero(singular_values(realify(s1.op)) > floor))
         dual = rank_flat == 2 * blk.m + rank_s1
 
     return RankLinkReport(

@@ -12,8 +12,7 @@ Cutoffs:
 * ``RANK_RTOL``:  singular values at or below ``RANK_RTOL * max(rows, cols)
   * sigma_max`` are treated as zero (:func:`pinv` always uses it;
   :func:`ranked_svd` and :func:`range_projector` default to it and take
-  another per call).  :func:`rank_above` counts instead against an
-  absolute cutoff its caller derives from a larger matrix.
+  another per call).
 * ``SING_TOL``:   a square real matrix counts as singular when its smallest
   singular value is at most ``tol * (1 + sigma_max)``, ``tol = SING_TOL``
   unless the call passes another.
@@ -23,27 +22,28 @@ Cutoffs:
   is not symmetric (Hermitian, psd) within ``GUARD_RTOL * (1 + ||input||)``.
 
 The singularity verdict is defined by one SVD (:func:`singularity`).
-:func:`is_singular` returns that same verdict more cheaply: a Cholesky
-factorization of the shifted Gram matrix proves "not singular", one linear
-solve proves "singular", and the SVD runs only when neither bound decides.
-Each certificate alone proves the SVD verdict, so the order in which they
-run is a cost choice and never changes a verdict: Cholesky first by
-default, the solve first for a caller that expects a singular matrix
-(the spectrum crosscheck on the circles it predicts).  For the phases of
-one spectrum circle, whose realified matrices are rotations of each other
-up to rounding, one factorization serves the whole circle: each other phase
-is proved on its own matrix, by the rotated solve vector or by a Weyl
-bound through its measured distance from the rotated first matrix.
-The bounds (Weyl's inequality for the SVD's own error; Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., 3.5 for the products and
-Ch. 10 for Cholesky) are derived in its docstring.
+One decider returns that same verdict more cheaply, for the phases of a
+spectrum circle, whose realified matrices are rotations of each other up
+to rounding; a single matrix (:func:`is_singular`) is its one-phase circle.
+On the first phase a Cholesky factorization of the shifted Gram matrix
+proves "not singular", one linear solve proves "singular", and the SVD runs
+only when neither bound decides.  Each certificate alone proves the SVD
+verdict, so the order in which they run is a cost choice and never changes
+a verdict: Cholesky first by default, the solve first for a circle expected
+to be singular (the spectrum crosscheck on the circles it predicts).  Each
+other phase is proved on its own matrix from that one factorization, by
+the rotated solve vector or by a Weyl bound through its measured distance
+from the rotated first matrix, and is decided as a one-phase circle when
+neither proves it.  The bounds (Weyl's inequality for the SVD's own error;
+Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.5 for
+the products and Ch. 10 for Cholesky) are derived in the docstring of
+:func:`is_singular`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -186,6 +186,9 @@ def is_singular(m, tol: float = SING_TOL) -> bool:
     """The verdict ``smin <= threshold`` of :func:`singularity`, proved
     without an SVD whenever a two-sided bracket decides it.
 
+    A single matrix is the one-phase case of the module's one decider,
+    the circle decider ``_phase_verdicts``: the bracket below, then the SVD.
+
     Notation: ``m`` is n x n, ``F = ||m||_F``, ``eps`` is float64's
     ``np.finfo(float).eps``, ``s_i`` are the exact singular values of ``m``
     and ``s^_i`` the ones LAPACK returns.  The SVD is backward stable:
@@ -240,18 +243,18 @@ def is_singular(m, tol: float = SING_TOL) -> bool:
 
     Either certificate alone proves that verdict, so the order in which
     they are tried is a cost choice, never a verdict: the Cholesky runs
-    first here, and a caller that expects a singular matrix can ask the
-    private path for the solve first and skip a Cholesky bound to fail.
+    first for a single matrix, and a circle expected to be singular tries
+    the solve first and skips a Cholesky bound to fail.
 
-    *The phases of a circle.*  The private ``_phase_verdicts`` decides
-    matrices ``m_k`` that are, up to rounding, ``R_k m_0 R_k`` with ``R_k =
-    [[c I, -s I], [s I, c I]]``, ``c = cos(theta_k / 2)`` and ``s =
-    sin(theta_k / 2)``: the realified phase law ``T - r e^(i theta) =
-    e^(i theta/2) (T - r) e^(i theta/2)`` of an antilinear T.  Whatever
+    *The phases of a circle.*  The decider takes matrices ``m_k`` that
+    are, up to rounding, ``R_k m_0 R_k`` with ``R_k = [[c I, -s I], [s I,
+    c I]]``, ``c = cos(theta_k / 2)`` and ``s = sin(theta_k / 2)``: the
+    realified phase law ``T - r e^(i theta) = e^(i theta/2) (T - r)
+    e^(i theta/2)`` of an antilinear T.  Whatever
     floats c and s are, ``R^T R = q I`` with ``q = c^2 + s^2``, so
     ``s_min(R m_0 R) = q s_min(m_0)`` exactly.  Phase 0 runs the bracket
     above; every other phase is proved from phase 0's work and a quantity
-    measured on its own matrix, or else runs its own bracket and SVD:
+    measured on its own matrix, or else is decided as a one-phase circle:
 
     - A witness.  The "singular" bound holds for every x, so ``x_k = R_k^T
       x_0`` (the vector ``e^(-i theta_k/2) x_0``) for phase 0's solve vector
@@ -292,7 +295,9 @@ def is_singular(m, tol: float = SING_TOL) -> bool:
     breaks the law fails them and runs its own bracket.  The transfer
     applies where the bracket does, for each phase.
     """
-    return _is_singular(m, tol)
+    m = np.asarray(m, dtype=float)
+    _require_square(m, "singularity input")
+    return _phase_verdicts([m], (0.0,), tol, False)[0]
 
 
 _EPS = float(np.finfo(float).eps)
@@ -344,42 +349,6 @@ class _Bracket:
         return bound < self.tol * (1.0 + colmax - self.delta) * (1.0 - 16.0 * _EPS)
 
 
-def _is_singular(m, tol: float, singular_first: bool = False) -> bool:
-    """:func:`is_singular`, trying the solve ("singular") before the
-    Cholesky ("not singular") when ``singular_first``."""
-    m = np.asarray(m, dtype=float)
-    _require_square(m, "singularity input")
-    return _decide(_Bracket(m, tol), singular_first)
-
-
-def _decide(b: _Bracket, singular_first: bool) -> bool:
-    """The verdict of :func:`singularity` on ``b.m``: the first certificate
-    of the bracket that succeeds decides, the SVD when none does."""
-    proof = _proof(b, singular_first, lambda: b.target) if b.applies else None
-    if proof is None:
-        smin, threshold = singularity(b.m, b.tol)
-        return smin <= threshold
-    return proof[0]
-
-
-def _proof(b: _Bracket, singular_first: bool, floor: Callable[[], float]):
-    """The first certificate of the bracket that succeeds, in the order
-    ``singular_first`` asks for: ``(True, x)`` for a solve vector ``x``
-    that proves ``b.m`` singular, ``(False, f)`` for a Cholesky that proves
-    ``s_min(b.m) > f = floor()`` (at least ``b.target``); None when
-    neither does."""
-    for singular in (True, False) if singular_first else (False, True):
-        if singular:
-            x = b.solve()
-            if x is not None and b.witnessed(x):
-                return True, x
-        else:
-            f = floor()
-            if b.above(f):
-                return False, f
-    return None
-
-
 def _phase_terms(m: np.ndarray) -> tuple:
     """``(J m + m J, J m J)`` for ``J = [[0, -I], [I, 0]]``: blocks of ``m``
     moved and negated, one rounding in each entry of the sum."""
@@ -412,15 +381,19 @@ def _phase_verdicts(mats, angles, tol: float, singular_first: bool) -> list:
     mats[0] R_k`` up to rounding, ``R_k`` the rotation by ``angles[k] / 2``
     on the (Re, Im) halves (``angles[0] = 0``).
 
-    Phase 0 runs the bracket of :func:`is_singular` in the order
-    ``singular_first`` asks for, its Cholesky aimed at every phase; each
-    other phase is proved on its own matrix by the rotated solve vector or
-    the Weyl distance derived there, and runs its own bracket and SVD when
-    neither proves it.  Each verdict is that of :func:`singularity`.
+    The module's one singularity decider; :func:`is_singular` is its
+    one-phase circle.  Phase 0 tries the certificates of the bracket in the
+    order ``singular_first`` asks for, its Cholesky aimed at every phase,
+    and runs the SVD when neither succeeds.  Each other phase is proved on
+    its own matrix by the rotated solve vector or the Weyl distance derived
+    in :func:`is_singular`, and is decided as a one-phase circle when
+    neither proves it.  A circle whose bracket does not apply, or whose
+    matrices have odd size, decides each matrix as a one-phase circle.
+    Each verdict is that of :func:`singularity`.
     """
     b0 = _Bracket(mats[0], tol)
-    if not b0.applies or b0.m.shape[0] % 2:
-        return [_is_singular(m, tol, singular_first) for m in mats]
+    if len(mats) > 1 and (not b0.applies or b0.m.shape[0] % 2):
+        return [_phase_verdicts([m], (0.0,), tol, singular_first)[0] for m in mats]
     # (bracket, c, s) of every other phase, and its need_k once measured
     others = [(_Bracket(m, tol), math.cos(0.5 * angle), math.sin(0.5 * angle))
               for m, angle in zip(mats[1:], angles[1:])]
@@ -439,26 +412,30 @@ def _phase_verdicts(mats, angles, tol: float, singular_first: bool) -> list:
             needs[k] = (b.target + 2.0 * d + e) * (1.0 + 32.0 * _EPS) / (c * c + s * s)
         return needs[k]
 
-    def circle_floor() -> float:
-        return max([b0.target] + [
-            need(k) for k, (b, _, _) in enumerate(others)
-            if b.applies and need(k) <= 2.0 * b0.target
-        ])
-
-    # phase 0's certificate: a solve vector that proves it singular, or a
-    # proved s_min(m_0) > lower
-    witness, lower = None, 0.0
-    proof = _proof(b0, singular_first, circle_floor)
-    if proof is None:
+    # phase 0's certificate, the first that succeeds: a solve vector that
+    # proves it singular, or a proved s_min(m_0) > lower; else its SVD
+    verdict, witness, lower = None, None, 0.0
+    for singular in ((True, False) if singular_first else (False, True)) if b0.applies else ():
+        if singular:
+            x = b0.solve()
+            if x is not None and b0.witnessed(x):
+                verdict, witness = True, x
+                break
+        else:
+            floor = max([b0.target] + [
+                need(k) for k, (b, _, _) in enumerate(others)
+                if b.applies and need(k) <= 2.0 * b0.target
+            ])
+            if b0.above(floor):
+                verdict, lower = False, floor
+                break
+    if verdict is None:
         smin, threshold = singularity(b0.m, tol)
-        verdicts = [smin <= threshold]
-        if not verdicts[0]:
+        verdict = smin <= threshold
+        if not verdict:
             lower = (smin - b0.delta) * (1.0 - _EPS)
-    elif proof[0]:
-        verdicts, witness = [True], proof[1]
-    else:
-        verdicts, lower = [False], proof[1]
 
+    verdicts = [verdict]
     if witness is not None:
         h = b0.m.shape[0] // 2
         u, v = witness[:h], witness[h:]
@@ -469,7 +446,7 @@ def _phase_verdicts(mats, angles, tol: float, singular_first: bool) -> list:
         elif b.applies and lower > 0.0 and need(k) <= lower:
             verdicts.append(False)
         else:
-            verdicts.append(_decide(b, singular_first))
+            verdicts.append(_phase_verdicts([b.m], (0.0,), tol, singular_first)[0])
     return verdicts
 
 
@@ -510,13 +487,6 @@ def singular_values(a) -> np.ndarray:
     if a.size == 0:
         return np.zeros(0)
     return np.linalg.svd(a, compute_uv=False)
-
-
-def rank_above(a, floor: float) -> int:
-    """Number of singular values of ``a`` above the absolute cutoff
-    ``floor``, for a matrix whose scale is inherited from a larger
-    computation."""
-    return int(np.count_nonzero(singular_values(a) > floor))
 
 
 def range_projector(a, rank_rtol: float = RANK_RTOL) -> np.ndarray:

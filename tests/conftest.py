@@ -85,3 +85,21 @@ def random_block(rng, n, m):
         f=AntilinearOperator(crandn(rng, m, n) * scale),
         e=AntilinearOperator(crandn(rng, m, m) * scale),
     )
+
+
+def write_block_file(path, f) -> str:
+    """A 3x3 block file with Gaussian A, B and E (seed 0) and the given F,
+    in the canonical layout ``antilin gen`` writes."""
+    from antilin.io import SCHEMA, dump_payload, entries_from_matrix
+
+    rng = np.random.default_rng(0)
+    a, b, e = (crandn(rng, 3, 3) / np.sqrt(3.0) for _ in range(3))
+    payload = {
+        "schema": SCHEMA,
+        "kind": "block",
+        "dims": [3, 3],
+        "blocks": {k: entries_from_matrix(x) for k, x in zip("abfe", (a, b, f, e))},
+        "meta": {"seed": 0, "generator": "manual", "description": "block with a given F"},
+    }
+    dump_payload(payload, str(path))
+    return str(path)

@@ -12,7 +12,7 @@ from antilin.blockops import (
     samples_for_radii,
 )
 from antilin.errors import DimensionMismatch, PivotSingular
-from antilin.matkernel import spectral_norm
+from antilin.matkernel import SING_TOL, spectral_norm
 from antilin.spectra import antilinear_spectrum, is_in_spectrum
 
 from conftest import random_block
@@ -194,6 +194,17 @@ class TestGuards:
         blk = scalar_block(f=0.0)
         with pytest.raises(PivotSingular):
             complement(blk, "T2", 0.3)
+
+    def test_pivot_outcome_is_kept_per_tol(self):
+        # one block asked at two tolerances, in both orders: F = 1e-5 is
+        # invertible at the default tol and singular at 1e-3
+        blk = scalar_block(f=1e-5)
+        for tol in (SING_TOL, 1e-3, SING_TOL):
+            if tol == SING_TOL:
+                assert complement(blk, "T2", 0.3, tol).pivot_condition == pytest.approx(1e-5)
+            else:
+                with pytest.raises(PivotSingular):
+                    complement(blk, "T2", 0.3, tol)
 
     @pytest.mark.parametrize("sel, zero_block, pivot", [("S1", "e", "E - mu"), ("T1", "b", "B")])
     def test_dual_singular_pivot_is_named(self, sel, zero_block, pivot):

@@ -14,6 +14,8 @@ import antilin.cli as cli
 from antilin.generators import crandn, symmetric_unitary
 from antilin.io import SCHEMA, canonical_json, entries_from_matrix, load_operator
 
+from conftest import write_block_file
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -379,6 +381,19 @@ def test_input_digest_is_the_file_digest(command, source, request, capsys):
     code, out, err = _main(capsys, command, "--input", path)
     assert code in (0, 1), err
     assert json.loads(out)["input_digest"] == load_operator(path).digest
+
+
+def test_block_tol_zero_names_a_pivot_lu_finds_singular(tmp_path, capsys):
+    # at --tol 0 the pivot test can pass an all-ones F (its SVD reads a
+    # smallest singular value near 1e-48, above the cutoff 0) that LU then
+    # finds singular: T2 is skipped with the pivot named, not exit 2
+    path = write_block_file(tmp_path / "ones.json", np.ones((3, 3), dtype=complex))
+    code, out, err = _main(capsys, "block", "--input", path, "--tol", "0")
+    assert (code, err) == (1, "")   # --tol 0 factorization checks fail by design
+    skipped = json.loads(out)["summary"]["skipped"]
+    reasons = {line.split(": ", 1)[1] for line in skipped}
+    assert len(reasons) == 1 and reasons.pop().startswith("pivot F is numerically singular")
+    assert {line.split(" at ")[0] for line in skipped} == {"factorization T2", "T2"}
 
 
 def test_missing_file_exit_2():

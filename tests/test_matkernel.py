@@ -11,7 +11,6 @@ from antilin.errors import DimensionMismatch, NotHermitian, NotPsd, NotSymmetric
 from antilin.generators import crandn, haar_unitary
 from antilin.matkernel import (
     SING_TOL,
-    _is_singular,
     _phase_terms,
     _phase_verdicts,
     _rotated,
@@ -230,7 +229,7 @@ class TestIsSingular:
     def test_both_certificate_orders_give_the_svd_verdict(self, name, singular_first):
         # the order of the Cholesky and the solve is a cost, never a verdict
         tol, m = CORPUS[name]
-        assert _is_singular(m, tol, singular_first) == _svd_verdict(m, tol)
+        assert _phase_verdicts([m], (0.0,), tol, singular_first)[0] == _svd_verdict(m, tol)
 
     @pytest.mark.parametrize("singular_first", [False, True])
     def test_order_skips_the_certificate_bound_to_fail(self, monkeypatch, singular_first):
@@ -243,8 +242,8 @@ class TestIsSingular:
             )
         far = CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*1e-06"][1]    # singular
         near = CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*100.0"][1]   # not singular
-        assert _is_singular(far, SING_TOL, singular_first)
-        assert not _is_singular(near, SING_TOL, singular_first)
+        assert _phase_verdicts([far], (0.0,), SING_TOL, singular_first)[0]
+        assert not _phase_verdicts([near], (0.0,), SING_TOL, singular_first)[0]
         if singular_first:
             assert calls == ["solve", "solve", "cholesky"]
         else:

@@ -40,7 +40,7 @@ from antilin.cli import main
 from antilin.extensions import ExtensionProblem, minimal_span
 from antilin.matkernel import spectral_norm
 
-from conftest import normal_instance, random_block
+from conftest import normal_instance, random_block, write_block_file
 
 
 def _counting(monkeypatch, owner, name, calls, record=lambda *a, **k: 1):
@@ -187,15 +187,53 @@ def test_rank_link_factors_flat_matrix_and_pivot_once(rng, monkeypatch):
     assert link.f_rel_bound == spectral_norm(realify(compose(f, a_inv)))
 
 
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
 def test_scan_inverts_b_and_f_once(rng, monkeypatch):
+    # by the LAPACK inputs: F and B once each, A - mu and E - mu once per mu
     blk = random_block(rng, 3, 3)
     samples = [0.3 + 0.1j, -1.0, 0.5j, 2.0 - 1.0j]
-    pivots = []
-    _counting(monkeypatch, blockops, "invert_real_linear", pivots,
-              lambda op, name, *r, **k: name)
+    a, b, f, e = (RealLinearOperator.from_antilinear(x) for x in (blk.a, blk.b, blk.f, blk.e))
+    expected = [realify(f), realify(b)] + [
+        realify(x.shifted(mu)) for mu in samples for x in (a, e)
+    ]
+    inverted = []
+    _counting(monkeypatch, np.linalg, "inv", inverted, lambda m, *r, **k: _digest(m))
     report = correspondence_scan(blk, samples)
     assert report.skipped == 0
-    assert Counter(pivots) == {"F": 1, "B": 1, "A - mu": 4, "E - mu": 4}
+    assert Counter(inverted) == {_digest(m): 1 for m in expected}
+    assert len(expected) == 10
+
+
+def test_zero_pivot_is_tested_once_and_never_inverted(tmp_path, monkeypatch):
+    # F = 0: T2's pivot is singular at every mu.  cmd_block's --mu list and
+    # the scan share the block's one F, so realify(F) runs one verdict SVD
+    # (no bracket applies to a zero matrix), one SVD for the smallest
+    # singular value that every skip names, and no inverse
+    monkeypatch.chdir(tmp_path)
+    path = write_block_file(tmp_path / "f0.json", np.zeros((3, 3), dtype=complex))
+    zero = _digest(np.zeros((6, 6)))   # realify(F)
+    svds, invs, minima, scans = [], [], [], []
+    for owner in (np.linalg, npl):
+        _counting(monkeypatch, owner, "svd", svds, lambda a, *r, **k: _digest(a))
+    _counting(monkeypatch, np.linalg, "inv", invs, lambda a, *r, **k: _digest(a))
+    _counting(monkeypatch, blockops, "singularity", minima, lambda a, *r, **k: _digest(a))
+    scan = cli.correspondence_scan
+    monkeypatch.setattr(cli, "correspondence_scan",
+                        lambda *a, **k: scans.append(scan(*a, **k)) or scans[-1])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["block", "--input", path, "--mu", "0.3+0.1j;-1;0.5j"])
+    skipped = json.loads(out.getvalue())["summary"]["skipped"]
+    reasons = [line.split(": ", 1)[1] for line in skipped]
+    t2 = [e for e in scans[0].entries if e.selector == "T2"]
+    reasons += [e.skipped_reason for e in t2]
+    assert len(skipped) == 6 and len(t2) > 3
+    assert set(reasons) == {"pivot F is numerically singular (min singular value 0.000e+00)"}
+    assert svds.count(zero) == 2 and minima.count(zero) == 1
+    assert zero not in invs
 
 
 def test_block_evaluates_each_complement_once(tmp_path, monkeypatch):
@@ -206,11 +244,12 @@ def test_block_evaluates_each_complement_once(tmp_path, monkeypatch):
     record = lambda blk, sel, mu, *r, **k: (sel, complex(mu))  # noqa: E731
     _counting(monkeypatch, cli, "complement", calls, record)
     _counting(monkeypatch, blockops, "complement", calls, record)
-    _counting(monkeypatch, blockops, "singular_values", flats)
+    _counting(monkeypatch, blockops, "singular_values", flats, lambda a: np.shape(a))
     _run(["block", "--input", path, "--mu", ";".join(str(m) for m in mus)])
     per_mu = Counter(c for c in calls if c[1] != 0)  # rank_link's are at mu = 0
     assert per_mu == {(sel, mu): 1 for sel in blockops.SELECTORS for mu in mus}
-    assert len(flats) == 1   # flat norm and flat rank share one SVD
+    # flat norm and flat rank share one SVD; rank_link ranks S2(0) and S1(0)
+    assert Counter(flats) == {(12, 12): 1, (6, 6): 2}
 
 
 def _kernel_inputs(monkeypatch, names=("svd", "eigh")) -> list:

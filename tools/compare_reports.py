@@ -33,9 +33,12 @@ inputs ``gen`` cannot write, written with the tree's own ``io.dump_payload``
 (the file text is compared too): conjugation files (symmetric unitaries at
 d = 4 and 16) and rectangular 3x5 and 6x2 operator files, each under every
 operator subcommand (``spectrum``, ``numrange`` and ``extension`` reject
-a rectangle) and under ``block`` (exit 2).  Then ``inspect`` on the
-operator files of :data:`RAW`, written as raw JSON text (ints, an int
-beyond 2**53, ``-0.0``, exponent forms, extra whitespace), so the loader's
+a rectangle) and under ``block`` (exit 2).  Then 3x3 blocks with a
+singular square pivot (F = 0, B = 0, F all ones, and A = I, whose A - mu is
+singular at mu = 1), each under ``block`` plain, with ``--mu "1;0.3+0.1j"``
+and with ``--tol 0``, so the skips of singular pivots are compared.  Then
+``inspect`` on the operator files of :data:`RAW`, written as raw JSON text
+(ints, an int beyond 2**53, ``-0.0``, exponent forms, extra whitespace), so the loader's
 bulk and per-entry paths and the input digest are compared on text
 ``dump_payload`` never writes.  Then the rectangular blocks
 ``gen --kind block`` 3x5, 5x3, 1x4 and 16x8 under ``block``, plain and
@@ -99,6 +102,15 @@ WRITTEN = (
     ("rect-3x5", "antilinear", (3, 5), 0),
     ("rect-6x2", "antilinear", (6, 2), 0),
 )
+# 3x3 block files gen cannot write, each with one singular square pivot:
+# (stem, block, its matrix); the other blocks are Gaussian
+SINGULAR_PIVOT_BLOCKS = (
+    ("block-f-zero", "f", "zeros"),
+    ("block-b-zero", "b", "zeros"),
+    ("block-f-ones", "f", "ones"),
+    ("block-a-eye", "a", "eye"),   # A - mu is singular at mu = 1
+)
+SINGULAR_PIVOT_FLAGS = ([], ["--mu", "1;0.3+0.1j"], ["--tol", "0"])
 # operator files written as raw JSON text, not as canonical JSON, so the
 # loader meets what dump_payload never writes: (stem, kind, dims, entries
 # text); between them they hold int entries, an int beyond 2**53, -0.0,
@@ -175,6 +187,12 @@ def worker() -> list:
         records.append({"argv": ["write", path], "code": 0, "stdout": text, "stderr": ""})
         for cmd in OPERATOR_COMMANDS + ("block",):
             records.append(_run(main, [cmd, "--input", path]))
+    for stem, name, fill in SINGULAR_PIVOT_BLOCKS:
+        path = f"ops/{stem}.json"
+        text = dump_payload(_singular_pivot_payload(name, fill), path)
+        records.append({"argv": ["write", path], "code": 0, "stdout": text, "stderr": ""})
+        for flags in SINGULAR_PIVOT_FLAGS:
+            records.append(_run(main, ["block", "--input", path] + flags))
     for stem, kind, dims, entries in RAW:
         path = f"ops/{stem}.json"
         with open(path, "w", encoding="utf-8") as fh:
@@ -211,6 +229,27 @@ def _written_payload(kind: str, dims: tuple, seed: int) -> dict:
         "dims": list(dims),
         "entries": entries_from_matrix(a),
         "meta": {"seed": seed, "generator": generator, "description": "compare_reports input"},
+    }
+
+
+def _singular_pivot_payload(name: str, fill: str) -> dict:
+    """A block-file payload of :data:`SINGULAR_PIVOT_BLOCKS`: Gaussian 3x3
+    blocks (seed 0) with block ``name`` set to ``fill``."""
+    import numpy as np
+
+    from antilin.generators import crandn
+    from antilin.io import SCHEMA, entries_from_matrix
+
+    rng = np.random.default_rng(0)
+    blocks = {k: crandn(rng, 3, 3) / np.sqrt(3.0) for k in "abfe"}
+    fills = {"zeros": np.zeros((3, 3)), "ones": np.ones((3, 3)), "eye": np.eye(3)}
+    blocks[name] = fills[fill] + 0j
+    return {
+        "schema": SCHEMA,
+        "kind": "block",
+        "dims": [3, 3],
+        "blocks": {k: entries_from_matrix(v) for k, v in blocks.items()},
+        "meta": {"seed": 0, "generator": "crandn", "description": f"block with {name} = {fill}"},
     }
 
 
