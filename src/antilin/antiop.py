@@ -24,9 +24,11 @@ Representations
 
   ``[[Re P + Re Q, -Im P + Im Q], [Im P + Im Q, Re P - Re Q]]``.
 
-  A scalar shift ``op - lam`` moves only the diagonals of the four blocks,
-  so :func:`realify_shifted` realifies an operator once and patches those
-  4n entries per shift, bitwise equal to realifying ``op - lam``.
+  A scalar shift ``op - lam`` is defined to move only the diagonal of the
+  linear part (:meth:`RealLinearOperator.shifted`), so it moves only the
+  diagonals of the four blocks: :func:`realify_shifted` realifies an
+  operator once and patches those 4n entries per shift, bitwise equal to
+  realifying ``op - lam``.
 
 All value types are immutable and every operation is a pure function, so
 everything here is safe to share across threads.  Because an operator never
@@ -229,12 +231,20 @@ class RealLinearOperator:
         return RealLinearOperator(-self.lin, -self.anti)
 
     def shifted(self, mu: complex) -> "RealLinearOperator":
-        """The operator ``self - mu``; mu subtracts from the linear part only."""
+        """The operator ``self - mu``: the diagonal of the linear part becomes
+        ``diag(lin) - mu`` and every other entry is kept bitwise, a ``-0.0``
+        included.  The new diagonal is not checked for finiteness, so a
+        non-finite ``mu`` gives a non-finite diagonal, as in
+        :func:`realify_shifted`."""
         if self.dim_in != self.dim_out:
             raise DimensionMismatch("scalar shift requires a square operator")
-        return RealLinearOperator(
-            self.lin - mu * np.eye(self.dim_in), self.anti
-        )
+        lin = self.lin.copy()
+        np.fill_diagonal(lin, lin.diagonal() - mu * np.ones(self.dim_in))
+        lin.setflags(write=False)
+        out = object.__new__(RealLinearOperator)
+        object.__setattr__(out, "lin", lin)
+        object.__setattr__(out, "anti", self.anti)
+        return out
 
     def as_antilinear(self) -> AntilinearOperator:
         # an exactly zero part passes without a norm
@@ -302,22 +312,15 @@ def realify(op: Composable) -> np.ndarray:
 
 def _shift_base(op: Union[AntilinearOperator, RealLinearOperator]):
     """``(realify(op), diag(lin), Re diag(anti), Im diag(anti))``, read-only,
-    for a square ``op`` whose linear part has no off-diagonal ``-0.0``
-    component; None for any other ``op``.
+    for a square ``op``: a shift moves only the diagonal of the linear part,
+    so only the diagonals of the four blocks of ``realify(op)`` move with it.
 
-    For a finite ``lam``, ``op.shifted(lam)`` subtracts ``lam * 0.0`` (a
-    signed zero) from each off-diagonal entry of the linear part.  That
-    leaves every such entry bitwise unchanged except a ``-0.0`` component,
-    which can turn into ``+0.0`` depending on the signs of ``lam``; so only
-    the diagonal of ``realify(op)`` moves with ``lam``.
+    Raises:
+        DimensionMismatch: if ``op`` is not square.
     """
     if op.dim_in != op.dim_out:
-        return None
+        raise DimensionMismatch("scalar shift requires a square operator")
     rop = coerce(op)
-    n = op.dim_in
-    parts = rop.lin.view(float).reshape(n, n, 2)[~np.eye(n, dtype=bool)]
-    if np.any((parts == 0.0) & np.signbit(parts)):
-        return None
     base = (_realified(op), rop.lin.diagonal().copy(), rop.anti.real.diagonal().copy(),
             rop.anti.imag.diagonal().copy())
     for a in base:
@@ -340,25 +343,20 @@ def _realified(op: Union[AntilinearOperator, RealLinearOperator]) -> np.ndarray:
 def realify_shifted(op: Composable, lam: complex) -> np.ndarray:
     """``realify(coerce(op).shifted(lam))``, bitwise.
 
-    An :class:`AntilinearOperator` or :class:`RealLinearOperator` is
-    realified once (:func:`derived`); each finite shift copies that matrix
-    and rewrites only the 4n entries on the diagonals of its four blocks,
-    with the expressions :func:`realify` evaluates on the shifted diagonal
-    ``d = diag(lin) - lam``.  A mutable ndarray, a :class:`Conjugation`, a
-    non-finite ``lam`` and a linear part with an off-diagonal ``-0.0``
-    take the direct path instead.
+    An operator is realified once (:func:`derived`); each shift copies that
+    matrix and rewrites only the 4n entries on the diagonals of its four
+    blocks, with the expressions :func:`realify` evaluates on the shifted
+    diagonal ``d = diag(lin) - lam``.  An ndarray or a :class:`Conjugation`
+    is coerced to a new operator on every call, so nothing is kept for it.
 
     Raises:
         DimensionMismatch: if ``op`` is not square.
     """
-    base = None
-    if isinstance(op, (AntilinearOperator, RealLinearOperator)) and np.isfinite(lam):
-        base = derived(op, "shift_base", lambda: _shift_base(op))
-    if base is None:
-        return realify(coerce(op).shifted(lam))
-    r0, lin_diag, qr, qi = base
+    if not isinstance(op, (AntilinearOperator, RealLinearOperator)):
+        op = coerce(op)
+    r0, lin_diag, qr, qi = derived(op, "shift_base", lambda: _shift_base(op))
     n = lin_diag.shape[0]
-    # the diagonal of op.lin - lam * np.eye(n), from the same ufunc loops
+    # the diagonal of op.shifted(lam).lin, from the same expression
     d = lin_diag - lam * np.ones(n)
     r = r0.copy()
     # the diagonals of the four blocks are strided views of the flat array

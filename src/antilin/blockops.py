@@ -24,7 +24,8 @@ in finite dimension these are exact operator identities, verified by
 of the block matrix away from the pivot spectrum equals the zero set of the
 complement family) are exercised pointwise by :func:`correspondence_scan`,
 and the rank bookkeeping of the factorization at ``mu = 0`` by
-:func:`rank_link`.
+:func:`rank_link`.  The scan, :func:`rank_link` and the CLI evaluate every
+complement through :func:`complement`, the module's one evaluator.
 """
 
 from __future__ import annotations
@@ -206,40 +207,6 @@ def _oriented(blocks: tuple, selector: str) -> tuple:
     return selector[0] == "S", swapped, ((e, f, b, a) if swapped else blocks)
 
 
-def _inverted_pivot(oriented: tuple, mu: complex, tol: float) -> tuple:
-    """``(pivot, inverse)`` for an :func:`_oriented` selector at ``mu``: the
-    pivot is ``A - mu``, ``E - mu``, ``F`` or ``B``.  F and B do not depend
-    on mu, and a block hands out one operator object for each, so
-    :func:`invert_real_linear` tests and inverts each once per block and
-    ``tol``; a singular one raises at every mu, naming the same smallest
-    singular value.
-
-    Raises:
-        PivotSingular, DimensionMismatch: as :func:`invert_real_linear`.
-    """
-    schur, swapped, (a, b, f, e) = oriented
-    if schur:
-        pivot, name = a.shifted(mu), "E - mu" if swapped else "A - mu"
-    else:
-        pivot, name = f, "B" if swapped else "F"
-    return pivot, invert_real_linear(pivot, name, tol)
-
-
-def _complement(
-    oriented: tuple, selector: str, mu: complex, pivot: RealLinearOperator,
-    inv: RealLinearOperator,
-) -> ComplementResult:
-    """The complement for a pivot whose inverse is already in hand."""
-    schur, _, (a, b, f, e) = oriented
-    if schur:
-        op = e.shifted(mu) - compose(f, compose(inv, b))
-    else:
-        op = b - compose(a.shifted(mu), compose(inv, e.shifted(mu)))
-    return ComplementResult(
-        op=op, selector=selector, mu=mu, pivot=pivot, pivot_inverse=inv
-    )
-
-
 def complement(
     blk: BlockAntilinearMatrix,
     selector: str,
@@ -248,14 +215,31 @@ def complement(
 ) -> ComplementResult:
     """Evaluate the selected complement of ``blk`` at ``mu``.
 
+    The pivot is ``A - mu``, ``E - mu``, ``F`` or ``B``.  F and B do not
+    depend on mu, and a block hands out one operator object for each, so
+    :func:`invert_real_linear` tests and inverts each once per block and
+    ``tol``; a singular one raises at every mu, naming the same smallest
+    singular value.
+
     Raises:
         PivotSingular: when the pivot that must be inverted is singular
             (names the pivot and its smallest singular value).
+        DimensionMismatch: as :func:`invert_real_linear`.
         ValueError: when ``selector`` is not one of :data:`SELECTORS`.
     """
     mu = complex(mu)
-    oriented = _oriented(blk._real, selector)
-    return _complement(oriented, selector, mu, *_inverted_pivot(oriented, mu, tol))
+    schur, swapped, (a, b, f, e) = _oriented(blk._real, selector)
+    if schur:
+        pivot = a.shifted(mu)
+        inv = invert_real_linear(pivot, "E - mu" if swapped else "A - mu", tol)
+        op = e.shifted(mu) - compose(f, compose(inv, b))
+    else:
+        pivot = f
+        inv = invert_real_linear(pivot, "B" if swapped else "F", tol)
+        op = b - compose(a.shifted(mu), compose(inv, e.shifted(mu)))
+    return ComplementResult(
+        op=op, selector=selector, mu=mu, pivot=pivot, pivot_inverse=inv
+    )
 
 
 def _block2(op11, op12, op21, op22) -> RealLinearOperator:
@@ -358,23 +342,22 @@ def correspondence_scan(
     Both memberships are the verdict of comparing a smallest singular value
     with ``tol * (1 + norm)``, decided by
     :func:`~antilin.matkernel.is_singular` (an SVD only where its bracket
-    cannot decide).  The blocks are converted once per block, the flat
-    membership probes share the block's one realification of the flattened
-    matrix (:func:`~antilin.antiop.realify_shifted`).  Each pivot is tested,
-    inverted and conditioned once per operator object
-    (:func:`invert_real_linear`): the mu-independent pivots F (T2) and B
-    (T1) once per block and ``tol``, shared with every :func:`complement`
-    of it, and a singular one is skipped at every mu with the same reason.
+    cannot decide).  The flat membership probes share the block's one
+    realification of the flattened matrix
+    (:func:`~antilin.antiop.realify_shifted`).  Each complement is evaluated
+    by :func:`complement`, as in every other caller, so each pivot is
+    tested, inverted and conditioned once per operator object: the
+    mu-independent pivots F (T2) and B (T1) once per block and ``tol``, and
+    a singular one is skipped at every mu with the same reason.
     """
     flat = blk.flatten()
-    oriented = {sel: _oriented(blk._real, sel) for sel in SELECTORS}
     entries = []
     for mu in samples:
         mu = complex(mu)
         in_flat = is_in_spectrum(flat, mu, tol)
-        for sel, orient in oriented.items():
+        for sel in SELECTORS:
             try:
-                inverted = _inverted_pivot(orient, mu, tol)
+                comp = complement(blk, sel, mu, tol)
             except (PivotSingular, DimensionMismatch) as exc:
                 entries.append(
                     ScanEntry(
@@ -384,7 +367,6 @@ def correspondence_scan(
                     )
                 )
                 continue
-            comp = _complement(orient, sel, mu, *inverted)
             entries.append(
                 ScanEntry(
                     mu=mu, selector=sel,

@@ -50,7 +50,7 @@ from .errors import AntilinError, NotNormal, OutsideRange, PivotSingular
 from .extensions import ExtensionProblem, check_extension, minimal_span, word_span_oracle
 from .generators import KINDS, crandn, gen_payload
 from .io import dump_payload, load_operator
-from .matkernel import range_projector, spectral_norm
+from .matkernel import ranked_svd, spectral_norm
 from .numrange import nr_disk, nr_value, sample_sup, witness_disk, witness_segment
 from .reporting import Report, emit_csv, emit_json
 from .spectra import CLASSIFICATION_NOTE, antilinear_spectrum, spectrum_crosscheck
@@ -151,7 +151,7 @@ def cmd_inspect(t: AntilinearOperator, args, report: Report, tols: dict) -> None
     )
     report.add(
         "polar_initial_space",
-        spectral_norm(p.initial_projector() - range_projector(p.modulus)),
+        spectral_norm(p.initial_projector() - ranked_svd(p.modulus).range_projector()),
         tols["projector"],
     )
     report.add(
@@ -327,8 +327,7 @@ def cmd_block(blk: BlockAntilinearMatrix, args, report: Report, tols: dict) -> N
         for sel in SELECTORS:
             try:
                 comp = complement(blk, sel, mu, tol=tols["membership"])
-            except (PivotSingular, AntilinError) as exc:
-                skipped.append(f"factorization {sel} at mu_{idx}: {exc}")
+            except AntilinError as exc:
                 skipped.append(f"{sel} at mu_{idx}: {exc}")
                 continue
             report.add(

@@ -10,9 +10,7 @@ nowhere else, and each decision reads one factorization.
 Cutoffs:
 
 * ``RANK_RTOL``:  singular values at or below ``RANK_RTOL * max(rows, cols)
-  * sigma_max`` are treated as zero (:func:`pinv` always uses it;
-  :func:`ranked_svd` and :func:`range_projector` default to it and take
-  another per call).
+  * sigma_max`` are treated as zero (:func:`pinv` and :func:`ranked_svd`).
 * ``SING_TOL``:   a square real matrix counts as singular when its smallest
   singular value is at most ``tol * (1 + sigma_max)``, ``tol = SING_TOL``
   unless the call passes another.
@@ -468,14 +466,14 @@ class Factored:
         return wr @ wr.conj().T
 
 
-def ranked_svd(a, rank_rtol: float = RANK_RTOL) -> Factored:
+def ranked_svd(a) -> Factored:
     """Full SVD of ``a`` with the package rank decision applied to it: the
-    cutoff is ``rank_rtol * max(a.shape) * sigma_max``."""
+    cutoff is ``RANK_RTOL * max(a.shape) * sigma_max``."""
     a = np.asarray(a)
     w, s, vh = np.linalg.svd(a)
     for m in (w, s, vh):
         m.setflags(write=False)
-    tau = rank_rtol * max(a.shape) * (float(s[0]) if s.size else 0.0)
+    tau = RANK_RTOL * max(a.shape) * (float(s[0]) if s.size else 0.0)
     return Factored(w, s, vh, tau, int(np.count_nonzero(s > tau)))
 
 
@@ -487,11 +485,3 @@ def singular_values(a) -> np.ndarray:
     if a.size == 0:
         return np.zeros(0)
     return np.linalg.svd(a, compute_uv=False)
-
-
-def range_projector(a, rank_rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthogonal projector onto the column space of ``a``."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return np.zeros((a.shape[0], a.shape[0]), dtype=complex)
-    return ranked_svd(a, rank_rtol).range_projector()

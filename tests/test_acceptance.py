@@ -23,7 +23,7 @@ from antilin.blockops import (
 )
 from antilin.extensions import ExtensionProblem, minimal_span, word_span_oracle
 from antilin.generators import crandn
-from antilin.matkernel import range_projector, spectral_norm
+from antilin.matkernel import ranked_svd, spectral_norm
 from antilin.numrange import nr_disk, nr_value, sample_sup, witness_disk, witness_segment
 from antilin.spectra import antilinear_spectrum, spectrum_crosscheck
 from antilin.structure import (
@@ -88,12 +88,12 @@ def test_criterion_1_adjoint_calculus():
         # kernel/range orthogonality in the realified picture
         rt = realify(t)
         rts = realify(t.adjoint())
-        s_t = np.linalg.svd(rt, compute_uv=False)
+        w, s_t, _ = np.linalg.svd(rt)
         rank = int(np.count_nonzero(s_t > 1e-8 * (s_t[0] if s_t[0] > 0 else 1.0)))
         _, _, vh = np.linalg.svd(rts)
         ker = vh[rank:].conj().T
         p_ker = ker @ ker.conj().T
-        p_range = range_projector(rt, rank_rtol=1e-8 / max(rt.shape))
+        p_range = w[:, :rank] @ w[:, :rank].T   # R(T) at this test's own cutoff
         if spectral_norm(p_ker - (np.eye(2 * m) - p_range)) > 1e-8:
             failures.append(f"kernel-range {idx}")
     _finish("criterion 1 adjoint calculus", failures)
@@ -134,9 +134,9 @@ def test_criterion_3_polar_decomposition():
             failures.append(f"reconstruction {idx}")
         if spectral_norm(uc @ uc.conj().T @ uc - uc) > 1e-8:
             failures.append(f"partial isometry {idx}")
-        if spectral_norm(p.initial_projector() - range_projector(p.modulus)) > 1e-8:
+        if spectral_norm(p.initial_projector() - ranked_svd(p.modulus).range_projector()) > 1e-8:
             failures.append(f"initial space {idx}")
-        if spectral_norm(p.final_projector() - range_projector(a)) > 1e-8:
+        if spectral_norm(p.final_projector() - ranked_svd(a).range_projector()) > 1e-8:
             failures.append(f"final space {idx}")
     for k in range(40):
         t = normal_instance(rng, int(rng.integers(2, 13)), NORMAL_FAMILIES[k % 3])

@@ -21,7 +21,7 @@ from antilin.antiop import (
 )
 from antilin.errors import DimensionMismatch, NotInvolution, NotIsometric
 from antilin.generators import crandn, symmetric_unitary
-from antilin.matkernel import range_projector, spectral_norm
+from antilin.matkernel import ranked_svd, spectral_norm
 
 from conftest import random_antilinear, random_rank_deficient
 
@@ -174,7 +174,7 @@ class TestRealify:
     def test_kernel_range_orthogonality(self, rng):
         # N(T#) is the orthogonal complement of R(T), read realified
         t = random_rank_deficient(rng, 6, 6, 3)
-        p_range = range_projector(realify(t))
+        p_range = ranked_svd(realify(t)).range_projector()
         _, s, vh = np.linalg.svd(realify(t.adjoint()))
         rank = int(np.count_nonzero(s > 1e-10 * s[0]))
         ker = vh[rank:].conj().T
@@ -185,7 +185,7 @@ class TestRealify:
 def _bitwise(a, b) -> bool:
     return (
         a.shape == b.shape
-        and np.array_equal(a, b)
+        and np.array_equal(a, b, equal_nan=True)
         and np.array_equal(np.signbit(a), np.signbit(b))
     )
 
@@ -234,14 +234,29 @@ class TestRealifyBitwise:
     def test_shifted_matches_realify_of_shift(self, rng, n, zeros):
         lin, anti = crandn(rng, n, n), crandn(rng, n, n)
         if zeros:
-            # off-diagonal -0.0 in the linear part takes the direct path
             lin, anti = _signed_zeros(rng, lin), _signed_zeros(rng, anti)
         ops = (AntilinearOperator(anti), RealLinearOperator(lin, anti),
                RealLinearOperator.from_linear(lin), anti.copy())
+        infinite = (np.inf, -np.inf, complex(0.0, np.inf))   # nan where inf meets 0
         for op in ops:
-            for lam in SHIFTS + tuple(complex(z) for z in 10 * crandn(rng, 3)):
-                ref = realify(coerce(op).shifted(lam))
-                assert _bitwise(realify_shifted(op, lam), ref), (type(op), lam)
+            for lam in SHIFTS + infinite + tuple(complex(z) for z in 10 * crandn(rng, 3)):
+                with np.errstate(invalid="ignore"):
+                    got, ref = realify_shifted(op, lam), realify(coerce(op).shifted(lam))
+                assert _bitwise(got, ref), (type(op), lam)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_shift_moves_only_the_diagonal(self, rng, n):
+        lin = _signed_zeros(rng, crandn(rng, n, n))
+        op = RealLinearOperator(lin, _signed_zeros(rng, crandn(rng, n, n)))
+        off = ~np.eye(n, dtype=bool)
+        for mu in SHIFTS:
+            moved = op.shifted(mu)
+            diag = (op.lin - mu * np.eye(n)).diagonal()
+            for part in ("real", "imag"):
+                got, kept = getattr(moved.lin, part), getattr(op.lin, part)
+                assert _bitwise(got.diagonal(), getattr(diag, part)), (mu, part)
+                assert _bitwise(got[off], kept[off]), (mu, part)   # -0.0 kept
+                assert _bitwise(getattr(moved.anti, part), getattr(op.anti, part))
 
     def test_each_probe_is_a_fresh_copy(self, rng):
         t = random_antilinear(rng, 4)
@@ -267,9 +282,12 @@ class TestRealifyBitwise:
             gc.collect()
             assert ref() is None
         assert len(bases) == 2
-        plain = np.eye(3, dtype=complex)   # mutable: never cached
-        realify_shifted(plain, 1.0)
-        assert len(bases) == 2
+        plain = np.eye(3, dtype=complex)   # mutable: read anew on every call
+        first = realify_shifted(plain, 1.0)
+        plain[0, 1] = 2.0
+        second = realify_shifted(plain, 1.0)
+        assert first[0, 1] == 0.0 and second[0, 1] == 2.0
+        assert _bitwise(second, realify(coerce(plain).shifted(1.0)))
 
 
 class TestFactoredForm:

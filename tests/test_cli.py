@@ -393,7 +393,18 @@ def test_block_tol_zero_names_a_pivot_lu_finds_singular(tmp_path, capsys):
     skipped = json.loads(out)["summary"]["skipped"]
     reasons = {line.split(": ", 1)[1] for line in skipped}
     assert len(reasons) == 1 and reasons.pop().startswith("pivot F is numerically singular")
-    assert {line.split(" at ")[0] for line in skipped} == {"factorization T2", "T2"}
+    assert {line.split(" at ")[0] for line in skipped} == {"T2"}
+
+
+def test_block_lists_each_skipped_complement_once(tmp_path, capsys):
+    # three --mu values, one skipped T2 at each: one summary line apiece
+    path = write_block_file(tmp_path / "ones.json", np.ones((3, 3), dtype=complex))
+    code, out, err = _main(capsys, "block", "--input", path, "--tol", "0",
+                           "--mu", "0.3+0.1j;-1;0.5j")
+    assert (code, err) == (1, "")
+    skipped = json.loads(out)["summary"]["skipped"]
+    assert [line.split(": ", 1)[0] for line in skipped] == [
+        "T2 at mu_0", "T2 at mu_1", "T2 at mu_2"]
 
 
 def test_missing_file_exit_2():

@@ -230,7 +230,7 @@ def test_zero_pivot_is_tested_once_and_never_inverted(tmp_path, monkeypatch):
     reasons = [line.split(": ", 1)[1] for line in skipped]
     t2 = [e for e in scans[0].entries if e.selector == "T2"]
     reasons += [e.skipped_reason for e in t2]
-    assert len(skipped) == 6 and len(t2) > 3
+    assert len(skipped) == 3 and len(t2) > 3   # one line per skipped T2
     assert set(reasons) == {"pivot F is numerically singular (min singular value 0.000e+00)"}
     assert svds.count(zero) == 2 and minima.count(zero) == 1
     assert zero not in invs
@@ -240,14 +240,28 @@ def test_block_evaluates_each_complement_once(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = _gen("block", 3, dim2=3)
     mus = (0.3 + 0.1j, -0.7 + 0.2j)
-    calls, flats = [], []
+    at_mu, evaluated, scans, flats = [], [], [], []
     record = lambda blk, sel, mu, *r, **k: (sel, complex(mu))  # noqa: E731
-    _counting(monkeypatch, cli, "complement", calls, record)
-    _counting(monkeypatch, blockops, "complement", calls, record)
+    _counting(monkeypatch, cli, "complement", at_mu, record)
+    _counting(monkeypatch, blockops, "complement", evaluated, record)
     _counting(monkeypatch, blockops, "singular_values", flats, lambda a: np.shape(a))
+    scan = cli.correspondence_scan
+
+    def counted_scan(blk, samples, **kwargs):
+        start = len(evaluated)
+        report = scan(blk, samples, **kwargs)
+        scans.append((Counter(evaluated[start:]), [complex(mu) for mu in samples]))
+        return report
+
+    monkeypatch.setattr(cli, "correspondence_scan", counted_scan)
     _run(["block", "--input", path, "--mu", ";".join(str(m) for m in mus)])
-    per_mu = Counter(c for c in calls if c[1] != 0)  # rank_link's are at mu = 0
-    assert per_mu == {(sel, mu): 1 for sel in blockops.SELECTORS for mu in mus}
+    # the CLI evaluates each (selector, --mu value) once
+    assert Counter(at_mu) == {(sel, mu): 1 for sel in blockops.SELECTORS for mu in mus}
+    # the scan evaluates each (sample, selector) once, through complement
+    [(in_scan, samples)] = scans
+    assert in_scan == Counter((sel, mu) for mu in samples for sel in blockops.SELECTORS)
+    # and rank_link evaluates S2(0) and S1(0)
+    assert Counter(evaluated) - in_scan == {("S2", 0j): 1, ("S1", 0j): 1}
     # flat norm and flat rank share one SVD; rank_link ranks S2(0) and S1(0)
     assert Counter(flats) == {(12, 12): 1, (6, 6): 2}
 

@@ -42,7 +42,10 @@ and with ``--tol 0``, so the skips of singular pivots are compared.  Then
 bulk and per-entry paths and the input digest are compared on text
 ``dump_payload`` never writes.  Then the rectangular blocks
 ``gen --kind block`` 3x5, 5x3, 1x4 and 16x8 under ``block``, plain and
-with ``--mu "0.3+0.1j;1;0"``.  Last, the cross-kind misuse: the d = 16 and
+with ``--mu "0.3+0.1j;1;0"``.  Then ``block --mu "-0.0-0.5j;0.5-0.0j;-0.0"``
+(passed as ``--mu=...``, since the value starts with ``-``) on the d = 16
+seed-0 block and on the 3x5 block, so shifts with signed-zero parts are
+compared on the CLI output.  Last, the cross-kind misuse: the d = 16 and
 the 3x5 block file under every operator subcommand and a d = 16 operator
 file under ``block`` (exit 2).  Both
 workers run in fresh directories of the same name, so the relative
@@ -132,6 +135,9 @@ RAW_TEMPLATE = (
 # rectangular blocks (n, m), each run plain and with RECT_BLOCK_MU
 RECT_BLOCKS = ((3, 5), (5, 3), (1, 4), (16, 8))
 RECT_BLOCK_MU = ["--mu", "0.3+0.1j;1;0"]
+# shifts with signed-zero parts, each run on these blocks
+SIGNED_ZERO_BLOCKS = ("block-16-s0", "block-3x5")
+SIGNED_ZERO_MU = ["--mu=-0.0-0.5j;0.5-0.0j;-0.0"]
 # a file under a subcommand that rejects its kind: (file stem, subcommands)
 CROSS_KIND = (
     ("block-16-s0", OPERATOR_COMMANDS),
@@ -205,6 +211,8 @@ def worker() -> list:
         records.append(_run(main, gen + ["--output", path]))
         records.append(_run(main, ["block", "--input", path]))
         records.append(_run(main, ["block", "--input", path] + RECT_BLOCK_MU))
+    for stem in SIGNED_ZERO_BLOCKS:
+        records.append(_run(main, ["block", "--input", f"ops/{stem}.json"] + SIGNED_ZERO_MU))
     for stem, cmds in CROSS_KIND:
         for cmd in cmds:
             records.append(_run(main, [cmd, "--input", f"ops/{stem}.json"]))
