@@ -12,7 +12,6 @@ verifies all of it on concrete operator files.
 
 from .antiop import (
     AntilinearOperator,
-    Conjugation,
     RealLinearOperator,
     compose,
     from_factored,
@@ -80,7 +79,6 @@ __all__ = [
     "AntilinearOperator",
     "BlockAntilinearMatrix",
     "ComplementResult",
-    "Conjugation",
     "ExtensionProblem",
     "MpResult",
     "NumericalRangeDisk",

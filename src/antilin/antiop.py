@@ -13,6 +13,9 @@ Representations
   ``x -> A conj(x)``.  This is the single source of truth; the factored form
   ``T = C T1`` with a conjugation ``C`` is available as a conversion
   (:func:`to_factored` / :func:`from_factored`), not as storage.
+* A conjugation is an ``AntilinearOperator`` whose canonical matrix
+  :func:`make_conjugation` has validated as an isometric involution
+  (``K conj(K) = I`` and ``K* K = I``); it has no type of its own.
 * ``RealLinearOperator`` stores the pair ``(P, Q)`` of the action
   ``x -> P x + Q conj(x)``.  This algebra closes compositions, sums and
   resolvents of linear and antilinear maps.  Composition follows
@@ -99,26 +102,6 @@ class AntilinearOperator:
         return f"AntilinearOperator({self.dim_out}x{self.dim_in})"
 
 
-@dataclass(frozen=True, eq=False)
-class Conjugation:
-    """Isometric antilinear involution ``x -> kmat @ conj(x)``."""
-
-    kmat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "kmat", _own_matrix(self.kmat))
-
-    @property
-    def dim(self) -> int:
-        return self.kmat.shape[0]
-
-    def as_operator(self) -> AntilinearOperator:
-        return AntilinearOperator(self.kmat)
-
-    def apply(self, x) -> np.ndarray:
-        return self.as_operator().apply(x)
-
-
 _V = TypeVar("_V")
 
 _DERIVED: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
@@ -145,8 +128,8 @@ def derived(
     return memo[key]
 
 
-def make_conjugation(k) -> Conjugation:
-    """Validate ``k`` as the matrix of a conjugation.
+def make_conjugation(k) -> AntilinearOperator:
+    """The conjugation ``x -> k conj(x)``, after validating ``k``.
 
     Raises:
         NotInvolution: if ``||k conj(k) - I|| > CONJUGATION_TOL``.
@@ -160,12 +143,12 @@ def make_conjugation(k) -> Conjugation:
         raise NotInvolution("K conj(K) differs from the identity")
     if spectral_norm(k.conj().T @ k - eye) > CONJUGATION_TOL:
         raise NotIsometric("K is not unitary")
-    return Conjugation(k)
+    return AntilinearOperator(k)
 
 
-def standard_conjugation(n: int) -> Conjugation:
+def standard_conjugation(n: int) -> AntilinearOperator:
     """Entrywise conjugation on C^n."""
-    return Conjugation(np.eye(n))
+    return AntilinearOperator(np.eye(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +244,7 @@ class RealLinearOperator:
         return f"RealLinearOperator({self.dim_out}x{self.dim_in})"
 
 
-Composable = Union[AntilinearOperator, RealLinearOperator, Conjugation, np.ndarray]
+Composable = Union[AntilinearOperator, RealLinearOperator, np.ndarray]
 
 
 def coerce(op: Composable) -> RealLinearOperator:
@@ -270,8 +253,6 @@ def coerce(op: Composable) -> RealLinearOperator:
         return op
     if isinstance(op, AntilinearOperator):
         return RealLinearOperator.from_antilinear(op)
-    if isinstance(op, Conjugation):
-        return RealLinearOperator.from_antilinear(op.as_operator())
     return RealLinearOperator.from_linear(op)
 
 
@@ -346,8 +327,8 @@ def realify_shifted(op: Composable, lam: complex) -> np.ndarray:
     An operator is realified once (:func:`derived`); each shift copies that
     matrix and rewrites only the 4n entries on the diagonals of its four
     blocks, with the expressions :func:`realify` evaluates on the shifted
-    diagonal ``d = diag(lin) - lam``.  An ndarray or a :class:`Conjugation`
-    is coerced to a new operator on every call, so nothing is kept for it.
+    diagonal ``d = diag(lin) - lam``.  An ndarray is coerced to a new
+    operator on every call, so nothing is kept for it.
 
     Raises:
         DimensionMismatch: if ``op`` is not square.
@@ -387,18 +368,19 @@ def op_norm(op: Composable) -> float:
     return spectral_norm(realify(op))
 
 
-def to_factored(t: AntilinearOperator, c: Conjugation | None = None) -> np.ndarray:
-    """Linear factor S with ``t = compose(c, S)`` (the form T = C T1).
+def to_factored(t: AntilinearOperator, c: AntilinearOperator | None = None) -> np.ndarray:
+    """Linear factor S with ``t = compose(c, S)`` (the form T = C T1) for a
+    conjugation ``c`` (:func:`make_conjugation`).
 
     With the standard conjugation this is ``conj(canon)``.
     """
     if c is None:
         c = standard_conjugation(t.dim_out)
-    if c.dim != t.dim_out:
+    if c.dim_in != t.dim_out:
         raise DimensionMismatch("conjugation dimension must match dim_out")
-    return c.kmat @ np.conj(t.canon)
+    return c.canon @ np.conj(t.canon)
 
 
-def from_factored(c: Conjugation, s) -> AntilinearOperator:
+def from_factored(c: AntilinearOperator, s) -> AntilinearOperator:
     """Antilinear operator ``compose(c, s)`` for a linear matrix ``s``."""
     return compose(c, np.asarray(s, dtype=complex)).as_antilinear()

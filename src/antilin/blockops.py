@@ -452,9 +452,7 @@ def rank_link(blk: BlockAntilinearMatrix, tol: float = SING_TOL) -> RankLinkRepo
         raise PivotSingular("A", exc.min_singular) from None
     rank_s2 = int(np.count_nonzero(singular_values(realify(s2.op)) > floor))
     primal = rank_flat == 2 * blk.n + rank_s2
-    f_rel = spectral_norm(
-        realify(compose(RealLinearOperator.from_antilinear(blk.f), s2.pivot_inverse))
-    )
+    f_rel = spectral_norm(realify(compose(blk._real[2], s2.pivot_inverse)))
 
     rank_s1: Optional[int] = None
     dual: Optional[bool] = None

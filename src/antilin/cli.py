@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, structure
-from .antiop import AntilinearOperator, Conjugation
+from .antiop import AntilinearOperator
 from .blockops import (
     SELECTORS,
     BlockAntilinearMatrix,
@@ -87,7 +87,7 @@ _SQUARE_REQUIRED = {
 def _load(args, report: Report):
     """The input of a subcommand, with its contract checked before any
     check runs: the block matrix for ``block``, the antilinear operator for
-    every other subcommand (a conjugation file gives its operator).
+    every other subcommand (a conjugation file loads as its operator).
 
     Sets ``report.input_digest`` and, for an operator, ``summary["kind"]``.
     """
@@ -100,7 +100,7 @@ def _load(args, report: Report):
         return loaded.obj
     if is_block:
         raise _Usage("block operator files are handled by the 'block' subcommand")
-    t = loaded.obj.as_operator() if isinstance(loaded.obj, Conjugation) else loaded.obj
+    t = loaded.obj
     if args.command in _SQUARE_REQUIRED and t.dim_in != t.dim_out:
         raise _Usage(_SQUARE_REQUIRED[args.command])
     report.summary["kind"] = loaded.kind
@@ -172,7 +172,7 @@ def cmd_inspect(t: AntilinearOperator, args, report: Report, tols: dict) -> None
     report.summary["dims"] = [t.dim_out, t.dim_in]
     report.summary["canon_norm"] = scale
     if t.dim_in == t.dim_out:
-        normal = structure.normality(t)
+        normal = structure.is_normal(t)
         cn_value, cn_residual = structure.c_normal_criterion(t)
         agree = int(normal.value != normal.sampled_value) + int(normal.value != cn_value)
         report.add("normality_criteria_agree", float(agree), 0.0)
@@ -199,7 +199,7 @@ def cmd_identities(t: AntilinearOperator, args, report: Report, tols: dict) -> N
         report.summary["range_gap"] = suite.range_gap
 
     if t.dim_in == t.dim_out:
-        normal = structure.normality(t)
+        normal = structure.is_normal(t)
         cn_value, cn_residual = structure.c_normal_criterion(t)
         report.add(
             "c_normal_agrees_is_normal",
@@ -231,7 +231,8 @@ def cmd_spectrum(t: AntilinearOperator, args, report: Report, tols: dict) -> Non
     check = spectrum_crosscheck(t, phases=8, tol=tols["membership"])
     report.add("crosscheck_disagreements", float(len(check.disagreements)), 0.0)
 
-    eigvals = np.array(check.eigenvalues, dtype=complex)
+    desc = check.spectrum
+    eigvals = np.array(desc.eigenvalues, dtype=complex)
     closure = 0.0
     for mu in eigvals:
         closure = max(
@@ -240,8 +241,8 @@ def cmd_spectrum(t: AntilinearOperator, args, report: Report, tols: dict) -> Non
         )
     report.add("eig_conjugation_closure", closure, tols["identity"])
 
-    report.summary["radii"] = list(check.radii)
-    report.summary["clamped_eigenvalues"] = [_cx(z) for z in check.clamped]
+    report.summary["radii"] = list(desc.radii)
+    report.summary["clamped_eigenvalues"] = [_cx(z) for z in desc.clamped]
     report.summary["members_tested"] = check.members_tested
     report.summary["nonmembers_tested"] = check.nonmembers_tested
     report.summary["classification"] = CLASSIFICATION_NOTE
@@ -428,6 +429,24 @@ def _parse_target(text: str) -> tuple[float, float]:
     return re, im
 
 
+# options whose value may begin with "-" (a negative real part); argparse
+# reads such a token as an option unless it is a plain negative number
+_SIGNED_VALUE_OPTIONS = ("--mu", "--target")
+
+
+def _attach_signed_values(argv: list) -> list:
+    """``argv`` with each ``--mu`` or ``--target`` followed by a token that
+    begins with one ``-`` joined into the ``--opt=value`` spelling, which
+    argparse reads as the value; a following ``--option`` is left alone."""
+    out: list = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and token[:1] == "-" and token[:2] != "--":
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antilin",
@@ -482,7 +501,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         # argparse exits 0 on --help; map everything else onto 2
         return 0 if exc.code == 0 else 2

@@ -25,7 +25,7 @@ import numpy as np
 from .antiop import AntilinearOperator, RealLinearOperator, compose
 from .errors import DimensionMismatch, NotNormal
 from .matkernel import spectral_norm
-from .structure import normality
+from .structure import is_normal
 
 SPAN_TOL = 1e-10
 
@@ -155,7 +155,7 @@ def minimal_span(p: ExtensionProblem, cap: Optional[int] = None) -> SpanResult:
     Raises:
         NotNormal: when the ambient operator is not antilinear normal.
     """
-    if not normality(p.ambient):
+    if not is_normal(p.ambient):
         raise NotNormal("minimal_span requires a normal ambient operator")
     big = p.ambient_dim
     if cap is None:
@@ -210,7 +210,7 @@ def word_span_oracle(p: ExtensionProblem, max_len: int) -> int:
     Raises:
         NotNormal: when the ambient operator is not antilinear normal.
     """
-    if not normality(p.ambient):
+    if not is_normal(p.ambient):
         raise NotNormal("word_span_oracle requires a normal ambient operator")
     big = p.ambient_dim
     letters = (p.ambient, p.ambient.adjoint())

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import structure
 from .antiop import AntilinearOperator
 from .blockops import BlockAntilinearMatrix
 from .errors import UnknownKind
@@ -59,10 +60,6 @@ def symmetric_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return u @ u.T
 
 
-def normality_residual(a: np.ndarray) -> float:
-    return spectral_norm(a @ a.conj().T - a.T @ a.conj())
-
-
 def _canon(kind: str, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, str]:
     scale = 1.0 / np.sqrt(dim)
     if kind == "selfadjoint":
@@ -81,7 +78,7 @@ def _canon(kind: str, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, s
             raise UnknownKind("nonnormal requires dim >= 2 (every 1x1 is normal)")
         for _ in range(256):
             a = crandn(rng, dim, dim) * scale
-            if normality_residual(a) > NONNORMAL_MARGIN * (1.0 + spectral_norm(a) ** 2):
+            if structure.normality_residual(a) > NONNORMAL_MARGIN * (1.0 + spectral_norm(a) ** 2):
                 return a, "rejection-sampled non-normal"
         raise UnknownKind("failed to sample a non-normal instance")  # pragma: no cover
     if kind == "nilpotent":
@@ -115,8 +112,6 @@ def gen_payload(kind: str, dim: int, seed: int, dim2: Optional[int] = None) -> d
                 "description": "four independent antilinear blocks",
             },
         }
-    if kind not in KINDS:
-        raise UnknownKind(f"unknown generator kind {kind!r}")
     a, note = _canon(kind, dim, np.random.default_rng(seed))
     return {
         "schema": SCHEMA,

@@ -5,7 +5,9 @@ kinds:
 
 * ``antilinear``:  ``dims = [rows, cols]`` and ``entries`` as a row-major
   list of ``[re, im]`` pairs for the canonical matrix,
-* ``conjugation``: same layout, validated as a conjugation on load,
+* ``conjugation``: same layout, validated on load as a conjugation
+  (:func:`~antilin.antiop.make_conjugation`) and loaded as its
+  antilinear operator,
 * ``block``: ``dims = [n, m]`` and ``blocks`` with the four named canonical
   matrices ``a`` (n x n), ``b`` (n x m), ``f`` (m x n), ``e`` (m x m).
 
@@ -51,7 +53,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .antiop import AntilinearOperator, Conjugation, make_conjugation
+from .antiop import AntilinearOperator, make_conjugation
 from .blockops import BlockAntilinearMatrix
 from .errors import AntilinError, InvalidOperatorFile
 
@@ -169,7 +171,7 @@ def _matrix_from_entries(entries, rows: int, cols: int, where: str, admitted: se
     return flat.reshape(rows, cols)
 
 
-LoadedObject = Union[AntilinearOperator, Conjugation, BlockAntilinearMatrix]
+LoadedObject = Union[AntilinearOperator, BlockAntilinearMatrix]
 
 
 @dataclass(frozen=True)

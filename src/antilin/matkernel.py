@@ -54,11 +54,10 @@ GUARD_RTOL = 1e-10
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of ``a`` (0.0 for an empty matrix)."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    """Largest singular value of the matrix ``a``, ``s[0]`` of
+    :func:`singular_values` (0.0 for an empty matrix)."""
+    s = singular_values(a)
+    return float(s[0]) if s.size else 0.0
 
 
 def _exceeds(d: np.ndarray, bound: float) -> bool:
@@ -176,7 +175,7 @@ def singularity(m, tol: float = SING_TOL) -> tuple[float, float]:
     _require_square(m, "singularity input")
     if m.size == 0:
         return 0.0, tol
-    s = np.linalg.svd(m, compute_uv=False)
+    s = singular_values(m)
     return float(s[-1]), tol * (1.0 + float(s[0]))
 
 
@@ -479,8 +478,8 @@ def ranked_svd(a) -> Factored:
 
 def singular_values(a) -> np.ndarray:
     """Descending singular values of ``a`` from one ``svd(compute_uv=False)``
-    (empty for an empty matrix).  ``s[0]`` is bitwise
-    :func:`spectral_norm`."""
+    (empty for an empty matrix): the package's one call of that kernel,
+    which :func:`spectral_norm` and :func:`singularity` read."""
     a = np.asarray(a)
     if a.size == 0:
         return np.zeros(0)

@@ -72,13 +72,12 @@ class NumericalRangeDisk:
     """Closed origin-centered disk description of W(T).
 
     ``extremal_vector`` is a unit vector whose value has modulus ``radius``.
-    For ``circle_only`` instances (n = 1) W(T) is the circle of radius
-    ``radius`` rather than the full disk.
+    For n = 1 W(T) is the circle of radius ``radius`` rather than the full
+    disk.
     """
 
     radius: float
     extremal_vector: np.ndarray
-    circle_only: bool
 
 
 def nr_disk(t: AntilinearOperator) -> NumericalRangeDisk:
@@ -90,9 +89,7 @@ def nr_disk(t: AntilinearOperator) -> NumericalRangeDisk:
     fac = _takagi_of(t)
     radius = float(fac.sigma[0]) if fac.sigma.size else 0.0
     x = fac.u[:, 0].copy()
-    return NumericalRangeDisk(
-        radius=radius, extremal_vector=x, circle_only=(t.dim_in == 1)
-    )
+    return NumericalRangeDisk(radius=radius, extremal_vector=x)
 
 
 def witness_disk(t: AntilinearOperator, target: complex) -> np.ndarray:

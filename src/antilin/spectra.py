@@ -136,13 +136,11 @@ class CrosscheckPoint:
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    """Probed points of :func:`spectrum_crosscheck`, with the radii, clamped
-    values and eigenvalues of the :func:`antilinear_spectrum` they test."""
+    """Probed points of :func:`spectrum_crosscheck`, with the
+    :func:`antilinear_spectrum` they test."""
 
-    radii: tuple
+    spectrum: SpectrumDescription
     points: tuple
-    clamped: tuple
-    eigenvalues: tuple = ()
 
     @property
     def disagreements(self) -> tuple:
@@ -215,7 +213,4 @@ def spectrum_crosscheck(
                     oracle_member=member,
                 )
             )
-    return CrosscheckReport(
-        radii=tuple(radii), points=tuple(points), clamped=desc.clamped,
-        eigenvalues=desc.eigenvalues,
-    )
+    return CrosscheckReport(spectrum=desc, points=tuple(points))

@@ -21,7 +21,7 @@ projector is ``U_T U_T#`` with matrix ``U_c U_c*``.
 Each operator is factored once per object (:func:`antiop.derived`): the
 ranked SVD that :func:`polar`, :func:`moore_penrose` and the range projector
 share (:func:`factored`), the modulus, the spectral norm of the canonical
-matrix (:func:`canon_norm`) and the normality verdict (:func:`normality`).
+matrix (:func:`canon_norm`) and the normality verdict (:func:`is_normal`).
 The pseudoinverse and psd square-root oracles keep their own factorizations.
 """
 
@@ -88,38 +88,39 @@ class NormalityCheck:
         return self.value
 
 
-def is_normal(t: AntilinearOperator) -> NormalityCheck:
-    """Decide ``T T# = T# T``.
+def normality_residual(a: np.ndarray) -> float:
+    """``||A A* - A.T conj(A)||``: the spectral norm of ``T T# - T# T`` for
+    the canonical matrix ``a``, from the two products :func:`gram` forms."""
+    return spectral_norm(a @ a.conj().T - a.T @ a.conj())
 
-    Primary criterion: ``||A A* - conj(A* A)|| <= NORMAL_TOL * (1 + ||A||^2)``.
+
+def is_normal(t: AntilinearOperator) -> NormalityCheck:
+    """Decide ``T T# = T# T``, once per operator object (:func:`derived`),
+    so the checks that require a normal operator pay nothing more.
+
+    Primary criterion: ``normality_residual(A) <= NORMAL_TOL * (1 + ||A||^2)``.
     Cross-validated by the norm criterion ``||T x|| = ||T# x||`` on 50 random
     unit vectors (deviation threshold ``NORMAL_TOL * (1 + ||A||)``) drawn
     from a fixed seed, so results are deterministic.
     """
     a = _square(t)
-    left, right = gram(t)
-    residual = spectral_norm(left - right)
-    scale = canon_norm(t)
-    value = residual <= NORMAL_TOL * (1.0 + scale**2)
 
-    # 50 unit draws as columns; each draw takes its Re part, then its Im part
-    # from the stream
-    rng = np.random.default_rng(_NORM_SAMPLING_SEED)
-    g = rng.standard_normal((50, 2, t.dim_in))
-    x = g[:, 0] + 1j * g[:, 1]
-    xc = np.conj(x / np.linalg.norm(x, axis=1, keepdims=True)).T
-    dev = np.abs(np.linalg.norm(a @ xc, axis=0) - np.linalg.norm(a.T @ xc, axis=0))
-    sampled_value = bool(dev.max() <= NORMAL_TOL * (1.0 + scale))
-    return NormalityCheck(value, residual, sampled_value)
+    def decide() -> NormalityCheck:
+        residual = normality_residual(a)
+        scale = canon_norm(t)
+        value = residual <= NORMAL_TOL * (1.0 + scale**2)
 
+        # 50 unit draws as columns; each draw takes its Re part, then its Im
+        # part from the stream
+        rng = np.random.default_rng(_NORM_SAMPLING_SEED)
+        g = rng.standard_normal((50, 2, t.dim_in))
+        x = g[:, 0] + 1j * g[:, 1]
+        xc = np.conj(x / np.linalg.norm(x, axis=1, keepdims=True)).T
+        dev = np.abs(np.linalg.norm(a @ xc, axis=0) - np.linalg.norm(a.T @ xc, axis=0))
+        sampled_value = bool(dev.max() <= NORMAL_TOL * (1.0 + scale))
+        return NormalityCheck(value, residual, sampled_value)
 
-def normality(t: AntilinearOperator) -> NormalityCheck:
-    """``is_normal(t)``, evaluated once per operator object.
-
-    The checks that require a normal operator read the verdict from here,
-    so a caller that has already asked pays nothing more.
-    """
-    return derived(t, "normality", lambda: is_normal(t))
+    return derived(t, "normality", decide)
 
 
 def is_selfadjoint(t: AntilinearOperator) -> bool:
@@ -189,7 +190,7 @@ def check_polar_commutation(t: AntilinearOperator) -> float:
         NotNormal: when the operator fails :func:`is_normal`.
     """
     _square(t)
-    if not normality(t):
+    if not is_normal(t):
         raise NotNormal("polar commutation requires an antilinear normal operator")
     p = polar(t)
     uc, m = p.u.canon, p.modulus
@@ -224,7 +225,7 @@ def power_commute(t: AntilinearOperator, n: int) -> float:
     _square(t)
     if n < 1:
         raise ValueError("power must be at least 1")
-    if not normality(t):
+    if not is_normal(t):
         raise NotNormal("power commutation requires an antilinear normal operator")
     tn = RealLinearOperator.identity(t.dim_in)
     sn = RealLinearOperator.identity(t.dim_in)

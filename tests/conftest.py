@@ -59,8 +59,9 @@ def normal_instance(rng, n, family):
 
 
 def nonnormal_instance(rng, n):
-    from antilin.generators import NONNORMAL_MARGIN, normality_residual
+    from antilin.generators import NONNORMAL_MARGIN
     from antilin.matkernel import spectral_norm
+    from antilin.structure import normality_residual
 
     assert n >= 2
     while True:

@@ -35,7 +35,9 @@ class TestConjugation:
         k = np.array([[0, 1], [1, 0]], dtype=complex)
         c = make_conjugation(k)
         np.testing.assert_allclose(k @ np.conj(k), np.eye(2))
-        assert c.dim == 2
+        # a conjugation is the antilinear operator of its validated matrix
+        assert type(c) is AntilinearOperator
+        assert np.array_equal(c.canon, k) and c.dim_in == c.dim_out == 2
 
     def test_symplectic_rejected(self):
         with pytest.raises(NotInvolution):
@@ -312,4 +314,5 @@ class TestFactoredForm:
         t = random_antilinear(rng, 3)
         s = to_factored(t)
         np.testing.assert_allclose(s, np.conj(t.canon))
-        assert standard_conjugation(3).dim == 3
+        c = standard_conjugation(3)
+        assert type(c) is AntilinearOperator and np.array_equal(c.canon, np.eye(3))

@@ -286,6 +286,33 @@ def test_nonfinite_or_negative_number_flag_exit_2(command, flag, value, diag2i_f
     assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), res.stderr
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("numrange", "--target", "-0.1,0.05"), ("block", "--mu", "-1;2"), ("block", "--mu", "-0.5j")],
+)
+def test_value_beginning_with_minus_parses_in_either_spelling(
+    command, flag, value, diag2i_file, block_file, capsys
+):
+    # spaced and attached with "=", the same checks and summary; the report
+    # echoes the spelling the user typed
+    source = block_file if command == "block" else diag2i_file
+    reports = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        code, out, err = _main(capsys, command, "--input", source, *spelling)
+        assert code == 0, err
+        reports.append(json.loads(out))
+    spaced, attached = reports
+    assert spaced["command"] == " ".join([command, "--input", source, flag, value])
+    assert attached["command"] == " ".join([command, "--input", source, f"{flag}={value}"])
+    assert (spaced["checks"], spaced["summary"]) == (attached["checks"], attached["summary"])
+
+
+def test_option_after_mu_is_not_its_value(block_file, capsys):
+    code, out, err = _main(capsys, "block", "--input", block_file, "--mu", "--tol", "1")
+    assert (code, out) == (2, "")
+    assert "argument --mu: expected one argument" in err
+
+
 OPERATOR_COMMANDS = ("inspect", "identities", "spectrum", "numrange", "extension")
 
 
@@ -327,6 +354,23 @@ def test_conjugation_file_runs_as_its_operator(command, conjugation_file, capsys
     code, out, err = _main(capsys, command, "--input", conjugation_file)
     assert code == 0, err
     assert json.loads(out)["summary"]["kind"] == "conjugation"
+
+
+@pytest.mark.parametrize("command", ("inspect", "identities", "spectrum", "numrange"))
+def test_conjugation_file_reports_as_its_antilinear_file(command, tmp_path_factory, capsys):
+    # one symmetric unitary written under both kinds: a conjugation loads as
+    # its operator, so the reports differ only in kind, digest and command
+    k = symmetric_unitary(np.random.default_rng(0), 4)
+    reports = []
+    for kind in ("conjugation", "antilinear"):
+        code, out, err = _main(capsys, command, "--input", _write_operator(tmp_path_factory, kind, k))
+        assert code == 0, err
+        reports.append(json.loads(out))
+    conj, anti = reports
+    assert (conj["summary"].pop("kind"), anti["summary"].pop("kind")) == ("conjugation", "antilinear")
+    assert conj.pop("input_digest") != anti.pop("input_digest")
+    assert conj.pop("command") != anti.pop("command")
+    assert conj == anti
 
 
 def test_numrange_lower_bound_holds_for_scaled_conjugations(tmp_path, tmp_path_factory, capsys):

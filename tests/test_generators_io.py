@@ -17,7 +17,6 @@ from antilin.generators import (
     gen_block,
     gen_operator,
     gen_payload,
-    normality_residual,
 )
 from antilin.io import (
     SCHEMA,
@@ -28,6 +27,7 @@ from antilin.io import (
     matrix_from_entries,
     parse_payload,
 )
+from antilin.structure import normality_residual
 from antilin.matkernel import spectral_norm
 from antilin.spectra import antilinear_spectrum
 from antilin.structure import is_normal, is_selfadjoint

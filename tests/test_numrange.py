@@ -263,4 +263,3 @@ class TestDimensionOneCircle:
         mods = np.abs(vals)
         assert np.max(np.abs(mods - radius)) <= 1e-12
         assert np.min(mods) >= radius - 1e-12  # zero is never attained
-        assert nr_disk(t).circle_only

@@ -55,7 +55,7 @@ EXPORTED = {
 }
 
 MODULE_LEVEL = {
-    structure.normality: ("t",),
+    structure.normality_residual: ("a",),
     structure.factored: ("t",),
     numrange.sample_sup: ("t", "n_samples", "rng", "refine"),
     blockops.samples_for_radii: ("radii", "rng", "random_count"),

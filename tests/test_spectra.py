@@ -76,13 +76,13 @@ class TestCrosscheck:
     def test_diag_2_i_midpoint(self):
         rep = spectrum_crosscheck(AntilinearOperator(np.diag([2.0, 1j])), phases=8)
         assert rep.ok
-        np.testing.assert_allclose(rep.radii, [1.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(rep.spectrum.radii, [1.0, 2.0], atol=1e-12)
         assert any(p.radius == pytest.approx(1.5) and not p.oracle_member for p in rep.points)
 
     def test_zero_operator(self):
         rep = spectrum_crosscheck(AntilinearOperator(np.zeros((2, 2))))
         assert rep.ok
-        np.testing.assert_allclose(rep.radii, [0.0])
+        np.testing.assert_allclose(rep.spectrum.radii, [0.0])
         assert any(p.radius > 0 and not p.oracle_member for p in rep.points)
 
     def test_empty_spectrum(self):

@@ -93,7 +93,7 @@ def test_takagi_cache_does_not_keep_the_operator(rng):
     numrange.nr_disk(t)
     numrange.witness_disk(t, 0.0)
     structure.identity_suite(t)
-    structure.normality(t)
+    structure.is_normal(t)
     structure.c_normal_criterion(t)
     ref = weakref.ref(t)
     del t
@@ -268,7 +268,7 @@ def test_block_evaluates_each_complement_once(tmp_path, monkeypatch):
 
 def _kernel_inputs(monkeypatch, names=("svd", "eigh")) -> list:
     """Record (kernel, options, input bytes) of every SVD and Hermitian
-    eigensolve, including the SVDs behind ``np.linalg.norm(a, 2)``."""
+    eigensolve, including the SVDs behind ``spectral_norm``."""
     calls = []
     for name in names:
         original = getattr(npl, name)
@@ -349,12 +349,14 @@ def test_guards_run_no_svd_on_an_exactly_zero_difference(rng, monkeypatch):
 
 
 def test_normality_decided_once_per_invocation(tmp_path, monkeypatch):
+    # is_normal keeps its verdict on the operator, so however many checks
+    # ask, the residual is formed once
     monkeypatch.chdir(tmp_path)
     path = _gen("twisted_normal", 6)
     for cmd in ("identities", "inspect", "extension"):
         calls = []
         with monkeypatch.context() as m:
-            _counting(m, structure, "is_normal", calls)
+            _counting(m, structure, "normality_residual", calls)
             assert _run([cmd, "--input", path]) == 0
         assert len(calls) == 1, cmd
 
