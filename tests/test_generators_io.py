@@ -27,10 +27,9 @@ from antilin.io import (
     matrix_from_entries,
     parse_payload,
 )
-from antilin.structure import normality_residual
 from antilin.matkernel import spectral_norm
 from antilin.spectra import antilinear_spectrum
-from antilin.structure import is_normal, is_selfadjoint
+from antilin.structure import is_normal, is_selfadjoint, normality_residual
 
 
 class TestGenerators:
