@@ -8,118 +8,82 @@ circles), the numerical-range disk with constructive witnesses, block
 operator matrices with Schur and quadratic complements, and the span
 criterion for minimal antilinear normal extensions.  The ``antilin`` CLI
 verifies all of it on concrete operator files.
+
+The public names below are resolved on first access (PEP 562), each from
+the module that :data:`_EXPORTS` names, so ``import antilin`` loads no
+submodule, and a CLI handler imports only the modules its checks run.
+Where bytecode is not cached, every module a process loads is compiled
+and its dataclasses are built at start-up; a cold ``antilin`` process thus
+pays only for what its subcommand executes.
 """
 
-from .antiop import (
-    AntilinearOperator,
-    RealLinearOperator,
-    compose,
-    from_factored,
-    make_conjugation,
-    op_norm,
-    realify,
-    standard_conjugation,
-    to_factored,
-    unrealify,
-)
-from .blockops import (
-    BlockAntilinearMatrix,
-    ComplementResult,
-    complement,
-    correspondence_scan,
-    rank_link,
-)
-from .errors import AntilinError
-from .extensions import (
-    ExtensionProblem,
-    check_extension,
-    minimal_span,
-    word_span_oracle,
-)
-from .matkernel import (
-    TakagiFactorization,
-    is_singular,
-    pinv,
-    psd_sqrt,
-    singularity,
-    takagi,
-)
-from .numrange import (
-    NumericalRangeDisk,
-    nr_disk,
-    nr_value,
-    witness_disk,
-    witness_segment,
-)
-from .spectra import (
-    SpectrumDescription,
-    antilinear_spectrum,
-    is_in_spectrum,
-    spectrum_crosscheck,
-)
-from .structure import (
-    MpResult,
-    PolarDecomposition,
-    c_normal_criterion,
-    check_polar_commutation,
-    gram,
-    identity_suite,
-    is_normal,
-    is_selfadjoint,
-    modulus,
-    moore_penrose,
-    polar,
-    power_commute,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntilinError",
-    "AntilinearOperator",
-    "BlockAntilinearMatrix",
-    "ComplementResult",
-    "ExtensionProblem",
-    "MpResult",
-    "NumericalRangeDisk",
-    "PolarDecomposition",
-    "RealLinearOperator",
-    "SpectrumDescription",
-    "TakagiFactorization",
-    "antilinear_spectrum",
-    "c_normal_criterion",
-    "check_extension",
-    "check_polar_commutation",
-    "complement",
-    "compose",
-    "correspondence_scan",
-    "from_factored",
-    "gram",
-    "identity_suite",
-    "is_in_spectrum",
-    "is_normal",
-    "is_selfadjoint",
-    "is_singular",
-    "make_conjugation",
-    "minimal_span",
-    "modulus",
-    "moore_penrose",
-    "nr_disk",
-    "nr_value",
-    "op_norm",
-    "pinv",
-    "polar",
-    "power_commute",
-    "psd_sqrt",
-    "rank_link",
-    "realify",
-    "singularity",
-    "spectrum_crosscheck",
-    "standard_conjugation",
-    "takagi",
-    "to_factored",
-    "unrealify",
-    "witness_disk",
-    "witness_segment",
-    "word_span_oracle",
-]
+# public name -> the module of the package that defines it
+_EXPORTS = {
+    "AntilinError": "errors",
+    "AntilinearOperator": "antiop",
+    "BlockAntilinearMatrix": "blockops",
+    "ComplementResult": "blockops",
+    "ExtensionProblem": "extensions",
+    "MpResult": "structure",
+    "NumericalRangeDisk": "numrange",
+    "PolarDecomposition": "structure",
+    "RealLinearOperator": "antiop",
+    "SpectrumDescription": "spectra",
+    "TakagiFactorization": "matkernel",
+    "antilinear_spectrum": "spectra",
+    "c_normal_criterion": "structure",
+    "check_extension": "extensions",
+    "check_polar_commutation": "structure",
+    "complement": "blockops",
+    "compose": "antiop",
+    "correspondence_scan": "blockops",
+    "from_factored": "antiop",
+    "gram": "structure",
+    "identity_suite": "structure",
+    "is_in_spectrum": "spectra",
+    "is_normal": "structure",
+    "is_selfadjoint": "structure",
+    "is_singular": "matkernel",
+    "make_conjugation": "antiop",
+    "minimal_span": "extensions",
+    "modulus": "structure",
+    "moore_penrose": "structure",
+    "nr_disk": "numrange",
+    "nr_value": "numrange",
+    "op_norm": "antiop",
+    "pinv": "matkernel",
+    "polar": "structure",
+    "power_commute": "structure",
+    "psd_sqrt": "matkernel",
+    "rank_link": "blockops",
+    "realify": "antiop",
+    "singularity": "matkernel",
+    "spectrum_crosscheck": "spectra",
+    "standard_conjugation": "antiop",
+    "takagi": "matkernel",
+    "to_factored": "antiop",
+    "unrealify": "antiop",
+    "witness_disk": "numrange",
+    "witness_segment": "numrange",
+    "word_span_oracle": "extensions",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -22,8 +22,15 @@ conjugation file for the rest; a square operator for ``spectrum``,
 the loaded block matrix or operator and the tolerance table, and compute
 only their checks.
 
+At module level this imports only what parsing, loading and emitting
+need; each handler imports the modules of its own checks.  Where bytecode
+is not cached, every module a process loads is compiled and its
+dataclasses are built at start-up, so a cold process compiles and builds
+only what its subcommand runs.
+
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 malformed
-input or usage error (one-line diagnostic, never a stack trace).
+input, usage error or a size too large to allocate (one-line diagnostic,
+never a stack trace).
 """
 
 from __future__ import annotations
@@ -31,29 +38,20 @@ from __future__ import annotations
 import argparse
 import sys
 from math import ceil, isfinite
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, structure
+from . import __version__
 from .antiop import AntilinearOperator
-from .blockops import (
-    SELECTORS,
-    BlockAntilinearMatrix,
-    complement,
-    correspondence_scan,
-    factorization_residual,
-    rank_link,
-    samples_for_radii,
-)
 from .errors import AntilinError, NotNormal, OutsideRange, PivotSingular
-from .extensions import ExtensionProblem, check_extension, minimal_span, word_span_oracle
 from .generators import KINDS, crandn, gen_payload
 from .io import dump_payload, load_operator
 from .matkernel import ranked_svd, spectral_norm
-from .numrange import nr_disk, nr_value, sample_sup, witness_disk, witness_segment
 from .reporting import Report, emit_csv, emit_json
-from .spectra import CLASSIFICATION_NOTE, antilinear_spectrum, spectrum_crosscheck
+
+if TYPE_CHECKING:
+    from .blockops import BlockAntilinearMatrix
 
 BASE_TOLERANCES = {
     "pairing": 1e-10,
@@ -93,7 +91,7 @@ def _load(args, report: Report):
     """
     loaded = load_operator(args.input)
     report.input_digest = loaded.digest
-    is_block = isinstance(loaded.obj, BlockAntilinearMatrix)
+    is_block = loaded.kind == "block"
     if args.command == "block":
         if not is_block:
             raise _Usage("the 'block' subcommand requires a block operator file")
@@ -125,6 +123,10 @@ def _min_eig_defect(h: np.ndarray) -> float:
 
 
 def cmd_inspect(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
+    from . import structure
+    from .numrange import nr_disk
+    from .spectra import antilinear_spectrum
+
     rng = np.random.default_rng(args.seed)
     a = t.canon
     scale = structure.canon_norm(t)
@@ -184,6 +186,8 @@ def cmd_inspect(t: AntilinearOperator, args, report: Report, tols: dict) -> None
 
 
 def cmd_identities(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
+    from . import structure
+
     scale = structure.canon_norm(t)
 
     suite = structure.identity_suite(t, tol=tols["identity"])
@@ -228,6 +232,8 @@ def cmd_identities(t: AntilinearOperator, args, report: Report, tols: dict) -> N
 
 
 def cmd_spectrum(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
+    from .spectra import CLASSIFICATION_NOTE, spectrum_crosscheck
+
     check = spectrum_crosscheck(t, phases=8, tol=tols["membership"])
     report.add("crosscheck_disagreements", float(len(check.disagreements)), 0.0)
 
@@ -249,6 +255,8 @@ def cmd_spectrum(t: AntilinearOperator, args, report: Report, tols: dict) -> Non
 
 
 def cmd_numrange(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
+    from .numrange import nr_disk, nr_value, sample_sup, witness_disk, witness_segment
+
     rng = np.random.default_rng(args.seed)
     disk = nr_disk(t)
     report.summary["radius"] = disk.radius
@@ -315,6 +323,16 @@ def cmd_numrange(t: AntilinearOperator, args, report: Report, tols: dict) -> Non
 
 
 def cmd_block(blk: BlockAntilinearMatrix, args, report: Report, tols: dict) -> None:
+    from .blockops import (
+        SELECTORS,
+        complement,
+        correspondence_scan,
+        factorization_residual,
+        rank_link,
+        samples_for_radii,
+    )
+    from .spectra import antilinear_spectrum
+
     rng = np.random.default_rng(args.seed)
 
     flat_norm = float(blk.flat_singular_values[0])
@@ -365,6 +383,8 @@ def cmd_block(blk: BlockAntilinearMatrix, args, report: Report, tols: dict) -> N
 
 
 def cmd_extension(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
+    from .extensions import ExtensionProblem, check_extension, minimal_span, word_span_oracle
+
     big = t.dim_in
     rng = np.random.default_rng(args.seed)
     h = max(1, ceil(big / 2))
@@ -543,6 +563,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if report.overall_pass else 1
     except (_Usage, AntilinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -19,15 +19,16 @@ The normal kinds realize the commutation ``T T# = T# T`` constructively:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import structure
 from .antiop import AntilinearOperator
-from .blockops import BlockAntilinearMatrix
 from .errors import UnknownKind
 from .matkernel import spectral_norm
+
+if TYPE_CHECKING:
+    from .blockops import BlockAntilinearMatrix
 
 KINDS = (
     "selfadjoint",
@@ -74,11 +75,13 @@ def _canon(kind: str, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, s
         v = haar_unitary(rng, dim)
         return v @ np.diag(d) @ v.T, "unitary congruence twist of a diagonal"
     if kind == "nonnormal":
+        from .structure import normality_residual
+
         if dim < 2:
             raise UnknownKind("nonnormal requires dim >= 2 (every 1x1 is normal)")
         for _ in range(256):
             a = crandn(rng, dim, dim) * scale
-            if structure.normality_residual(a) > NONNORMAL_MARGIN * (1.0 + spectral_norm(a) ** 2):
+            if normality_residual(a) > NONNORMAL_MARGIN * (1.0 + spectral_norm(a) ** 2):
                 return a, "rejection-sampled non-normal"
         raise UnknownKind("failed to sample a non-normal instance")  # pragma: no cover
     if kind == "nilpotent":
@@ -131,6 +134,8 @@ def gen_operator(kind: str, dim: int, seed: int) -> AntilinearOperator:
 
 def gen_block(n: int, m: int, seed: int) -> BlockAntilinearMatrix:
     """Generated random block matrix."""
+    from .blockops import BlockAntilinearMatrix
+
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(max(n, m))
     return BlockAntilinearMatrix(

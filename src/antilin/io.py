@@ -49,13 +49,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from .antiop import AntilinearOperator, make_conjugation
-from .blockops import BlockAntilinearMatrix
 from .errors import AntilinError, InvalidOperatorFile
+
+if TYPE_CHECKING:
+    from .blockops import BlockAntilinearMatrix
 
 SCHEMA = "antilin.operator/v1"
 
@@ -171,7 +173,7 @@ def _matrix_from_entries(entries, rows: int, cols: int, where: str, admitted: se
     return flat.reshape(rows, cols)
 
 
-LoadedObject = Union[AntilinearOperator, BlockAntilinearMatrix]
+LoadedObject = Union[AntilinearOperator, "BlockAntilinearMatrix"]
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,8 @@ def parse_payload(payload: dict) -> LoadedOperator:
         else:
             obj = AntilinearOperator(mat)
     elif kind == "block":
+        from .blockops import BlockAntilinearMatrix
+
         n, m = _require_dims(payload)
         blocks = payload.get("blocks")
         if not isinstance(blocks, dict) or sorted(blocks) != ["a", "b", "e", "f"]:

@@ -457,6 +457,15 @@ def test_missing_file_exit_2():
     assert "Traceback" not in res.stderr
 
 
+def test_unallocatable_dimension_exit_2():
+    # about 70 PiB: the allocation is refused before any memory is touched
+    res = run_cli("gen", "--kind", "selfadjoint", "--dim", "100000000")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), res.stderr
+
+
 def test_console_script_pins_the_allocator(monkeypatch):
     # the installed `antilin` script must take the same path as `python -m antilin`
     tomllib = pytest.importorskip("tomllib")

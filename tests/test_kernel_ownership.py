@@ -2,10 +2,12 @@
 
 These tests pin the ownership itself: no module but matkernel calls the
 SVD, Cholesky or a linear solve; a singularity verdict the Cholesky/solve
-bracket decides runs no SVD and an undecided one runs exactly one; and the
-CLI imports no scipy.
+bracket decides runs no SVD and an undecided one runs exactly one; the CLI
+imports no scipy; and a cold subcommand loads only the package modules it
+runs.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -29,16 +31,81 @@ from conftest import random_block, with_singular_values
 SRC = Path(antilin.__file__).resolve().parent
 
 
-def test_cli_import_leaves_scipy_out():
+def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_cli_import_leaves_scipy_out():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, antilin.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_src_env(), check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# what parsing, loading and emitting need; each subcommand adds its own
+CORE_MODULES = {"antilin", "antilin.antiop", "antilin.cli", "antilin.errors",
+                "antilin.generators", "antilin.io", "antilin.matkernel", "antilin.reporting"}
+SUBCOMMAND_MODULES = {
+    "inspect": {"structure", "spectra", "numrange"},
+    "identities": {"structure"},
+    "spectrum": {"spectra"},
+    "numrange": {"numrange"},
+    "extension": {"extensions", "structure"},
+    "block": {"blockops", "spectra"},
+    "gen": set(),
+}
+# runs ``python -m antilin ARGV`` as -m does and prints the package modules loaded
+_RUN_AS_MAIN = """
+import json, runpy, sys
+sys.argv[0] = "antilin"
+try:
+    runpy.run_module("antilin", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "antilin")]))
+"""
+
+
+def test_package_import_loads_no_submodule():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, antilin; print(sorted(m for m in sys.modules if m.startswith('antilin')))"],
+        capture_output=True, text=True, env=_src_env(), check=True,
+    )
+    assert out.stdout.strip() == "['antilin']"
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    from antilin.cli import main
+
+    d = tmp_path_factory.mktemp("tiny")
+    paths = {"operator": str(d / "op.json"), "block": str(d / "blk.json")}
+    assert main(["gen", "--kind", "selfadjoint", "--dim", "2", "--output", paths["operator"]]) == 0
+    assert main(["gen", "--kind", "block", "--dim", "2", "--output", paths["block"]]) == 0
+    return d, paths
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_cold_subcommand_loads_only_its_modules(command, tiny_files):
+    d, paths = tiny_files
+    if command == "gen":
+        argv = ["gen", "--kind", "selfadjoint", "--dim", "2", "--output", str(d / "gen.json")]
+    else:
+        source = paths["block" if command == "block" else "operator"]
+        argv = [command, "--input", source, "--output", str(d / f"{command}.out")]
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, *argv],
+        capture_output=True, text=True, env=_src_env(), check=True,
+    )
+    code, loaded = json.loads(out.stdout)
+    assert code == 0, out.stderr
+    assert set(loaded) == CORE_MODULES | {f"antilin.{m}" for m in SUBCOMMAND_MODULES[command]}
 
 
 def _count_svds(monkeypatch) -> list:

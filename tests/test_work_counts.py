@@ -28,7 +28,6 @@ import numpy.linalg._linalg as npl
 
 import antilin.antiop as antiop
 import antilin.blockops as blockops
-import antilin.cli as cli
 import antilin.extensions as extensions
 import antilin.matkernel as matkernel
 import antilin.numrange as numrange
@@ -220,8 +219,8 @@ def test_zero_pivot_is_tested_once_and_never_inverted(tmp_path, monkeypatch):
         _counting(monkeypatch, owner, "svd", svds, lambda a, *r, **k: _digest(a))
     _counting(monkeypatch, np.linalg, "inv", invs, lambda a, *r, **k: _digest(a))
     _counting(monkeypatch, blockops, "singularity", minima, lambda a, *r, **k: _digest(a))
-    scan = cli.correspondence_scan
-    monkeypatch.setattr(cli, "correspondence_scan",
+    scan = blockops.correspondence_scan
+    monkeypatch.setattr(blockops, "correspondence_scan",
                         lambda *a, **k: scans.append(scan(*a, **k)) or scans[-1])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -240,28 +239,31 @@ def test_block_evaluates_each_complement_once(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = _gen("block", 3, dim2=3)
     mus = (0.3 + 0.1j, -0.7 + 0.2j)
-    at_mu, evaluated, scans, flats = [], [], [], []
+    evaluated, scans, flats = [], [], []
     record = lambda blk, sel, mu, *r, **k: (sel, complex(mu))  # noqa: E731
-    _counting(monkeypatch, cli, "complement", at_mu, record)
     _counting(monkeypatch, blockops, "complement", evaluated, record)
     _counting(monkeypatch, blockops, "singular_values", flats, lambda a: np.shape(a))
-    scan = cli.correspondence_scan
+    scan = blockops.correspondence_scan
 
     def counted_scan(blk, samples, **kwargs):
         start = len(evaluated)
         report = scan(blk, samples, **kwargs)
-        scans.append((Counter(evaluated[start:]), [complex(mu) for mu in samples]))
+        scans.append((start, len(evaluated), [complex(mu) for mu in samples]))
         return report
 
-    monkeypatch.setattr(cli, "correspondence_scan", counted_scan)
+    monkeypatch.setattr(blockops, "correspondence_scan", counted_scan)
     _run(["block", "--input", path, "--mu", ";".join(str(m) for m in mus)])
+    [(start, end, samples)] = scans
+    in_scan = Counter(evaluated[start:end])
+    rank_link_points = Counter({("S2", 0j): 1, ("S1", 0j): 1})
+    # outside the scan, every evaluation but rank_link's is one of the CLI's
+    at_mu = Counter(evaluated[:start] + evaluated[end:]) - rank_link_points
     # the CLI evaluates each (selector, --mu value) once
-    assert Counter(at_mu) == {(sel, mu): 1 for sel in blockops.SELECTORS for mu in mus}
+    assert at_mu == {(sel, mu): 1 for sel in blockops.SELECTORS for mu in mus}
     # the scan evaluates each (sample, selector) once, through complement
-    [(in_scan, samples)] = scans
     assert in_scan == Counter((sel, mu) for mu in samples for sel in blockops.SELECTORS)
     # and rank_link evaluates S2(0) and S1(0)
-    assert Counter(evaluated) - in_scan == {("S2", 0j): 1, ("S1", 0j): 1}
+    assert Counter(evaluated) - in_scan - at_mu == rank_link_points
     # flat norm and flat rank share one SVD; rank_link ranks S2(0) and S1(0)
     assert Counter(flats) == {(12, 12): 1, (6, 6): 2}
 
