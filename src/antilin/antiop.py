@@ -52,7 +52,7 @@ from typing import Callable, Hashable, TypeVar, Union
 import numpy as np
 
 from .errors import DimensionMismatch, NotInvolution, NotIsometric
-from .matkernel import _as_complex, spectral_norm
+from .matkernel import _as_complex, _ShiftFamily, spectral_norm
 
 # a conjugation matrix K must satisfy K conj(K) = I and K* K = I to this
 # absolute spectral-norm tolerance
@@ -292,9 +292,11 @@ def realify(op: Composable) -> np.ndarray:
 
 
 def _shift_base(op: Union[AntilinearOperator, RealLinearOperator]):
-    """``(realify(op), diag(lin), Re diag(anti), Im diag(anti))``, read-only,
-    for a square ``op``: a shift moves only the diagonal of the linear part,
-    so only the diagonals of the four blocks of ``realify(op)`` move with it.
+    """``(family, diag(lin), Re diag(anti), Im diag(anti))`` for a square
+    ``op``, the arrays read-only: a shift moves only the diagonal of the
+    linear part, so only the diagonals of the four blocks of ``realify(op)``
+    move with it, and the shifts form one
+    :class:`~antilin.matkernel._ShiftFamily` around ``realify(op)``.
 
     Raises:
         DimensionMismatch: if ``op`` is not square.
@@ -302,11 +304,11 @@ def _shift_base(op: Union[AntilinearOperator, RealLinearOperator]):
     if op.dim_in != op.dim_out:
         raise DimensionMismatch("scalar shift requires a square operator")
     rop = coerce(op)
-    base = (_realified(op), rop.lin.diagonal().copy(), rop.anti.real.diagonal().copy(),
-            rop.anti.imag.diagonal().copy())
-    for a in base:
+    diagonals = (rop.lin.diagonal().copy(), rop.anti.real.diagonal().copy(),
+                 rop.anti.imag.diagonal().copy())
+    for a in diagonals:
         a.setflags(write=False)
-    return base
+    return (_ShiftFamily(_realified(op)),) + diagonals
 
 
 def _realified(op: Union[AntilinearOperator, RealLinearOperator]) -> np.ndarray:
@@ -321,32 +323,46 @@ def _realified(op: Union[AntilinearOperator, RealLinearOperator]) -> np.ndarray:
     return derived(op, "realified", compute)
 
 
-def realify_shifted(op: Composable, lam: complex) -> np.ndarray:
-    """``realify(coerce(op).shifted(lam))``, bitwise.
+def _shifted_diagonals(op: Composable, lams) -> tuple:
+    """``(family, diags)``: the family of realified shifts of ``op`` and,
+    for each ``lam`` in ``lams``, the 4n entries ``diags[k]`` (shape ``(4,
+    n)``) on the diagonals of the four blocks of ``realify(op - lam)``.
 
-    An operator is realified once (:func:`derived`); each shift copies that
-    matrix and rewrites only the 4n entries on the diagonals of its four
-    blocks, with the expressions :func:`realify` evaluates on the shifted
-    diagonal ``d = diag(lin) - lam``.  An ndarray is coerced to a new
-    operator on every call, so nothing is kept for it.
+    They are the expressions :func:`realify` evaluates on the shifted
+    diagonal ``d = diag(lin) - lam``, so ``family.fill(out, diags[k])`` is
+    ``realify(coerce(op).shifted(lams[k]))`` bitwise.  An operator keeps its
+    family (:func:`derived`); an ndarray is coerced to a new operator on
+    every call, so nothing is kept for it.
 
     Raises:
         DimensionMismatch: if ``op`` is not square.
     """
     if not isinstance(op, (AntilinearOperator, RealLinearOperator)):
         op = coerce(op)
-    r0, lin_diag, qr, qi = derived(op, "shift_base", lambda: _shift_base(op))
+    family, lin_diag, qr, qi = derived(op, "shift_base", lambda: _shift_base(op))
     n = lin_diag.shape[0]
-    # the diagonal of op.shifted(lam).lin, from the same expression
-    d = lin_diag - lam * np.ones(n)
-    r = r0.copy()
-    # the diagonals of the four blocks are strided views of the flat array
-    flat, step = r.reshape(-1), 2 * n + 1
-    flat[0 : 2 * n * n : step] = d.real + qr
-    flat[n : 2 * n * n : step] = qi - d.imag
-    flat[2 * n * n :: step] = d.imag + qi
-    flat[2 * n * n + n :: step] = d.real - qr
-    return r
+    # the diagonal of op.shifted(lam).lin for each lam, from the same expression
+    d = lin_diag - np.asarray(lams)[:, None] * np.ones(n)
+    diags = np.empty((len(d), 4, n))
+    np.add(d.real, qr, out=diags[:, 0])
+    np.subtract(qi, d.imag, out=diags[:, 1])
+    np.add(d.imag, qi, out=diags[:, 2])
+    np.subtract(d.real, qr, out=diags[:, 3])
+    return family, diags
+
+
+def realify_shifted(op: Composable, lam: complex) -> np.ndarray:
+    """``realify(coerce(op).shifted(lam))``, bitwise.
+
+    An operator is realified once (:func:`derived`); each shift copies that
+    matrix and rewrites only the 4n entries on the diagonals of its four
+    blocks (:func:`_shifted_diagonals`).
+
+    Raises:
+        DimensionMismatch: if ``op`` is not square.
+    """
+    family, diags = _shifted_diagonals(op, [lam])
+    return family.fill(np.empty_like(family.r0), diags[0])
 
 
 def unrealify(r) -> RealLinearOperator:

@@ -48,6 +48,7 @@ from .antiop import (
 from .errors import DimensionMismatch, PivotSingular
 from .matkernel import (
     SING_TOL,
+    _first_phase,
     is_singular,
     singular_values,
     singularity,
@@ -136,9 +137,13 @@ def _min_singular(op: RealLinearOperator) -> float:
 
 
 def _inverse(op: RealLinearOperator, tol: float) -> Optional[RealLinearOperator]:
-    """The inverse of a square ``op``, or None for "singular"."""
+    """The inverse of a square ``op``, or None for "singular".  An SVD that
+    decides the verdict also gives the value :func:`_min_singular` names."""
     r = _realified(op)
-    if not is_singular(r, tol):
+    singular, _, _, smin = _first_phase(r, tol, False)
+    if smin is not None:
+        derived(op, "min_singular", lambda: smin)
+    if not singular:
         try:
             return unrealify(np.linalg.inv(r))
         except np.linalg.LinAlgError:
@@ -157,7 +162,8 @@ def invert_real_linear(
     ||realify(op)||`` passes the test); that counts as singular too.  The
     outcome is kept on ``op`` per ``tol`` (:func:`~antilin.antiop.derived`),
     so an operator is tested and inverted once, and a singular one is named
-    with its smallest singular value from one SVD.
+    with its smallest singular value from one SVD: the verdict's own, when
+    an SVD decided it.
 
     Raises:
         PivotSingular: when the smallest singular value of the

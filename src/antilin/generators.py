@@ -71,9 +71,12 @@ def _canon(kind: str, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, s
         k = symmetric_unitary(rng, dim)
         return r * k, f"radius={r!r}"
     if kind == "twisted_normal":
+        # the result is allocated before the draws, so a dim numpy cannot
+        # hold fails before it draws gigabytes of vectors; likewise below
+        a = np.empty((dim, dim), dtype=complex)
         d = crandn(rng, dim)
         v = haar_unitary(rng, dim)
-        return v @ np.diag(d) @ v.T, "unitary congruence twist of a diagonal"
+        return np.matmul(v @ np.diag(d), v.T, out=a), "unitary congruence twist of a diagonal"
     if kind == "nonnormal":
         from .structure import normality_residual
 
@@ -88,8 +91,9 @@ def _canon(kind: str, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, s
         a = np.triu(crandn(rng, dim, dim) * scale, k=1)
         return a, "strictly upper triangular"
     if kind == "multiplication":
-        phi = crandn(rng, dim)
-        return np.diag(np.conj(phi)), "diag(conj(phi)) multiplication operator"
+        a = np.zeros((dim, dim), dtype=complex)
+        np.fill_diagonal(a, np.conj(crandn(rng, dim)))
+        return a, "diag(conj(phi)) multiplication operator"
     raise UnknownKind(f"unknown generator kind {kind!r}")
 
 

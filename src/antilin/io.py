@@ -45,7 +45,6 @@ holds no extra copy of the entries while the operator is built.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -235,6 +234,8 @@ def parse_payload(payload: dict) -> LoadedOperator:
         )
     else:
         raise InvalidOperatorFile(f"unknown kind {kind!r}")
+
+    import hashlib   # loads OpenSSL's _hashlib: importing the CLI does not need it
 
     digest = hashlib.sha256(_canonical(payload, admitted).encode("ascii")).hexdigest()
     return LoadedOperator(kind=kind, obj=obj, digest=digest)

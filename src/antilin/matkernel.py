@@ -28,20 +28,24 @@ proves "not singular", one linear solve proves "singular", and the SVD runs
 only when neither bound decides.  Each certificate alone proves the SVD
 verdict, so the order in which they run is a cost choice and never changes
 a verdict: Cholesky first by default, the solve first for a circle expected
-to be singular (the spectrum crosscheck on the circles it predicts).  Each
-other phase is proved on its own matrix from that one factorization, by
-the rotated solve vector or by a Weyl bound through its measured distance
-from the rotated first matrix, and is decided as a one-phase circle when
-neither proves it.  The bounds (Weyl's inequality for the SVD's own error;
-Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.5 for
-the products and Ch. 10 for Cholesky) are derived in the docstring of
-:func:`is_singular`.
+to be singular (the spectrum crosscheck on the circles it predicts).  Only
+the first phase is built as a matrix.  The phases differ only on the
+diagonals of their four blocks, so each other phase is proved from that one
+factorization in O(n) work of its own (beyond one product per circle): by
+the rotated solve vector, or by a Weyl bound through a bound on its
+distance from the rotated first matrix.  A phase that neither proves is
+built and decided as a one-phase circle.  The bounds (Weyl's inequality for
+the SVD's own error; Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 3.5 for the products and Ch. 10 for Cholesky) are
+derived in the docstring of :func:`is_singular`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,8 +187,9 @@ def is_singular(m, tol: float = SING_TOL) -> bool:
     """The verdict ``smin <= threshold`` of :func:`singularity`, proved
     without an SVD whenever a two-sided bracket decides it.
 
-    A single matrix is the one-phase case of the module's one decider,
-    the circle decider ``_phase_verdicts``: the bracket below, then the SVD.
+    A single matrix is the one-phase case (``_first_phase``) of the
+    module's one decider, the circle decider ``_phase_verdicts``: the
+    bracket below, then the SVD.
 
     Notation: ``m`` is n x n, ``F = ||m||_F``, ``eps`` is float64's
     ``np.finfo(float).eps``, ``s_i`` are the exact singular values of ``m``
@@ -243,74 +248,118 @@ def is_singular(m, tol: float = SING_TOL) -> bool:
     first for a single matrix, and a circle expected to be singular tries
     the solve first and skips a Cholesky bound to fail.
 
-    *The phases of a circle.*  The decider takes matrices ``m_k`` that
-    are, up to rounding, ``R_k m_0 R_k`` with ``R_k = [[c I, -s I], [s I,
-    c I]]``, ``c = cos(theta_k / 2)`` and ``s = sin(theta_k / 2)``: the
-    realified phase law ``T - r e^(i theta) = e^(i theta/2) (T - r)
-    e^(i theta/2)`` of an antilinear T.  Whatever
-    floats c and s are, ``R^T R = q I`` with ``q = c^2 + s^2``, so
-    ``s_min(R m_0 R) = q s_min(m_0)`` exactly.  Phase 0 runs the bracket
-    above; every other phase is proved from phase 0's work and a quantity
-    measured on its own matrix, or else is decided as a one-phase circle:
+    *The phases of a circle.*  A circle is a list of 2h x 2h matrices
+    ``m_k = z + D_k`` (:class:`_Circle`): ``z`` is a matrix whose four h x h
+    blocks have zero diagonals, shared by every phase, and ``D_k`` puts the
+    phase's own 4h entries on those diagonals.  They are expected to equal
+    ``R_k m_0 R_k`` up to rounding, with ``R_k = c I + s J``, ``J = [[0,
+    -I], [I, 0]]``, ``c = cos(theta_k / 2)`` and ``s = sin(theta_k / 2)``:
+    the realified phase law ``T - r e^(i theta) = e^(i theta/2) (T - r)
+    e^(i theta/2)`` of an antilinear T.  Whatever floats c and s are,
+    ``R^T R = q I`` with ``q = c^2 + s^2``, so ``s_min(R m_0 R) = q
+    s_min(m_0)`` exactly.  Phase 0 alone is built as a matrix and runs the
+    bracket above; every other phase is proved from phase 0's work and
+    O(h) quantities of its own, or else is built and decided as a
+    one-phase circle:
 
+    - Its norms.  ``F_k^2 = ||z||_F^2 + ||D_k||_F^2``, and each squared
+      column norm is that of z plus two entries of D_k; the norms of z are
+      measured once per family (:class:`_ShiftFamily`).  Their rounding is
+      that of F and colmax above.
     - A witness.  The "singular" bound holds for every x, so ``x_k = R_k^T
       x_0`` (the vector ``e^(-i theta_k/2) x_0``) for phase 0's solve vector
-      ``x_0`` proves ``m_k`` singular when the residual, F, colmax and delta
-      of ``m_k`` pass that bound.
-    - A distance.  ``P = fl(R m_0 R)`` is formed as ``c^2 m_0 + cs (J m_0 +
-      m_0 J) + s^2 J m_0 J`` with ``J = [[0, -I], [I, 0]]`` (J m and m J
-      only move and negate blocks; their sum is rounded once).  Each entry
-      of P then carries at most five roundings on terms bounded by the
-      entries of ``|R| |m_0| |R|``, so ``|P - R m_0 R| <= gamma_5 |R| |m_0|
-      |R|`` entrywise and ``||P - R m_0 R||_F <= gamma_5 (|c| + |s|)^2 F_0``,
-      as ``|| |R| ||_2 = |c| + |s|``.  With ``gamma_5 < 2.6 eps`` and room
-      for the rounding of ``F_0``, that is below::
+      ``x_0`` proves ``m_k`` singular when its residual, F_k, colmax_k and
+      delta_k pass that bound.  The residuals of all phases come from one
+      product of z with the block of every x_k, plus the diagonal terms
+      ``D_k x_k``.  z has its zeros where D_k sits, so each entry still sums
+      the 2h products of one row of m_k with x_k, and the computed residual
+      is within ``gamma_{2h+1} |m_k| |x_k|`` of the exact one: inside c2.
+    - A distance.  ``m_k - R m_0 R = (z - R z R) + (D_k - R D_0 R)``.  As
+      ``z - J z J = -J (J z + z J)``, the first term is ``(1 - q) z - s R
+      (J z + z J)``, of norm at most ``|1 - q| ||z||_F + |s| (|c| + |s|)
+      L`` with the family's law defect ``L = ||J z + z J||_F``.  L is 0 for
+      an antilinear operator, whose realification anticommutes with J (and
+      so does z).  The second term is block diagonal on the coordinate
+      pairs ``(i, h + i)``, so its norm is the largest of its h 2 x 2
+      blocks ``B_k,i - rho B_0,i rho`` (``rho`` the 2 x 2 rotation).  ``P =
+      fl(rho B rho)`` is ``c^2 B + cs (J B + B J) + s^2 J B J``, formed as
+      one product of the flattened B with a 4 x 4 map whose entries are
+      single coefficients ``c^2``, ``+-cs`` and ``+-s^2``, each rounded
+      once.  So each entry carries at most five roundings on terms bounded
+      by the entries of ``|rho| |B| |rho|``, ``||P - rho B rho||_2 <=
+      gamma_5 (|c| + |s|)^2 F_0``, and ``gamma_5 < 2.6 eps``.  So::
 
-          e_k = 8 eps (|c| + |s|)^2 F_0.
+          dist_k = 2 (|1 - q^| + 4 eps) ||z||_F + 2 |s| (|c| + |s|) L
+                   + 2 max_i ||fl(B_k,i - P_i)||_F + 8 eps (|c| + |s|)^2 F_0
 
-      The measured ``d_k = ||fl(m_k - P)||_F`` is within a relative ``(n^2 +
-      1) eps`` of ``||m_k - P||_F``, so ``||m_k - P||_F <= 2 d_k`` while
-      ``n^2 eps < 1``.  By Weyl, ``s_min(m_k) >= q s_min(m_0) - 2 d_k -
-      e_k``.  The Cholesky of phase k would prove ``s_min(m_k) > target_k``
-      with the ``1 + 16 eps`` its theta keeps for evaluating the bounds, so
-      a proof of ``s_min(m_0) > need_k`` decides phase k, where::
+      bounds ``||m_k - R m_0 R||_2``: the factors 2 cover the rounding of
+      the measured norms and differences, and ``4 eps`` that of ``q^ =
+      fl(q)``.  By Weyl, ``s_min(m_k) >= q s_min(m_0) - dist_k``.  The
+      Cholesky of phase k would prove ``s_min(m_k) > target_k`` with the
+      ``1 + 16 eps`` its theta keeps for evaluating the bounds, so a proof
+      of ``s_min(m_0) > need_k`` decides phase k, where::
 
-          need_k = (target_k + 2 d_k + e_k) (1 + 32 eps) / q.
+          need_k = (target_k + dist_k) (1 + 32 eps) / q.
 
-      The second ``16 eps`` covers the rounding of q (one eps) and of need_k
-      itself (two).  One Cholesky of ``m_0`` whose target is the largest
-      need_k proves every phase at once; it proves phase 0 too, as that
-      target is at least ``target_0``.  A phase whose need_k exceeds twice
-      ``target_0`` is left out of the maximum and runs its own bracket, so a
-      distance too large to transfer cannot push phase 0's Cholesky far
-      past its own target.  When the SVD decided phase 0 "not singular",
-      ``s_min(m_0) > (s^_min - delta_0)(1 - eps)`` (the factor covers the
-      rounding of the difference) is the bound compared with need_k.
+      The second ``16 eps`` covers the rounding of q and of need_k itself.
+      One Cholesky of ``m_0`` whose target is the largest need_k proves
+      every phase at once; it proves phase 0 too, as that target is at
+      least ``target_0``.  A phase whose need_k exceeds twice ``target_0``
+      is left out of the maximum and runs its own bracket, so a distance
+      too large to transfer cannot push phase 0's Cholesky far past its own
+      target.  When the SVD decided phase 0 "not singular", ``s_min(m_0) >
+      (s^_min - delta_0)(1 - eps)`` (the factor covers the rounding of the
+      difference) is the bound compared with need_k.
 
     No phase is decided by the phase law alone: the witness residual and
-    the distance ``d_k`` are measured on ``m_k`` itself, so a matrix that
+    the distance are computed from phase k's own entries, so a phase that
     breaks the law fails them and runs its own bracket.  The transfer
-    applies where the bracket does, for each phase.
+    applies where the bracket does, for phase 0 and for phase k.
     """
     m = np.asarray(m, dtype=float)
     _require_square(m, "singularity input")
-    return _phase_verdicts([m], (0.0,), tol, False)[0]
+    return _first_phase(m, tol, False)[0]
 
 
 _EPS = float(np.finfo(float).eps)
 
 
-class _Bracket:
-    """The bounds of :func:`is_singular` for one square real matrix ``m``;
-    ``applies`` is false where they are skipped."""
+def _applies(fro, tol: float):
+    """Where the bracket of :func:`is_singular` applies, for a Frobenius
+    norm or an array of them."""
+    return (0.0 < tol < 1.0) & (1e-100 < fro) & (fro < 1e100)
 
-    def __init__(self, m: np.ndarray, tol: float):
-        n = m.shape[0]
-        self.m, self.tol = m, tol
-        self.fro = fro = float(np.linalg.norm(m))
-        self.applies = 0.0 < tol < 1.0 and 1e-100 < fro < 1e100
-        self.delta = delta = 8.0 * n * (n + 1) * _EPS * fro
-        self.target = tol * (1.0 + fro + delta) + delta
+
+def _delta(n: int, fro):
+    """delta ``= 8 n (n + 1) eps F`` of :func:`is_singular`."""
+    return 8.0 * n * (n + 1) * _EPS * fro
+
+
+def _target(n: int, fro, tol: float):
+    """``tol (1 + F + delta) + delta``: a proof of ``s_min`` above it
+    proves "not singular"."""
+    delta = _delta(n, fro)
+    return tol * (1.0 + fro + delta) + delta
+
+
+def _witnessed(rho, n: int, fro, colmax, tol: float):
+    """True where the residual ``rho = ||fl(m x)|| / ||x||`` proves ``m``
+    singular (:func:`is_singular`); a non-finite rho proves nothing."""
+    delta = _delta(n, fro)
+    return rho + 16.0 * n * _EPS * fro + delta < tol * (1.0 + colmax - delta) * (1.0 - 16.0 * _EPS)
+
+
+class _Bracket:
+    """The bounds of :func:`is_singular` for one square real matrix ``m``,
+    whose Frobenius norm and largest column norm are measured on ``m``
+    unless given; ``applies`` is false where the bounds are skipped."""
+
+    def __init__(self, m: np.ndarray, tol: float, fro=None, colmax=None):
+        self.m, self.tol, self.colmax = m, tol, colmax
+        self.fro = fro = float(np.linalg.norm(m)) if fro is None else fro
+        self.applies = _applies(fro, tol)
+        self.delta = _delta(m.shape[0], fro)
+        self.target = _target(m.shape[0], fro, tol)
 
     def above(self, floor: float) -> bool:
         """True when the Cholesky of the shifted Gram matrix proves
@@ -334,117 +383,216 @@ class _Bracket:
 
     def witnessed(self, x: np.ndarray) -> bool:
         """True when the residual of ``x`` proves ``m`` singular."""
-        m, n = self.m, self.m.shape[0]
+        m = self.m
         # a nearly singular m makes x huge; overflow only leaves the point undecided
         with np.errstate(over="ignore", invalid="ignore"):
             xnorm = float(np.linalg.norm(x))
             if not 0.0 < xnorm < np.inf:
                 return False
             rho = float(np.linalg.norm(m @ x)) / xnorm
-        colmax = float(np.linalg.norm(m, axis=0).max())
-        bound = rho + 16.0 * n * _EPS * self.fro + self.delta
-        return bound < self.tol * (1.0 + colmax - self.delta) * (1.0 - 16.0 * _EPS)
+        if self.colmax is None:
+            self.colmax = float(np.linalg.norm(m, axis=0).max())
+        return bool(_witnessed(rho, m.shape[0], self.fro, self.colmax, self.tol))
 
 
-def _phase_terms(m: np.ndarray) -> tuple:
-    """``(J m + m J, J m J)`` for ``J = [[0, -I], [I, 0]]``: blocks of ``m``
-    moved and negated, one rounding in each entry of the sum."""
-    h = m.shape[0] // 2
-    a, b, f, e = m[:h, :h], m[:h, h:], m[h:, :h], m[h:, h:]
-    jsum, jmj = np.empty_like(m), np.empty_like(m)
-    np.subtract(b, f, out=jsum[:h, :h])
-    jsum[h:, h:] = jsum[:h, :h]
-    np.add(a, e, out=jsum[h:, :h])
-    np.negative(jsum[h:, :h], out=jsum[:h, h:])
-    np.negative(e, out=jmj[:h, :h])
-    jmj[:h, h:] = f
-    jmj[h:, :h] = b
-    np.negative(a, out=jmj[h:, h:])
-    return jsum, jmj
+class _ShiftFamily:
+    """The real 2h x 2h matrices that equal ``r0`` except on the diagonals
+    of their four h x h blocks: the realified scalar shifts of one square
+    operator (:func:`~antilin.antiop.realify_shifted`).
+
+    A member is given by its 4h diagonal entries ``diag``, rows ``(a, b,
+    f, e)`` for the blocks ``[[a, b], [f, e]]``.  ``z`` is ``r0`` with
+    those diagonals zeroed; it and its norms are made on first use
+    (:attr:`zeroed`) and kept, read-only, for the family's lifetime."""
+
+    def __init__(self, r0: np.ndarray):
+        h = r0.shape[0] // 2
+        step, half = 2 * h + 1, 2 * h * h
+        self.r0 = r0
+        # the block diagonals as strided views of the flat matrix
+        self.slices = (slice(0, half, step), slice(h, half, step),
+                       slice(half, None, step), slice(half + h, None, step))
+
+    def fill(self, out: np.ndarray, diag) -> np.ndarray:
+        """Member ``diag`` written into the C-ordered ``out``."""
+        np.copyto(out, self.r0)
+        flat = out.reshape(-1)
+        for where, entries in zip(self.slices, diag):
+            flat[where] = entries
+        return out
+
+    @cached_property
+    def zeroed(self) -> "_Zeroed":
+        """``z`` and its norms."""
+        h = self.r0.shape[0] // 2
+        z = self.fill(np.empty_like(self.r0), np.zeros((4, h)))
+        colsq = np.einsum("ij,ij->j", z, z)
+        # J z + z J = [[b - f, -(a + e)], [a + e, b - f]] for z = [[a, b], [f, e]]
+        defect = math.sqrt(2.0) * math.hypot(
+            np.linalg.norm(z[:h, :h] + z[h:, h:]), np.linalg.norm(z[:h, h:] - z[h:, :h]))
+        for a in (z, colsq):
+            a.setflags(write=False)
+        return _Zeroed(z, math.sqrt(float(colsq.sum())), colsq, defect)
 
 
-def _rotated(m: np.ndarray, c: float, s: float, terms: tuple) -> np.ndarray:
-    """``fl(R m R)`` for ``R = [[c I, -s I], [s I, c I]]``, as ``c^2 m + cs
-    (J m + m J) + s^2 J m J`` from ``terms = _phase_terms(m)``."""
-    p = (c * c) * m
-    p += (c * s) * terms[0]
-    p += (s * s) * terms[1]
-    return p
+class _Zeroed(NamedTuple):
+    """A family's ``z`` with ``||z||_F``, its squared column norms and its
+    law defect ``||J z + z J||_F``."""
+
+    z: np.ndarray
+    fro: float
+    colsq: np.ndarray
+    defect: float
 
 
-def _phase_verdicts(mats, angles, tol: float, singular_first: bool) -> list:
-    """``[smin <= threshold of singularity(m, tol) for m in mats]`` for
-    the phases of one circle: ``mats[k]`` is expected to equal ``R_k
-    mats[0] R_k`` up to rounding, ``R_k`` the rotation by ``angles[k] / 2``
-    on the (Re, Im) halves (``angles[0] = 0``).
+# rows (c^2, cs, s^2) -> the 4 x 4 map of a 2 x 2 block B = [[a, b], [f, e]],
+# flattened as (a, b, f, e), to c^2 B + cs (J B + B J) + s^2 J B J
+_ROTATION_BASIS = np.array([
+    np.eye(4).ravel(),
+    [0, 1, -1, 0, -1, 0, 0, -1, 1, 0, 0, 1, 0, 1, -1, 0],
+    [0, 0, 0, -1, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, 0],
+], dtype=float)
 
-    The module's one singularity decider; :func:`is_singular` is its
-    one-phase circle.  Phase 0 tries the certificates of the bracket in the
-    order ``singular_first`` asks for, its Cholesky aimed at every phase,
-    and runs the SVD when neither succeeds.  Each other phase is proved on
-    its own matrix by the rotated solve vector or the Weyl distance derived
-    in :func:`is_singular`, and is decided as a one-phase circle when
-    neither proves it.  A circle whose bracket does not apply, or whose
-    matrices have odd size, decides each matrix as a one-phase circle.
-    Each verdict is that of :func:`singularity`.
+
+class _Circle:
+    """The phases of one circle of a :class:`_ShiftFamily`, decided by
+    ``_phase_verdicts``: phase k has the diagonal entries ``diags[k]`` and
+    is expected to equal ``R_k m_0 R_k`` up to rounding, ``R_k`` the
+    rotation by ``angles[k] / 2`` on the (Re, Im) halves (``angles[0] =
+    0``).  A phase is built as a matrix, in ``out``, only to be decided
+    on its own; every bound of :func:`is_singular` for it comes from
+    O(h) work on its diagonal entries and the family's norms."""
+
+    def __init__(self, family: _ShiftFamily, diags: np.ndarray, angles, out: np.ndarray):
+        self.family, self.diags, self.out = family, diags, out
+        half = 0.5 * np.asarray(angles[1:], dtype=float)
+        self.c, self.s = np.cos(half), np.sin(half)
+        self._needs: dict = {}
+        # squared column norms: column i < h holds a_i and f_i on the
+        # diagonals, column h + i holds b_i and e_i
+        sq = diags * diags
+        cols = sq[:, :2] + sq[:, 2:]
+        cols += family.zeroed.colsq.reshape(2, -1)
+        self.fro = np.sqrt(cols.sum(axis=(1, 2)))
+        self.colmax = np.sqrt(cols.max(axis=(1, 2), initial=0.0))
+
+    @property
+    def size(self) -> int:
+        return len(self.diags)
+
+    def applies(self, tol: float) -> np.ndarray:
+        """Where the bracket applies, phase by phase."""
+        return _applies(self.fro, tol)
+
+    def matrix(self, k: int) -> np.ndarray:
+        """Phase k, built in ``out``."""
+        return self.family.fill(self.out, self.diags[k])
+
+    def witnessed(self, x: np.ndarray, tol: float) -> np.ndarray:
+        """Which phases after the first the rotated vectors ``R_k^T x``
+        prove singular."""
+        z = self.family.zeroed.z
+        h = z.shape[0] // 2
+        # row k: R_k^T x = c x - s J x, with -J x = (v, -u) for x = (u, v)
+        pair = np.empty((2, 2 * h))
+        pair[0], pair[1, :h] = x, x[h:]
+        np.negative(x[:h], out=pair[1, h:])
+        xs = np.stack([self.c, self.s], axis=1) @ pair
+        k = len(xs)
+        # a nearly singular m_0 makes x huge; overflow only leaves a phase undecided
+        with np.errstate(over="ignore", invalid="ignore"):
+            mx = xs @ z.T
+            mx += np.einsum("kijh,kjh->kih", self.diags[1:].reshape(k, 2, 2, h),
+                            xs.reshape(k, 2, h)).reshape(k, 2 * h)
+            xx = np.einsum("kj,kj->k", xs, xs)
+            rho = np.sqrt(np.einsum("kj,kj->k", mx, mx) / xx)
+            finite = (0.0 < xx) & (xx < np.inf)
+            return finite & _witnessed(rho, 2 * h, self.fro[1:], self.colmax[1:], tol)
+
+    def distances(self) -> np.ndarray:
+        """dist_k of every phase after the first: a bound on ``||m_k - R_k
+        m_0 R_k||_2``."""
+        zeroed, c, s = self.family.zeroed, self.c, self.s
+        w = np.abs(c) + np.abs(s)
+        # fl(rho B_0 rho) of every block and phase, from one product with
+        # each phase's 4 x 4 map of single coefficients
+        rotate = (np.stack([c * c, c * s, s * s], axis=1) @ _ROTATION_BASIS).reshape(-1, 4, 4)
+        diff = self.diags[1:] - rotate @ self.diags[0]
+        blocks = np.sqrt(np.einsum("kjh,kjh->kh", diff, diff).max(axis=1, initial=0.0))
+        return (2.0 * (np.abs(1.0 - (c * c + s * s)) + 4.0 * _EPS) * zeroed.fro
+                + 2.0 * np.abs(s) * w * zeroed.defect
+                + 2.0 * blocks + 8.0 * _EPS * w * w * self.fro[0])
+
+    def needs(self, tol: float) -> np.ndarray:
+        """need_k of every phase after the first, computed once per tol: a
+        proof of ``s_min(m_0) > need_k`` proves phase k not singular."""
+        if tol not in self._needs:
+            target = _target(self.out.shape[0], self.fro[1:], tol)
+            q = self.c * self.c + self.s * self.s
+            self._needs[tol] = (target + self.distances()) * (1.0 + 32.0 * _EPS) / q
+        return self._needs[tol]
+
+
+def _first_phase(m: np.ndarray, tol: float, singular_first: bool, circle=None) -> tuple:
+    """Phase 0 of ``_phase_verdicts``, and the whole decision for one
+    matrix: ``(verdict, witness, lower, smin)``.
+
+    The certificates of the bracket run in the order ``singular_first``
+    asks for, and the first that succeeds decides: ``witness`` is the solve
+    vector that proved ``m`` singular, ``lower`` a proved bound ``s_min(m)
+    > lower`` (0.0 when there is none).  When neither succeeds the SVD
+    decides, and ``smin`` is its smallest singular value (None otherwise),
+    so a caller that names it needs no second SVD.  For a circle, the norms
+    come from ``circle`` and the Cholesky aims at every phase it can prove.
     """
-    b0 = _Bracket(mats[0], tol)
-    if len(mats) > 1 and (not b0.applies or b0.m.shape[0] % 2):
-        return [_phase_verdicts([m], (0.0,), tol, singular_first)[0] for m in mats]
-    # (bracket, c, s) of every other phase, and its need_k once measured
-    others = [(_Bracket(m, tol), math.cos(0.5 * angle), math.sin(0.5 * angle))
-              for m, angle in zip(mats[1:], angles[1:])]
-    needs: dict = {}
-    terms: list = []   # J m_0 + m_0 J and J m_0 J, made for the first distance
-
-    def need(k: int) -> float:
-        if k not in needs:
-            b, c, s = others[k]
-            if not terms:
-                terms.extend(_phase_terms(b0.m))
-            diff = _rotated(b0.m, c, s, terms)
-            np.subtract(b.m, diff, out=diff)
-            d = float(np.linalg.norm(diff))
-            e = 8.0 * _EPS * (abs(c) + abs(s)) ** 2 * b0.fro
-            needs[k] = (b.target + 2.0 * d + e) * (1.0 + 32.0 * _EPS) / (c * c + s * s)
-        return needs[k]
-
-    # phase 0's certificate, the first that succeeds: a solve vector that
-    # proves it singular, or a proved s_min(m_0) > lower; else its SVD
-    verdict, witness, lower = None, None, 0.0
-    for singular in ((True, False) if singular_first else (False, True)) if b0.applies else ():
+    if circle is None:
+        b = _Bracket(m, tol)
+    else:
+        b = _Bracket(m, tol, float(circle.fro[0]), float(circle.colmax[0]))
+    for singular in ((True, False) if singular_first else (False, True)) if b.applies else ():
         if singular:
-            x = b0.solve()
-            if x is not None and b0.witnessed(x):
-                verdict, witness = True, x
-                break
+            x = b.solve()
+            if x is not None and b.witnessed(x):
+                return True, x, 0.0, None
         else:
-            floor = max([b0.target] + [
-                need(k) for k, (b, _, _) in enumerate(others)
-                if b.applies and need(k) <= 2.0 * b0.target
-            ])
-            if b0.above(floor):
-                verdict, lower = False, floor
-                break
-    if verdict is None:
-        smin, threshold = singularity(b0.m, tol)
-        verdict = smin <= threshold
-        if not verdict:
-            lower = (smin - b0.delta) * (1.0 - _EPS)
+            floor = b.target
+            if circle is not None:
+                needs = circle.needs(tol)
+                usable = needs[circle.applies(tol)[1:] & (needs <= 2.0 * floor)]
+                floor = max(floor, float(usable.max(initial=floor)))
+            if b.above(floor):
+                return False, None, floor, None
+    smin, threshold = singularity(m, tol)
+    if smin <= threshold:
+        return True, None, 0.0, smin
+    return False, None, (smin - b.delta) * (1.0 - _EPS), smin
 
-    verdicts = [verdict]
-    if witness is not None:
-        h = b0.m.shape[0] // 2
-        u, v = witness[:h], witness[h:]
-    for k, (b, c, s) in enumerate(others):
-        if b.applies and witness is not None and b.witnessed(
-                np.concatenate([c * u + s * v, c * v - s * u])):
-            verdicts.append(True)
-        elif b.applies and lower > 0.0 and need(k) <= lower:
-            verdicts.append(False)
-        else:
-            verdicts.append(_phase_verdicts([b.m], (0.0,), tol, singular_first)[0])
-    return verdicts
+
+def _phase_verdicts(circle: _Circle, tol: float, singular_first: bool) -> list:
+    """``[smin <= threshold of singularity(m, tol) for each phase m]`` of
+    a :class:`_Circle`.
+
+    The module's one singularity decider, with :func:`_first_phase` (and
+    :func:`is_singular`) as its one-phase case.  Phase 0 is decided by
+    :func:`_first_phase`.  Each other phase is proved by the rotated solve
+    vector or the Weyl distance derived in :func:`is_singular`, from O(h)
+    quantities of its own, and is built and decided as a one-phase circle
+    when neither proves it.  A circle whose phase-0 bracket does not apply
+    decides every phase on its own.  Each verdict is that of
+    :func:`singularity`.
+    """
+    verdict, witness, lower, _ = _first_phase(circle.matrix(0), tol, singular_first, circle)
+    applies = circle.applies(tol)
+    proved = np.zeros(circle.size - 1, dtype=bool)
+    if applies[0] and witness is not None:
+        proved = circle.witnessed(witness, tol)
+    elif applies[0] and lower > 0.0:
+        proved = circle.needs(tol) <= lower
+    proved &= applies[1:]
+    return [verdict] + [
+        verdict if done else _first_phase(circle.matrix(k), tol, singular_first)[0]
+        for k, done in enumerate(proved, start=1)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,12 +19,14 @@ A probe does only the work that decides its verdict: the operator is
 realified once and each ``lambda`` patches the diagonals
 (:func:`~antilin.antiop.realify_shifted`), and :func:`spectrum_crosscheck`
 lets its prediction pick which certificate of the singularity bracket runs
-first and factors one matrix per circle.  The phase law makes
+first and builds and factors one matrix per circle.  The phase law makes
 ``realify(T - r e^(i theta))`` the rotation ``R realify(T - r) R`` with
 ``R = realify(e^(i theta/2))``, so the first phase's solve vector or
-Cholesky carries over to the others; each phase is still proved on its own
-matrix, by a residual or a distance measured there.  None of this changes a
-verdict or a report byte.
+Cholesky carries over to the others.  Each phase is still proved from its
+own entries, which differ from the first phase's only on the diagonals of
+the four blocks: a residual or a distance bound for it costs O(d) work
+beyond one product per circle.  None of this changes a verdict or a report
+byte.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .antiop import AntilinearOperator, Composable, realify_shifted
+from .antiop import AntilinearOperator, Composable, _shifted_diagonals, realify_shifted
 from .errors import DimensionMismatch
-from .matkernel import SING_TOL, _phase_verdicts, is_singular
+from .matkernel import SING_TOL, _Circle, _phase_verdicts, is_singular
 
 DEDUP_ATOL = 1e-7
 
@@ -174,14 +176,16 @@ def spectrum_crosscheck(
     for the certificate its prediction calls for first: the solve that
     proves "singular" on a circle, the Cholesky that proves "not singular"
     in a gap.  Either certificate proves the SVD verdict, so the prediction
-    decides only what a probe costs, never its verdict.  That one
-    factorization, made at phase 0, serves the whole circle, but each phase
-    is proved on its own matrix ``realify(t - r e^(i theta))``: on a circle
-    by the residual of the phase-0 solve vector rotated by
-    ``e^(-i theta/2)``, in a gap by a Weyl bound through the measured
-    distance between that matrix and the rotated phase-0 matrix (derived in
-    :func:`~antilin.matkernel.is_singular`).  A phase that neither proves
-    runs its own bracket and, where that cannot decide, its own SVD.
+    decides only what a probe costs, never its verdict.  Only phase 0 is
+    built as a matrix, in one buffer that every circle reuses, and its one
+    factorization serves the whole circle.  Each other phase ``realify(t -
+    r e^(i theta))`` is proved from its own 4d diagonal entries and norms
+    the operator keeps once: on a circle by the residual of the phase-0
+    solve vector rotated by ``e^(-i theta/2)``, in a gap by a Weyl bound
+    through a bound on its distance from the rotated phase-0 matrix (both
+    derived in :func:`~antilin.matkernel.is_singular`).  A phase that
+    neither proves is built in the same buffer and runs its own bracket
+    and, where that cannot decide, its own SVD.
     """
     desc = antilinear_spectrum(t, tol=max(tol, 1e-8))
     radii = list(desc.radii)
@@ -196,14 +200,15 @@ def spectrum_crosscheck(
         gap_radii.extend([0.0, 0.5])
 
     points = []
+    buffer = np.empty((2 * t.dim_in, 2 * t.dim_in))   # every circle builds its phases here
     for r, expected in [(r, True) for r in member_radii] + [
         (r, False) for r in gap_radii
     ]:
         angles = [0.0] if r <= DEDUP_ATOL else [
             2.0 * np.pi * k / phases for k in range(phases)
         ]
-        mats = [realify_shifted(t, r * np.exp(1j * theta)) for theta in angles]
-        verdicts = _phase_verdicts(mats, angles, tol, singular_first=expected)
+        family, diags = _shifted_diagonals(t, [r * np.exp(1j * theta) for theta in angles])
+        verdicts = _phase_verdicts(_Circle(family, diags, angles, buffer), tol, expected)
         for theta, member in zip(angles, verdicts):
             points.append(
                 CrosscheckPoint(

@@ -11,7 +11,7 @@ import pytest
 
 import antilin.__main__ as entry_module
 import antilin.cli as cli
-from antilin.generators import crandn, symmetric_unitary
+from antilin.generators import KINDS, crandn, symmetric_unitary
 from antilin.io import SCHEMA, canonical_json, entries_from_matrix, load_operator
 
 from conftest import write_block_file
@@ -464,6 +464,32 @@ def test_unallocatable_dimension_exit_2():
     assert res.stdout == ""
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), res.stderr
+
+
+# runs ``python -m antilin ARGV`` as its only child and prints the exit code,
+# the stderr lines, the wall time and the child's peak RSS in KiB
+_MEASURED_CHILD = """
+import json, resource, subprocess, sys, time
+start = time.perf_counter()
+res = subprocess.run([sys.executable, "-m", "antilin"] + sys.argv[1:],
+                     capture_output=True, text=True)
+print(json.dumps([res.returncode, res.stderr.strip().splitlines(), time.perf_counter() - start,
+                  resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))
+"""
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unallocatable_dimension_fails_before_any_draw(kind, tmp_path):
+    # every kind allocates its dim x dim result (or draws it) before any
+    # length-dim vector: no gigabytes are drawn first
+    out = subprocess.run(
+        [sys.executable, "-c", _MEASURED_CHILD, "gen", "--kind", kind, "--dim", "100000000",
+         "--output", str(tmp_path / "op.json")],
+        capture_output=True, text=True, check=True,
+    )
+    code, lines, seconds, peak_kib = json.loads(out.stdout)
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: out of memory: ")
+    assert seconds < 30.0 and peak_kib < 300 * 1024, (seconds, peak_kib)
 
 
 def test_console_script_pins_the_allocator(monkeypatch):

@@ -3,8 +3,8 @@
 These tests pin the ownership itself: no module but matkernel calls the
 SVD, Cholesky or a linear solve; a singularity verdict the Cholesky/solve
 bracket decides runs no SVD and an undecided one runs exactly one; the CLI
-imports no scipy; and a cold subcommand loads only the package modules it
-runs.
+imports neither scipy nor OpenSSL's hashlib; and a cold subcommand loads
+only the package modules it runs.
 """
 
 import json
@@ -39,12 +39,15 @@ def _src_env() -> dict:
     return env
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_scipy_and_openssl_out():
+    # hashlib loads OpenSSL's _hashlib; only parse_payload digests.  (A cold
+    # gen still loads it: numpy.random imports secrets, and secrets hmac.)
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, antilin.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, antilin.cli; "
+         "print([m for m in ('scipy', 'hashlib', '_hashlib') if m in sys.modules])"],
         capture_output=True, text=True, env=_src_env(), check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # what parsing, loading and emitting need; each subcommand adds its own

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from antilin.antiop import (
+    AntilinearOperator,
+    RealLinearOperator,
+    _shifted_diagonals,
+    realify_shifted,
+)
 from antilin.errors import DimensionMismatch, NotHermitian, NotPsd, NotSymmetric
 from antilin.generators import crandn, haar_unitary
 from antilin.matkernel import (
     SING_TOL,
-    _phase_terms,
+    _Circle,
+    _first_phase,
     _phase_verdicts,
-    _rotated,
     is_singular,
     pinv,
     psd_sqrt,
@@ -229,7 +234,7 @@ class TestIsSingular:
     def test_both_certificate_orders_give_the_svd_verdict(self, name, singular_first):
         # the order of the Cholesky and the solve is a cost, never a verdict
         tol, m = CORPUS[name]
-        assert _phase_verdicts([m], (0.0,), tol, singular_first)[0] == _svd_verdict(m, tol)
+        assert _first_phase(m, tol, singular_first)[0] == _svd_verdict(m, tol)
 
     @pytest.mark.parametrize("singular_first", [False, True])
     def test_order_skips_the_certificate_bound_to_fail(self, monkeypatch, singular_first):
@@ -242,8 +247,8 @@ class TestIsSingular:
             )
         far = CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*1e-06"][1]    # singular
         near = CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*100.0"][1]   # not singular
-        assert _phase_verdicts([far], (0.0,), SING_TOL, singular_first)[0]
-        assert not _phase_verdicts([near], (0.0,), SING_TOL, singular_first)[0]
+        assert _first_phase(far, SING_TOL, singular_first)[0]
+        assert not _first_phase(near, SING_TOL, singular_first)[0]
         if singular_first:
             assert calls == ["solve", "solve", "cholesky"]
         else:
@@ -286,17 +291,31 @@ class TestIsSingular:
 ANGLES = [2.0 * np.pi * k / 8 for k in range(8)]
 
 
-def _rotation(angle: float, h: int) -> np.ndarray:
-    """``[[c I, -s I], [s I, c I]]`` with ``c + i s = e^(i angle / 2)``."""
-    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
-    eye = np.eye(h)
-    return np.block([[c * eye, -s * eye], [s * eye, c * eye]])
+def _ring(h: int, tol: float, smin):
+    """An antilinear ``T = V diag(sigma) V^T`` (sigma_1 = 1, the others in
+    [1.25, 1.9]) and a radius ``r = 1 - delta``: ``realify(T - r)`` has the
+    singular values ``|sigma_j - r|`` and ``sigma_j + r``, so its smallest
+    is delta.  ``smin`` is delta itself, or ``("cutoff", factor)`` to put
+    delta at ``factor`` times the cutoff ``tol (1 + sigma_max)`` (at most
+    0.5)."""
+    rng = np.random.default_rng(h)
+    sigma = np.concatenate([[1.0], rng.uniform(1.25, 1.9, h - 1)])
+    if isinstance(smin, tuple):
+        ft = smin[1] * tol
+        smin = min(ft * (2.0 + sigma.max()) / (1.0 + ft), 0.5)
+    v = haar_unitary(rng, h)
+    return AntilinearOperator((v * sigma) @ v.T), 1.0 - smin
 
 
-def _circle(m0: np.ndarray, angles=ANGLES) -> list:
-    """``R_k m0 R_k`` for every phase, the realified phase law."""
-    h = m0.shape[0] // 2
-    return [_rotation(a, h) @ m0 @ _rotation(a, h) for a in angles]
+def _circle(op, radii, angles=ANGLES):
+    """The circle decider's input for phase k of ``op`` at radius
+    ``radii[k]`` (one radius for all phases when a number), and each
+    phase's own matrix ``realify_shifted(op, lam_k)``."""
+    radii = np.broadcast_to(radii, (len(angles),))
+    lams = [r * np.exp(1j * theta) for r, theta in zip(radii, angles)]
+    family, diags = _shifted_diagonals(op, lams)
+    circle = _Circle(family, diags, angles, np.empty_like(family.r0))
+    return circle, [realify_shifted(op, lam) for lam in lams]
 
 
 def _kernel_calls(monkeypatch) -> list:
@@ -310,68 +329,84 @@ def _kernel_calls(monkeypatch) -> list:
     return calls
 
 
-EVEN_CORPUS = [name for name, (_, m) in CORPUS.items() if m.shape[0] >= 2 and m.shape[0] % 2 == 0]
+def _ring_corpus():
+    for tol in (SING_TOL, 1e-3):
+        for h in (1, 8, 32):
+            for factor in (1 - 1e-6, 1 + 1e-6, 1 - 1e-2, 1 + 1e-2, 0.0, 1e-6, 1e2, 1e7):
+                yield f"tol={tol} h={h} smin=cutoff*{factor}", (tol, h, ("cutoff", factor))
+            yield f"tol={tol} h={h} smin=2e-12", (tol, h, 2e-12)
+
+
+RINGS = dict(_ring_corpus())
 
 
 class TestPhaseVerdicts:
     """``_phase_verdicts`` returns the SVD verdict of every phase's own
-    matrix, whatever phase 0 proves and whatever the matrices are."""
+    matrix, whatever phase 0 proves and whatever the phases are."""
+
+    @pytest.mark.parametrize("tol", [SING_TOL, 1e-3])
+    def test_rings_straddle_the_cutoff(self, tol):
+        for h in (1, 8, 32):
+            for factor, singular in ((1 - 1e-6, True), (1 + 1e-6, False)):
+                op, r = _ring(h, tol, ("cutoff", factor))
+                _, mats = _circle(op, r)
+                assert [_svd_verdict(m, tol) for m in mats] == [singular] * 8
 
     @pytest.mark.parametrize("tiny_tol", [False, True])
     @pytest.mark.parametrize("singular_first", [False, True])
-    @pytest.mark.parametrize("name", EVEN_CORPUS)
-    def test_circle_of_every_corpus_matrix(self, name, singular_first, tiny_tol):
+    @pytest.mark.parametrize("name", list(RINGS))
+    def test_circle_of_every_ring(self, name, singular_first, tiny_tol):
         # a circle on either side of the cutoff, and far from it; at tol
         # 1e-30 the distances outweigh the cutoff
-        tol, m0 = CORPUS[name]
+        tol, h, smin = RINGS[name]
+        circle, mats = _circle(*_ring(h, tol, smin))
         tol = 1e-30 if tiny_tol else tol
-        mats = _circle(m0)
-        assert _phase_verdicts(mats, ANGLES, tol, singular_first) == [
+        assert _phase_verdicts(circle, tol, singular_first) == [
             _svd_verdict(m, tol) for m in mats
         ]
 
     @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
-    @pytest.mark.parametrize("n", [2, 16, 64])
-    def test_circle_at_the_cutoff_runs_every_svd(self, monkeypatch, n, factor):
+    @pytest.mark.parametrize("h", [1, 8, 32])
+    def test_circle_at_the_cutoff_runs_every_svd(self, monkeypatch, h, factor):
         # no bound decides so close to the cutoff: each phase falls back to
         # its own bracket and SVD
-        tol, m0 = CORPUS[f"tol={SING_TOL} n={n} smin=cutoff*{factor}"]
-        mats = _circle(m0)
+        circle, mats = _circle(*_ring(h, SING_TOL, ("cutoff", factor)))
         calls = _kernel_calls(monkeypatch)
-        verdicts = _phase_verdicts(mats, ANGLES, tol, factor < 1)
+        verdicts = _phase_verdicts(circle, SING_TOL, factor < 1)
         assert calls.count("svd") == 8
-        assert verdicts == [factor < 1] * 8 == [_svd_verdict(m, tol) for m in mats]
+        assert verdicts == [factor < 1] * 8 == [_svd_verdict(m) for m in mats]
 
-    def test_one_factorization_proves_a_rotated_circle(self, monkeypatch):
-        singular = _circle(CORPUS[f"tol={SING_TOL} n=16 kappa=1e12"][1])
-        regular = _circle(CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*10000000.0"][1])
+    def test_one_factorization_proves_a_circle(self, monkeypatch):
+        singular, _ = _circle(*_ring(8, SING_TOL, 2e-12))
+        regular, _ = _circle(*_ring(8, SING_TOL, ("cutoff", 1e7)))
         calls = _kernel_calls(monkeypatch)
-        assert _phase_verdicts(singular, ANGLES, SING_TOL, True) == [True] * 8
+        assert _phase_verdicts(singular, SING_TOL, True) == [True] * 8
         assert calls == ["solve"]
-        assert _phase_verdicts(regular, ANGLES, SING_TOL, False) == [False] * 8
+        assert _phase_verdicts(regular, SING_TOL, False) == [False] * 8
         assert calls == ["solve", "cholesky"]
 
     def test_a_witness_that_is_not_rotated_falls_back(self, monkeypatch):
-        # phase 0 is singular, the other phases are rotations of another
-        # singular matrix: the rotated solve vector is no null vector there
-        m0 = CORPUS[f"tol={SING_TOL} n=16 kappa=1e12"][1]
-        other = CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*1e-06"][1]
-        mats = [m0] + _circle(other)[1:]
+        # phase 0 lies on the circle of radius 1, the other phases on the
+        # circle of another sigma_j: singular too, but the rotated solve
+        # vector is no null vector there
+        op, _ = _ring(8, SING_TOL, 0.0)
+        other = float(takagi(op.canon).sigma[0])
+        circle, mats = _circle(op, [1.0] + [other] * 7)
         expected = [_svd_verdict(m) for m in mats]
         calls = _kernel_calls(monkeypatch)
-        assert _phase_verdicts(mats, ANGLES, SING_TOL, True) == [True] * 8 == expected
+        assert _phase_verdicts(circle, SING_TOL, True) == [True] * 8 == expected
         assert calls == ["solve"] * 8
 
     def test_a_distance_too_large_to_transfer_falls_back(self, monkeypatch):
-        # phase 0 is regular; the others alternate between rotations of
-        # another regular and of a singular matrix, far from R_k m0 R_k
-        m0 = CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*100.0"][1]
-        regular = _circle(CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*10000000.0"][1])
-        singular = _circle(CORPUS[f"tol={SING_TOL} n=16 kappa=1e12"][1])
-        mats = [m0] + [(singular if k % 2 else regular)[k] for k in range(1, 8)]
+        # phase 0 is regular; the others alternate between the gap radius
+        # 1.1 (regular) and a circle of the operator (singular), far from
+        # R_k m0 R_k
+        op, r0 = _ring(8, SING_TOL, ("cutoff", 100.0))
+        on = float(takagi(op.canon).sigma[0])
+        circle, mats = _circle(op, [r0] + [on if k % 2 else 1.1 for k in range(1, 8)])
         expected = [_svd_verdict(m) for m in mats]
         calls = _kernel_calls(monkeypatch)
-        verdicts = _phase_verdicts(mats, ANGLES, SING_TOL, False)
+        verdicts = _phase_verdicts(circle, SING_TOL, False)
         assert verdicts == [bool(k % 2) for k in range(8)] == expected
         # every phase ran its own Cholesky, the singular ones their solve too
         assert calls.count("cholesky") == 8 and calls.count("solve") == 4
@@ -379,42 +414,99 @@ class TestPhaseVerdicts:
 
     def test_wrong_angles_still_give_the_svd_verdicts(self):
         # the angles claim another law: only measured bounds may decide
-        for name in (f"tol={SING_TOL} n=16 kappa=1e12", f"tol={SING_TOL} n=16 smin=cutoff*100.0"):
-            tol, m0 = CORPUS[name]
-            mats = _circle(m0)
-            wrong = [0.0] + [a + 0.5 for a in ANGLES[1:]]
+        wrong = [0.0] + [a + 0.5 for a in ANGLES[1:]]
+        for smin in (2e-12, ("cutoff", 100.0)):
+            op, r = _ring(8, SING_TOL, smin)
+            circle, mats = _circle(op, r)
+            bent = _Circle(circle.family, circle.diags, wrong, circle.out)
             for singular_first in (False, True):
-                assert _phase_verdicts(mats, wrong, tol, singular_first) == [
-                    _svd_verdict(m, tol) for m in mats
+                assert _phase_verdicts(bent, SING_TOL, singular_first) == [
+                    _svd_verdict(m) for m in mats
                 ]
 
     @pytest.mark.parametrize("tol", [0.0, 2.0])
     def test_no_transfer_outside_the_bracket(self, monkeypatch, tol):
-        mats = _circle(CORPUS[f"tol={SING_TOL} n=16 smin=cutoff*100.0"][1])
+        circle, mats = _circle(*_ring(8, SING_TOL, ("cutoff", 100.0)))
         expected = [_svd_verdict(m, tol) for m in mats]
         calls = _kernel_calls(monkeypatch)
-        assert _phase_verdicts(mats, ANGLES, tol, False) == expected
+        assert _phase_verdicts(circle, tol, False) == expected
         assert calls == ["svd"] * 8
 
-    def test_rotation_rounding_within_e_k(self, rng):
-        # |fl(R m R) - R m R|_F <= e_k = 8 eps (|c| + |s|)^2 F, exactly
-        eps = np.finfo(float).eps
-        for scale in (1.0, 1e-40, 1e40):
-            m = rng.standard_normal((8, 8)) * scale
-            terms = _phase_terms(m)
-            for angle in ANGLES + [1.0, -2.5, 3.0]:
-                c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
-                p = _rotated(m, c, s, terms)
-                r = [[Fraction(x) for x in row] for row in _rotation(angle, 4)]
-                mf = [[Fraction(x) for x in row] for row in m]
-                rm = [[sum(r[i][k] * mf[k][j] for k in range(8)) for j in range(8)]
-                      for i in range(8)]
-                rmr = [[sum(rm[i][k] * r[k][j] for k in range(8)) for j in range(8)]
-                       for i in range(8)]
-                err2 = sum((Fraction(p[i, j]) - rmr[i][j]) ** 2
-                           for i in range(8) for j in range(8))
-                e_k = 8.0 * eps * (abs(c) + abs(s)) ** 2 * float(np.linalg.norm(m))
-                assert err2 <= Fraction(e_k) ** 2
+    @pytest.mark.parametrize("singular_first", [False, True])
+    def test_a_real_linear_circle_decides_every_phase_on_its_own(self, monkeypatch, rng,
+                                                                  singular_first):
+        # a non-scalar linear part breaks the phase law: the law defect is
+        # nonzero, no phase is proved from phase 0, and each gets the
+        # verdict of its own matrix.  (op - 0.8) x0 = 0 makes phase 0
+        # singular on the first radius.
+        h, r = 6, 0.8
+        lin, anti = 0.3 * crandn(rng, h, h), crandn(rng, h, h) / np.sqrt(h)
+        x0 = crandn(rng, h)
+        x0 /= np.linalg.norm(x0)
+        lin -= np.outer(lin @ x0 + anti @ np.conj(x0) - r * x0, np.conj(x0))
+        op = RealLinearOperator(lin, anti)
+        built = []
+        original = _Circle.matrix
+        monkeypatch.setattr(_Circle, "matrix", lambda c, k: built.append(k) or original(c, k))
+        for radius in (r, 2.5):
+            circle, mats = _circle(op, radius)
+            assert circle.family.zeroed.defect > 0.1
+            built.clear()
+            verdicts = _phase_verdicts(circle, SING_TOL, singular_first)
+            assert verdicts == [_svd_verdict(m) for m in mats]
+            assert verdicts[0] == (radius == r) and built == list(range(8))
+
+
+def _exact(m) -> list:
+    return [[Fraction(float(x)) for x in row] for row in np.asarray(m)]
+
+
+def _matmul(a, b) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _positive_definite(g) -> bool:
+    """Exact Gaussian elimination on a symmetric rational matrix: every
+    pivot is positive."""
+    g = [row[:] for row in g]
+    for i in range(len(g)):
+        if g[i][i] <= 0:
+            return False
+        for j in range(i + 1, len(g)):
+            ratio = g[j][i] / g[i][i]
+            g[j] = [x - ratio * y for x, y in zip(g[j], g[i])]
+    return True
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-40, 1e40])
+def test_distance_covers_the_rotated_first_phase(rng, scale):
+    # ||m_k - R_k m_0 R_k||_2 <= dist_k in exact arithmetic, checked as
+    # dist_k^2 I - X^T X > 0 for X = m_k - R_k m_0 R_k: for an antilinear
+    # operator (no law defect), a diagonal linear part (a defect on the
+    # block diagonals only), a linear part off the diagonal (the law
+    # defect alone) and a full one
+    h = 4
+    anti = scale * crandn(rng, h, h)
+    off = scale * crandn(rng, h, h)
+    np.fill_diagonal(off, 0.0)
+    ops = (AntilinearOperator(anti),
+           RealLinearOperator(np.diag(scale * crandn(rng, h)), anti),
+           RealLinearOperator(off, anti),
+           RealLinearOperator(scale * crandn(rng, h, h), anti))
+    angles = ANGLES + [1.0, -2.5, 3.0]
+    for op in ops:
+        circle, mats = _circle(op, scale * 0.7, angles)
+        m0 = _exact(mats[0])
+        for k, dist in enumerate(circle.distances(), start=1):
+            c, s = circle.c[k - 1], circle.s[k - 1]
+            eye = np.eye(h)
+            rot = _exact(np.block([[c * eye, -s * eye], [s * eye, c * eye]]))
+            rmr = _matmul(_matmul(rot, m0), rot)
+            x = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(_exact(mats[k]), rmr)]
+            xtx = _matmul([list(col) for col in zip(*x)], x)
+            d2 = Fraction(float(dist)) ** 2
+            g = [[(d2 if i == j else 0) - xtx[i][j] for j in range(2 * h)] for i in range(2 * h)]
+            assert _positive_definite(g), (type(op), k)
 
 
 def test_numerical_rank(rng):

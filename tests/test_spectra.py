@@ -143,6 +143,23 @@ def test_every_phase_verdict_is_the_svd_verdict(kind, dim, seed):
     assert [p.oracle_member for p in rep.points] == _svd_verdicts(t, rep.points)
 
 
+def test_empty_operator_is_singular_at_every_probe():
+    # the 0 x 0 realification counts as singular (singularity of an empty
+    # matrix), on the circle at 0 and at each phase of the radius 0.5
+    rep = spectrum_crosscheck(AntilinearOperator(np.zeros((0, 0))))
+    assert [p.radius for p in rep.points] == [0.0] + [0.5] * 8
+    assert all(p.oracle_member for p in rep.points)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["twisted_normal", "nonnormal"])
+def test_every_phase_verdict_is_the_svd_verdict_at_64(kind, seed):
+    # 129 circles on twisted_normal, each phase proved from phase 0's work
+    t = _generated(kind, 64, seed)
+    rep = spectrum_crosscheck(t)
+    assert [p.oracle_member for p in rep.points] == _svd_verdicts(t, rep.points)
+
+
 def test_undecided_gap_circle_of_twisted_normal_64(monkeypatch):
     # the one circle of twisted_normal d=64 whose phase-0 bracket cannot
     # decide: its SVD decides phase 0, and every phase still gets the
@@ -151,9 +168,9 @@ def test_undecided_gap_circle_of_twisted_normal_64(monkeypatch):
     circles, undecided = [], []
     original = spectra._phase_verdicts
 
-    def recording(mats, angles, tol, singular_first):
+    def recording(circle, tol, singular_first):
         circles.append(singular_first)
-        return original(mats, angles, tol, singular_first)
+        return original(circle, tol, singular_first)
 
     monkeypatch.setattr(spectra, "_phase_verdicts", recording)
     monkeypatch.setattr(matkernel, "singularity", lambda m, tol=SING_TOL: undecided.append(

@@ -2,9 +2,10 @@
 
 These tests pin the amount of work, not its result: one Takagi
 factorization per operator in ``numrange``, one realification per
-operator in ``spectrum`` and one factorization per spectrum circle (a
-solve on a member circle, a Cholesky on a gap), span powers built only up
-to the degree ``minimal_span`` reaches, one eigensolve per spectrum, no
+operator in ``spectrum``, one factorization and one built phase matrix
+per spectrum circle (a solve on a member circle, a Cholesky on a gap),
+span powers built only up to the degree ``minimal_span`` reaches, one
+eigensolve per spectrum, no
 second factoring of the same matrix in ``rank_link`` or ``block``, the
 mu-independent pivots inverted once per block, each complement of a
 ``block`` run evaluated once, no operator's matrix factored twice by
@@ -137,7 +138,7 @@ def test_spectrum_realifies_once_and_member_probes_run_no_cholesky(tmp_path, mon
     # (phases, prediction) of each circle, then the prediction of the
     # circle each kernel runs in
     _counting(monkeypatch, spectra, "_phase_verdicts", circles,
-              lambda mats, angles, tol, singular_first: (len(mats), singular_first))
+              lambda circle, tol, singular_first: (circle.size, singular_first))
     for name, calls in (("solve", solves), ("cholesky", choleskys), ("svd", svds)):
         _counting(monkeypatch, np.linalg, name, calls, lambda *a, **k: circles[-1][1])
     out = io.StringIO()
@@ -152,6 +153,22 @@ def test_spectrum_realifies_once_and_member_probes_run_no_cholesky(tmp_path, mon
     assert solves == [True] * len(members)
     assert choleskys == [False] * len(gaps)
     assert svds == []
+
+
+def test_a_decided_circle_builds_one_phase_matrix(tmp_path, monkeypatch):
+    # every circle of twisted_normal d=16 is proved from its phase 0: that
+    # phase is the only matrix built, in the one buffer of the crosscheck
+    monkeypatch.chdir(tmp_path)
+    path = _gen("twisted_normal", 16)
+    circles, built, svds = [], [], []
+    _counting(monkeypatch, spectra, "_phase_verdicts", circles)
+    _counting(monkeypatch, matkernel._Circle, "matrix", built,
+              lambda circle, k: (len(circles), k, id(circle.out)))
+    _counting(monkeypatch, np.linalg, "svd", svds)
+    _run(["spectrum", "--input", path])
+    assert len(circles) > 16 and svds == []
+    assert [(index, k) for index, k, _ in built] == [(i, 0) for i in range(1, len(circles) + 1)]
+    assert len({buffer for _, _, buffer in built}) == 1
 
 
 def test_no_realification_carries_over_between_invocations(tmp_path, monkeypatch):
@@ -208,9 +225,9 @@ def test_scan_inverts_b_and_f_once(rng, monkeypatch):
 
 def test_zero_pivot_is_tested_once_and_never_inverted(tmp_path, monkeypatch):
     # F = 0: T2's pivot is singular at every mu.  cmd_block's --mu list and
-    # the scan share the block's one F, so realify(F) runs one verdict SVD
-    # (no bracket applies to a zero matrix), one SVD for the smallest
-    # singular value that every skip names, and no inverse
+    # the scan share the block's one F, so realify(F) runs one SVD (no
+    # bracket applies to a zero matrix): it decides the verdict and gives
+    # the smallest singular value that every skip names.  No inverse runs
     monkeypatch.chdir(tmp_path)
     path = write_block_file(tmp_path / "f0.json", np.zeros((3, 3), dtype=complex))
     zero = _digest(np.zeros((6, 6)))   # realify(F)
@@ -231,7 +248,7 @@ def test_zero_pivot_is_tested_once_and_never_inverted(tmp_path, monkeypatch):
     reasons += [e.skipped_reason for e in t2]
     assert len(skipped) == 3 and len(t2) > 3   # one line per skipped T2
     assert set(reasons) == {"pivot F is numerically singular (min singular value 0.000e+00)"}
-    assert svds.count(zero) == 2 and minima.count(zero) == 1
+    assert svds.count(zero) == 1 and zero not in minima
     assert zero not in invs
 
 
