@@ -41,7 +41,6 @@ _EXPORTS = {
     "complement": "blockops",
     "compose": "antiop",
     "correspondence_scan": "blockops",
-    "from_factored": "antiop",
     "gram": "structure",
     "identity_suite": "structure",
     "is_in_spectrum": "spectra",
@@ -63,9 +62,7 @@ _EXPORTS = {
     "realify": "antiop",
     "singularity": "matkernel",
     "spectrum_crosscheck": "spectra",
-    "standard_conjugation": "antiop",
     "takagi": "matkernel",
-    "to_factored": "antiop",
     "unrealify": "antiop",
     "witness_disk": "numrange",
     "witness_segment": "numrange",

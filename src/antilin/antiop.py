@@ -10,9 +10,7 @@ matrix ``A.T``, defined by ``conj(<T x, y>) = <x, adjoint(T) y>``.
 Representations
 ---------------
 * ``AntilinearOperator`` stores the canonical matrix ``A`` of the action
-  ``x -> A conj(x)``.  This is the single source of truth; the factored form
-  ``T = C T1`` with a conjugation ``C`` is available as a conversion
-  (:func:`to_factored` / :func:`from_factored`), not as storage.
+  ``x -> A conj(x)``.  This is the single source of truth.
 * A conjugation is an ``AntilinearOperator`` whose canonical matrix
   :func:`make_conjugation` has validated as an isometric involution
   (``K conj(K) = I`` and ``K* K = I``); it has no type of its own.
@@ -144,11 +142,6 @@ def make_conjugation(k) -> AntilinearOperator:
     if spectral_norm(k.conj().T @ k - eye) > CONJUGATION_TOL:
         raise NotIsometric("K is not unitary")
     return AntilinearOperator(k)
-
-
-def standard_conjugation(n: int) -> AntilinearOperator:
-    """Entrywise conjugation on C^n."""
-    return AntilinearOperator(np.eye(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,20 +376,3 @@ def op_norm(op: Composable) -> float:
     realification)."""
     return spectral_norm(realify(op))
 
-
-def to_factored(t: AntilinearOperator, c: AntilinearOperator | None = None) -> np.ndarray:
-    """Linear factor S with ``t = compose(c, S)`` (the form T = C T1) for a
-    conjugation ``c`` (:func:`make_conjugation`).
-
-    With the standard conjugation this is ``conj(canon)``.
-    """
-    if c is None:
-        c = standard_conjugation(t.dim_out)
-    if c.dim_in != t.dim_out:
-        raise DimensionMismatch("conjugation dimension must match dim_out")
-    return c.canon @ np.conj(t.canon)
-
-
-def from_factored(c: AntilinearOperator, s) -> AntilinearOperator:
-    """Antilinear operator ``compose(c, s)`` for a linear matrix ``s``."""
-    return compose(c, np.asarray(s, dtype=complex)).as_antilinear()

@@ -44,26 +44,14 @@ import numpy as np
 
 from . import __version__
 from .antiop import AntilinearOperator
-from .errors import AntilinError, NotNormal, OutsideRange, PivotSingular
+from .errors import AntilinError, NotNormal, PivotSingular
 from .generators import KINDS, crandn, gen_payload
 from .io import dump_payload, load_operator
 from .matkernel import ranked_svd, spectral_norm
-from .reporting import Report, emit_csv, emit_json
+from .reporting import BASE_TOLERANCES, Report, emit_csv, emit_json
 
 if TYPE_CHECKING:
     from .blockops import BlockAntilinearMatrix
-
-BASE_TOLERANCES = {
-    "pairing": 1e-10,
-    "psd": 1e-10,
-    "polar_reconstruction": 1e-9,
-    "projector": 1e-8,
-    "identity": 1e-8,
-    "power": 1e-10,
-    "membership": 1e-8,
-    "witness": 1e-8,
-    "convexity": 1e-7,
-}
 
 
 class _Usage(Exception):
@@ -132,44 +120,32 @@ def cmd_inspect(t: AntilinearOperator, args, report: Report, tols: dict) -> None
     scale = structure.canon_norm(t)
 
     bidual = 0.0 if np.array_equal(t.adjoint().adjoint().canon, a) else 1.0
-    report.add("adjoint_biduality", bidual, 0.0)
-    report.add("adjoint_pairing", _pairing_residual(t, rng), tols["pairing"] * (1 + scale))
+    report.add("adjoint_biduality", bidual)
+    report.add("adjoint_pairing", _pairing_residual(t, rng), scale)
 
     left, right = structure.gram(t)
-    report.add("gram_left_psd", _min_eig_defect(left), tols["psd"] * (1 + scale**2))
-    report.add("gram_right_psd", _min_eig_defect(right), tols["psd"] * (1 + scale**2))
+    report.add("gram_left_psd", _min_eig_defect(left), scale)
+    report.add("gram_right_psd", _min_eig_defect(right), scale)
 
     p = structure.polar(t)
-    report.add(
-        "polar_reconstruction",
-        spectral_norm(a - p.u.canon @ np.conj(p.modulus)),
-        tols["polar_reconstruction"] * (1 + scale),
-    )
+    report.add("polar_reconstruction", spectral_norm(a - p.u.canon @ np.conj(p.modulus)), scale)
     uc = p.u.canon
-    report.add(
-        "polar_partial_isometry",
-        spectral_norm(uc @ uc.conj().T @ uc - uc),
-        tols["projector"],
-    )
+    report.add("polar_partial_isometry", spectral_norm(uc @ uc.conj().T @ uc - uc))
     report.add(
         "polar_initial_space",
         spectral_norm(p.initial_projector() - ranked_svd(p.modulus).range_projector()),
-        tols["projector"],
     )
     report.add(
         "polar_final_space",
         spectral_norm(p.final_projector() - structure.factored(t).range_projector()),
-        tols["projector"],
     )
 
     mp = structure.moore_penrose(t)
-    report.add("mp_left_projector", mp.residuals["left_projector"], tols["identity"])
+    report.add("mp_left_projector", mp.residuals["left_projector"])
     report.add(
-        "mp_oracle_agreement",
-        mp.residuals["oracle_agreement"],
-        tols["identity"] * (1 + spectral_norm(mp.dagger.canon)),
+        "mp_oracle_agreement", mp.residuals["oracle_agreement"], spectral_norm(mp.dagger.canon)
     )
-    report.add("mp_right_projector", mp.residuals["right_projector"], tols["identity"])
+    report.add("mp_right_projector", mp.residuals["right_projector"])
 
     report.summary["dims"] = [t.dim_out, t.dim_in]
     report.summary["canon_norm"] = scale
@@ -177,7 +153,7 @@ def cmd_inspect(t: AntilinearOperator, args, report: Report, tols: dict) -> None
         normal = structure.is_normal(t)
         cn_value, cn_residual = structure.c_normal_criterion(t)
         agree = int(normal.value != normal.sampled_value) + int(normal.value != cn_value)
-        report.add("normality_criteria_agree", float(agree), 0.0)
+        report.add("normality_criteria_agree", float(agree))
         report.summary["is_normal"] = bool(normal)
         report.summary["normality_residual"] = normal.residual
         report.summary["is_selfadjoint"] = structure.is_selfadjoint(t)
@@ -192,50 +168,30 @@ def cmd_identities(t: AntilinearOperator, args, report: Report, tols: dict) -> N
 
     suite = structure.identity_suite(t, tol=tols["identity"])
     for name, residual in sorted(suite.residuals.items()):
-        report.add(f"mp_{name}", residual, tols["identity"])
+        report.add(f"mp_{name}", residual)
     if suite.classification_consistent is not None:
-        report.add(
-            "mp_projector_range_consistency",
-            0.0 if suite.classification_consistent else 1.0,
-            0.0,
-        )
+        report.add("mp_projector_range_consistency", 0.0 if suite.classification_consistent else 1.0)
         report.summary["projector_gap"] = suite.projector_gap
         report.summary["range_gap"] = suite.range_gap
 
     if t.dim_in == t.dim_out:
         normal = structure.is_normal(t)
         cn_value, cn_residual = structure.c_normal_criterion(t)
-        report.add(
-            "c_normal_agrees_is_normal",
-            0.0 if cn_value == normal.value else 1.0,
-            0.0,
-        )
+        report.add("c_normal_agrees_is_normal", 0.0 if cn_value == normal.value else 1.0)
         report.summary["is_normal"] = bool(normal)
         report.summary["c_normal_residual"] = cn_residual
         if normal:
-            report.add(
-                "modulus_conjugation_swap",
-                cn_residual,
-                tols["identity"] * (1 + scale),
-            )
-            report.add(
-                "polar_commutation",
-                structure.check_polar_commutation(t),
-                tols["polar_reconstruction"] * (1 + scale),
-            )
+            report.add("modulus_conjugation_swap", cn_residual, scale)
+            report.add("polar_commutation", structure.check_polar_commutation(t), scale)
             for n in (2, 3):
-                report.add(
-                    f"power_commutation_n{n}",
-                    structure.power_commute(t, n),
-                    tols["power"] * (1 + scale ** (2 * n)),
-                )
+                report.add(f"power_commutation_n{n}", structure.power_commute(t, n), scale)
 
 
 def cmd_spectrum(t: AntilinearOperator, args, report: Report, tols: dict) -> None:
     from .spectra import CLASSIFICATION_NOTE, spectrum_crosscheck
 
     check = spectrum_crosscheck(t, phases=8, tol=tols["membership"])
-    report.add("crosscheck_disagreements", float(len(check.disagreements)), 0.0)
+    report.add("crosscheck_disagreements", float(len(check.disagreements)))
 
     desc = check.spectrum
     eigvals = np.array(desc.eigenvalues, dtype=complex)
@@ -245,7 +201,7 @@ def cmd_spectrum(t: AntilinearOperator, args, report: Report, tols: dict) -> Non
             closure,
             float(np.min(np.abs(eigvals - np.conj(mu))) / (1.0 + abs(mu))),
         )
-    report.add("eig_conjugation_closure", closure, tols["identity"])
+    report.add("eig_conjugation_closure", closure)
 
     report.summary["radii"] = list(desc.radii)
     report.summary["clamped_eigenvalues"] = [_cx(z) for z in desc.clamped]
@@ -258,36 +214,23 @@ def cmd_numrange(t: AntilinearOperator, args, report: Report, tols: dict) -> Non
     from .numrange import nr_disk, nr_value, sample_sup, witness_disk, witness_segment
 
     rng = np.random.default_rng(args.seed)
+    if args.target is not None:
+        # raises OutsideRange beyond the disk and DimensionOne at n = 1
+        target = complex(*args.target)
+        report.add("witness_target", abs(nr_value(t, witness_disk(t, target)) - target))
+        report.summary["target"] = _cx(target)
+
     disk = nr_disk(t)
     report.summary["radius"] = disk.radius
-    report.add(
-        "disk_extremal_value",
-        abs(abs(nr_value(t, disk.extremal_vector)) - disk.radius),
-        tols["witness"],
-    )
+    report.add("disk_extremal_value", abs(abs(nr_value(t, disk.extremal_vector)) - disk.radius))
 
     raw_sup = sample_sup(t, n_samples=2000, rng=rng, refine=False)
     refined_sup = sample_sup(t, n_samples=200, rng=rng, refine=True)
-    report.add("disk_upper_bound", max(0.0, raw_sup - disk.radius), tols["witness"])
+    report.add("disk_upper_bound", max(0.0, raw_sup - disk.radius))
 
     if t.dim_in >= 2:
-        report.add(
-            "disk_lower_bound",
-            max(0.0, 0.95 * disk.radius - max(raw_sup, refined_sup)),
-            tols["witness"],
-        )
-        zero_w = witness_disk(t, 0.0)
-        report.add("witness_zero", abs(nr_value(t, zero_w)), tols["witness"])
-        if args.target is not None:
-            target = complex(*args.target)
-            try:
-                vec = witness_disk(t, target)
-            except OutsideRange as exc:
-                raise _Usage(str(exc)) from exc
-            report.add(
-                "witness_target", abs(nr_value(t, vec) - target), tols["witness"]
-            )
-            report.summary["target"] = _cx(target)
+        report.add("disk_lower_bound", max(0.0, 0.95 * disk.radius - max(raw_sup, refined_sup)))
+        report.add("witness_zero", abs(nr_value(t, witness_disk(t, 0.0))))
         fallbacks = 0
         worst = 0.0
         tuples = 25
@@ -300,7 +243,7 @@ def cmd_numrange(t: AntilinearOperator, args, report: Report, tols: dict) -> Non
             res = witness_segment(t, x1, x2, lam)
             worst = max(worst, abs(res.value - res.target))
             fallbacks += int(res.used_fallback)
-        report.add("convexity_witness", worst, tols["convexity"])
+        report.add("convexity_witness", worst)
         report.summary["convexity_fallback_rate"] = fallbacks / tuples
     else:
         vals = []
@@ -309,16 +252,8 @@ def cmd_numrange(t: AntilinearOperator, args, report: Report, tols: dict) -> Non
             x /= np.linalg.norm(x)
             vals.append(abs(nr_value(t, x)))
         vals_arr = np.array(vals)
-        report.add(
-            "circle_modulus_spread",
-            float(np.max(np.abs(vals_arr - disk.radius))),
-            tols["witness"],
-        )
-        report.add(
-            "circle_zero_gap",
-            float(max(0.0, disk.radius - np.min(vals_arr))),
-            tols["witness"],
-        )
+        report.add("circle_modulus_spread", float(np.max(np.abs(vals_arr - disk.radius))))
+        report.add("circle_zero_gap", float(max(0.0, disk.radius - np.min(vals_arr))))
         report.summary["note"] = "dimension one: the numerical range is a circle"
 
 
@@ -336,7 +271,7 @@ def cmd_block(blk: BlockAntilinearMatrix, args, report: Report, tols: dict) -> N
     rng = np.random.default_rng(args.seed)
 
     flat_norm = float(blk.flat_singular_values[0])
-    if args.mu:
+    if args.mu is not None:
         mus = list(args.mu)
     else:
         mus = [complex(z) for z in crandn(rng, 5) * 2.0]
@@ -349,17 +284,13 @@ def cmd_block(blk: BlockAntilinearMatrix, args, report: Report, tols: dict) -> N
             except AntilinError as exc:
                 skipped.append(f"{sel} at mu_{idx}: {exc}")
                 continue
-            report.add(
-                f"factorization_{sel}_mu{idx}",
-                factorization_residual(blk, comp),
-                tols["identity"] * (1 + flat_norm),
-            )
+            report.add(f"factorization_{sel}_mu{idx}", factorization_residual(blk, comp), flat_norm)
             report.summary[f"pivot_condition_{sel}_mu{idx}"] = comp.pivot_condition
 
     radii = list(antilinear_spectrum(blk.flatten()).radii)
     samples = samples_for_radii(radii, rng)
     scan = correspondence_scan(blk, samples, tol=tols["membership"])
-    report.add("scan_disagreements", float(len(scan.disagreements)), 0.0)
+    report.add("scan_disagreements", float(len(scan.disagreements)))
     report.summary["scan_points"] = len(scan.entries)
     report.summary["scan_skipped"] = scan.skipped
 
@@ -368,13 +299,9 @@ def cmd_block(blk: BlockAntilinearMatrix, args, report: Report, tols: dict) -> N
     except PivotSingular as exc:
         skipped.append(f"rank_link: {exc}")
     else:
-        report.add(
-            "rank_link_primal",
-            0.0 if link.primal_holds else 1.0,
-            0.0,
-        )
+        report.add("rank_link_primal", 0.0 if link.primal_holds else 1.0)
         if link.dual_holds is not None:
-            report.add("rank_link_dual", 0.0 if link.dual_holds else 1.0, 0.0)
+            report.add("rank_link_dual", 0.0 if link.dual_holds else 1.0)
         report.summary["rank_flat"] = link.rank_flat
         report.summary["f_relative_bound"] = link.f_rel_bound
 
@@ -398,8 +325,8 @@ def cmd_extension(t: AntilinearOperator, args, report: Report, tols: dict) -> No
     except NotNormal as exc:
         raise _Usage(str(exc)) from exc
 
-    report.add("span_oracle_agreement", float(abs(span.g_dim - oracle)), 0.0)
-    report.add("span_stabilized_before_cap", 1.0 if span.hit_cap else 0.0, 0.0)
+    report.add("span_oracle_agreement", float(abs(span.g_dim - oracle)))
+    report.add("span_stabilized_before_cap", 1.0 if span.hit_cap else 0.0)
 
     residuals = check_extension(problem)
     report.summary.update(
@@ -433,6 +360,8 @@ def _parse_mu(text: str) -> list:
         if not (isfinite(mu.real) and isfinite(mu.imag)):
             raise _Usage(f"--mu token {token!r} is not finite")
         out.append(mu)
+    if not out:
+        raise _Usage("--mu lists no shift")
     return out
 
 

@@ -79,7 +79,7 @@ def _dedup(values: Sequence[float]) -> tuple:
     return tuple(float(np.mean(c)) for c in out)
 
 
-def antilinear_spectrum(t: AntilinearOperator, tol: float = 1e-8) -> SpectrumDescription:
+def antilinear_spectrum(t: AntilinearOperator, tol: float = SING_TOL) -> SpectrumDescription:
     """Circle radii of the spectrum of a square antilinear operator.
 
     ``radii = { sqrt(mu) : mu in eig(A conj(A)), |Im mu| <= tol*(1+|mu|),
@@ -187,7 +187,7 @@ def spectrum_crosscheck(
     neither proves is built in the same buffer and runs its own bracket
     and, where that cannot decide, its own SVD.
     """
-    desc = antilinear_spectrum(t, tol=max(tol, 1e-8))
+    desc = antilinear_spectrum(t, tol=max(tol, SING_TOL))
     radii = list(desc.radii)
 
     member_radii = list(radii)

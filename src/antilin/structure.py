@@ -36,9 +36,11 @@ import numpy as np
 from .antiop import AntilinearOperator, RealLinearOperator, compose, derived, op_norm
 from .errors import DimensionMismatch, NotNormal
 from .matkernel import Factored, pinv, psd_sqrt, ranked_svd, spectral_norm
+from .reporting import BASE_TOLERANCES, scaled_bound
 
 # the antilinear-normal criteria (T T# = T# T, the modulus swap, and the
-# checks that require a normal operator) all decide with this tolerance
+# checks that require a normal operator) all decide with this tolerance,
+# scaled by reporting.scaled_bound
 NORMAL_TOL = 1e-8
 _NORM_SAMPLING_SEED = 0x5EED
 
@@ -108,7 +110,7 @@ def is_normal(t: AntilinearOperator) -> NormalityCheck:
     def decide() -> NormalityCheck:
         residual = normality_residual(a)
         scale = canon_norm(t)
-        value = residual <= NORMAL_TOL * (1.0 + scale**2)
+        value = residual <= scaled_bound(NORMAL_TOL, 2, scale)
 
         # 50 unit draws as columns; each draw takes its Re part, then its Im
         # part from the stream
@@ -117,7 +119,7 @@ def is_normal(t: AntilinearOperator) -> NormalityCheck:
         x = g[:, 0] + 1j * g[:, 1]
         xc = np.conj(x / np.linalg.norm(x, axis=1, keepdims=True)).T
         dev = np.abs(np.linalg.norm(a @ xc, axis=0) - np.linalg.norm(a.T @ xc, axis=0))
-        sampled_value = bool(dev.max() <= NORMAL_TOL * (1.0 + scale))
+        sampled_value = bool(dev.max() <= scaled_bound(NORMAL_TOL, 1, scale))
         return NormalityCheck(value, residual, sampled_value)
 
     return derived(t, "normality", decide)
@@ -127,7 +129,7 @@ def is_selfadjoint(t: AntilinearOperator) -> bool:
     """True when ``T = T#``, i.e. the canonical matrix is symmetric within
     ``NORMAL_TOL * (1 + ||A||)``."""
     a = _square(t)
-    return spectral_norm(a - a.T) <= NORMAL_TOL * (1.0 + canon_norm(t))
+    return spectral_norm(a - a.T) <= scaled_bound(NORMAL_TOL, 1, canon_norm(t))
 
 
 def modulus(t: AntilinearOperator) -> np.ndarray:
@@ -209,7 +211,7 @@ def c_normal_criterion(t: AntilinearOperator) -> tuple[bool, float]:
     left = np.conj(modulus(t))
     right = psd_sqrt(a.conj() @ a.T)
     residual = spectral_norm(left - right)
-    return residual <= NORMAL_TOL * (1.0 + canon_norm(t)), residual
+    return residual <= scaled_bound(NORMAL_TOL, 1, canon_norm(t)), residual
 
 
 def power_commute(t: AntilinearOperator, n: int) -> float:
@@ -256,12 +258,10 @@ class MpResult:
         a, dag = self.source.canon, self.dagger.canon
         f = factored(self.source)
         qn = f.vh[: f.rank].T         # orthonormal basis of N(T)^perp
-        wr = f.w[:, : f.rank]         # orthonormal basis of R(T)
         oracle = np.conj(pinv(a))
-        p_range = wr @ wr.conj().T
         p_nperp = qn @ qn.conj().T
         return {
-            "left_projector": spectral_norm(a @ np.conj(dag) - p_range),
+            "left_projector": spectral_norm(a @ np.conj(dag) - f.range_projector()),
             "oracle_agreement": spectral_norm(dag - oracle),
             "right_projector": spectral_norm(dag @ np.conj(a) - p_nperp),
         }
@@ -309,7 +309,9 @@ class IdentitySuiteResult:
     classification_consistent: Optional[bool]
 
 
-def identity_suite(t: AntilinearOperator, tol: float = 1e-8) -> IdentitySuiteResult:
+def identity_suite(
+    t: AntilinearOperator, tol: float = BASE_TOLERANCES["identity"]
+) -> IdentitySuiteResult:
     """Evaluate the full dagger identity suite for ``t``.
 
     Residual keys (D = canon(T+), A = canon(T)):

@@ -10,13 +10,10 @@ from antilin.antiop import (
     RealLinearOperator,
     coerce,
     compose,
-    from_factored,
     make_conjugation,
     op_norm,
     realify,
     realify_shifted,
-    standard_conjugation,
-    to_factored,
     unrealify,
 )
 from antilin.errors import DimensionMismatch, NotInvolution, NotIsometric
@@ -301,18 +298,3 @@ class TestFactoredForm:
             lhs = compose(c, s).as_antilinear().adjoint()
             rhs = compose(s.conj().T, c).as_antilinear()
             assert spectral_norm(lhs.canon - rhs.canon) <= 1e-10
-
-    def test_round_trip(self, rng):
-        for n in (2, 5):
-            c = make_conjugation(symmetric_unitary(rng, n))
-            t = random_antilinear(rng, n)
-            s = to_factored(t, c)
-            back = from_factored(c, s)
-            assert spectral_norm(back.canon - t.canon) <= 1e-12
-
-    def test_standard_conjugation_factor(self, rng):
-        t = random_antilinear(rng, 3)
-        s = to_factored(t)
-        np.testing.assert_allclose(s, np.conj(t.canon))
-        c = standard_conjugation(3)
-        assert type(c) is AntilinearOperator and np.array_equal(c.canon, np.eye(3))

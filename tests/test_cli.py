@@ -313,6 +313,21 @@ def test_option_after_mu_is_not_its_value(block_file, capsys):
     assert "argument --mu: expected one argument" in err
 
 
+@pytest.mark.parametrize("value", ["", ";", " ; ;"])
+def test_mu_listing_no_shift_exit_2(value, block_file, capsys):
+    # not the 5 random shifts of a run without --mu
+    assert _main(capsys, "block", "--input", block_file, "--mu", value) == (
+        2, "", "error: --mu lists no shift\n")
+
+
+def test_target_at_dimension_one_exit_2(tmp_path, capsys):
+    # the numerical range of a 1x1 operator is a circle: no disk witness
+    path = str(tmp_path / "one.json")
+    assert cli.main(["gen", "--kind", "selfadjoint", "--dim", "1", "--output", path]) == 0
+    assert _main(capsys, "numrange", "--input", path, "--target", "0.1,0") == (
+        2, "", "error: witness_disk requires dimension at least 2\n")
+
+
 OPERATOR_COMMANDS = ("inspect", "identities", "spectrum", "numrange", "extension")
 
 

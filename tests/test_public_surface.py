@@ -23,7 +23,6 @@ EXPORTED = {
     "complement": ("blk", "selector", "mu", "tol"),
     "compose": ("f", "g"),
     "correspondence_scan": ("blk", "samples", "tol"),
-    "from_factored": ("c", "s"),
     "gram": ("t",),
     "identity_suite": ("t", "tol"),
     "is_in_spectrum": ("op", "lam", "tol"),
@@ -45,9 +44,7 @@ EXPORTED = {
     "realify": ("op",),
     "singularity": ("m", "tol"),
     "spectrum_crosscheck": ("t", "phases", "tol"),
-    "standard_conjugation": ("n",),
     "takagi": ("b",),
-    "to_factored": ("t", "c"),
     "unrealify": ("r",),
     "witness_disk": ("t", "target"),
     "witness_segment": ("t", "x1", "x2", "lam"),

@@ -24,11 +24,15 @@ runs the benchmark's factor-heavy shapes at d = 128 (generator and
 subcommand seed 0): ``inspect``, ``identities`` and ``numrange`` on
 ``selfadjoint``, ``scaled_antiunitary``, ``nonnormal`` and ``nilpotent``,
 and ``extension`` on the two normal kinds among them, so the bulk loader
-and the span basis are compared at the size where they do the most.
+and the span basis are compared at the size where they do the most.  It
+runs ``numrange`` on ``gen --kind selfadjoint --dim 1`` (seed 0), whose
+numerical range is a circle.
 Finally it runs the flag variants on d = 16 seed-0 files: ``--tol 1e-6``
 and ``--tol 1e-30`` with every operator subcommand on ``twisted_normal``
 (normal) and ``nonnormal``, ``--csv``, ``numrange --target`` inside and
-outside the disk (exit 2), and ``block --mu`` and ``--tol``.  Then the
+outside the disk (exit 2), ``block --mu`` and ``--tol``, ``block --mu ";"``
+(a list of no shift, exit 2), and ``numrange --target`` on the d = 1 file
+above (exit 2).  Then the
 inputs ``gen`` cannot write, written with the tree's own ``io.dump_payload``
 (the file text is compared too): conjugation files (symmetric unitaries at
 d = 4 and 16) and rectangular 3x5 and 6x2 operator files, each under every
@@ -74,6 +78,7 @@ DIMS = (4, 16, 32)
 SEEDS = (0, 1, 2)
 # (kind, dim, generator seed, --seed of the subcommand, subcommands)
 NEAR_THRESHOLD = (("block", 64, 1, 0, ("block",)),)
+DIMENSION_ONE = (("selfadjoint", 1, 0, 0, ("numrange",)),)
 FACTOR_HEAVY = tuple(
     (kind, 128, 0, 0, ("inspect", "identities", "numrange") + extra)
     for kind, extra in (
@@ -83,7 +88,7 @@ FACTOR_HEAVY = tuple(
         ("nilpotent", ()),
     )
 )
-# (file written by the d = 16 grid above, subcommand, flags)
+# (file written by the grids above, subcommand, flags)
 FLAG_VARIANTS = tuple(
     (stem, cmd, ["--tol", tol])
     for stem in ("twisted_normal-16-s0", "nonnormal-16-s0")
@@ -96,6 +101,8 @@ FLAG_VARIANTS = tuple(
     ("nonnormal-16-s0", "numrange", ["--target", "100,0"]),
     ("block-16-s0", "block", ["--mu", "0.3+0.1j;1"]),
     ("block-16-s0", "block", ["--tol", "1e-6"]),
+    ("block-16-s0", "block", ["--mu", ";"]),
+    ("selfadjoint-1-s0", "numrange", ["--target", "0.1,0"]),
 )
 # files antilin gen cannot write: (stem, payload kind, dims, seed); the
 # conjugations are symmetric unitaries, the operators Gaussian rectangles
@@ -174,6 +181,7 @@ def worker() -> list:
     cases += NEAR_THRESHOLD
     cases += [(k, 64, s, s, ("spectrum",)) for k in KINDS if k != "block" for s in SEEDS]
     cases += FACTOR_HEAVY
+    cases += DIMENSION_ONE
     records = []
     for kind, dim, seed, run_seed, cmds in cases:
         path = f"ops/{kind}-{dim}-s{seed}.json"
