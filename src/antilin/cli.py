@@ -343,6 +343,8 @@ def cmd_extension(t: AntilinearOperator, args, report: Report, tols: dict) -> No
 
 
 def cmd_gen(args, report: Report) -> Optional[str]:
+    if args.dim2 is not None and args.kind != "block":
+        raise _Usage("--dim2 applies only to --kind block")
     payload = gen_payload(args.kind, args.dim, args.seed, dim2=args.dim2)
     return dump_payload(payload, args.output)
 

@@ -325,14 +325,24 @@ def identity_suite(
     * ``dagger_polar_form``:     T+  vs  |T|+ U_{T#} with U_{T#} = (U_T)#
     """
     a = t.canon
-    ts = t.adjoint()
+    square = t.dim_in == t.dim_out
     d = moore_penrose(t).dagger
-    ds = moore_penrose(ts).dagger
-
+    modulus_dagger = pinv(modulus(t))
     res: Dict[str, float] = {}
-    res["dagger_adjoint_swap"] = spectral_norm(ds.canon - d.adjoint().canon)
-    res["double_dagger"] = spectral_norm(moore_penrose(d).dagger.canon - a)
 
+    # each short-lived operand is dropped after its last read, and with it
+    # the factors antiop.derived keeps on it (keyed weakly): T# and (T#)+
+    # below, T+ and its SVD at the end, where T++ is read once
+    ts = t.adjoint()
+    ds = moore_penrose(ts).dagger
+    res["modulus_dagger_right"] = spectral_norm(modulus(d) - pinv(modulus(ts)))
+    if square:
+        range_gap = spectral_norm(
+            factored(t).range_projector() - factored(ts).range_projector()
+        )
+    del ts
+
+    res["dagger_adjoint_swap"] = spectral_norm(ds.canon - d.adjoint().canon)
     left_gram, right_gram = gram(t)
     res["gram_right_dagger"] = spectral_norm(
         pinv(right_gram) - compose(d, ds).as_linear()
@@ -340,25 +350,22 @@ def identity_suite(
     res["gram_left_dagger"] = spectral_norm(
         pinv(left_gram) - compose(ds, d).as_linear()
     )
-
-    modulus_dagger = pinv(modulus(t))
     res["modulus_dagger_left"] = spectral_norm(modulus_dagger - modulus(ds))
-    res["modulus_dagger_right"] = spectral_norm(modulus(d) - pinv(modulus(ts)))
+    del ds, left_gram, right_gram
 
     uc = polar(t).u.canon
     res["dagger_polar_form"] = spectral_norm(d.canon - modulus_dagger @ uc.T)
 
-    if t.dim_in == t.dim_out:
+    if square:
         p_left = compose(t, d).as_linear()      # T T+  -> projector onto R(T)
         p_right = compose(d, t).as_linear()     # T+ T  -> projector onto N(T)^perp
         projector_gap = spectral_norm(p_left - p_right)
-        range_gap = spectral_norm(
-            factored(t).range_projector() - factored(ts).range_projector()
-        )
         consistent = (projector_gap <= tol) == (range_gap <= tol)
     else:
         projector_gap = range_gap = None
         consistent = None
+
+    res["double_dagger"] = spectral_norm(moore_penrose(d).dagger.canon - a)
 
     return IdentitySuiteResult(
         residuals=res,

@@ -45,7 +45,8 @@ def corpus_records(tmp_path_factory):
     runs = [["numrange", "--input", one]]
     for kind in sorted(KINDS):
         path = str(d / f"{kind}.json")
-        _main(["gen", "--kind", kind, "--dim", "4", "--dim2", "4", "--output", path])
+        dim2 = ["--dim2", "4"] if kind == "block" else []
+        _main(["gen", "--kind", kind, "--dim", "4", *dim2, "--output", path])
         if kind == "block":
             commands = ("block",)
         else:

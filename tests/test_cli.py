@@ -320,6 +320,17 @@ def test_mu_listing_no_shift_exit_2(value, block_file, capsys):
         2, "", "error: --mu lists no shift\n")
 
 
+@pytest.mark.parametrize("kind", sorted(set(KINDS) - {"block"}))
+def test_dim2_of_a_kind_without_blocks_exit_2(kind, tmp_path, capsys):
+    # not the dim x dim file of a run without --dim2
+    path = tmp_path / "op.json"
+    argv = ("gen", "--kind", kind, "--dim", "2", "--dim2", "7")
+    for extra in ((), ("--output", str(path))):
+        assert _main(capsys, *argv, *extra) == (
+            2, "", "error: --dim2 applies only to --kind block\n")
+    assert not path.exists()
+
+
 def test_target_at_dimension_one_exit_2(tmp_path, capsys):
     # the numerical range of a 1x1 operator is a circle: no disk witness
     path = str(tmp_path / "one.json")

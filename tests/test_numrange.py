@@ -5,6 +5,7 @@ from antilin.antiop import AntilinearOperator
 from antilin.errors import DimensionOne, NotUnit, OutsideRange
 from antilin.generators import symmetric_unitary
 from antilin.numrange import (
+    _symmetric_part,
     nr_disk,
     nr_value,
     sample_sup,
@@ -90,6 +91,75 @@ class TestDisk:
         r = float(rng.uniform(0.5, 2.0))
         t = AntilinearOperator(r * symmetric_unitary(rng, n))
         assert sample_sup(t, n_samples=200, rng=rng, refine=True) >= (1.0 - 1e-12) * r
+
+
+def _unblocked_sample_sup(t, n_samples=2000, rng=None, refine=True):
+    """Reference for sample_sup: the whole-array evaluation it replaced,
+    verbatim.  Its product ``xc * (b @ xc)`` is the one numpy evaluates in
+    place as ``(b @ xc) * xc`` from 256 KiB on."""
+    b = _symmetric_part(t)
+    n = b.shape[0]
+    if rng is None:
+        rng = np.random.default_rng(0x5A11)
+    xs = rng.standard_normal((n, n_samples)) + 1j * rng.standard_normal((n, n_samples))
+    xs /= np.linalg.norm(xs, axis=0)
+    xc = np.conj(xs)
+    vals = np.abs(np.sum(xc * (b @ xc), axis=0))
+    best = float(np.max(vals)) if vals.size else 0.0
+    if refine:
+        z = xs[:, int(np.argmax(vals))]
+        collapsed = False
+        for _ in range(200):
+            z = b @ np.conj(b @ np.conj(z))
+            nrm = np.linalg.norm(z)
+            if nrm <= 1e-300:
+                collapsed = True
+                break
+            z = z / nrm
+        if not collapsed:
+            y = b @ np.conj(z)
+            y = y / np.linalg.norm(y)
+            u = z + y if np.linalg.norm(z + y) >= np.linalg.norm(z - y) else 1j * (z - y)
+            for x in (z, u / np.linalg.norm(u)):
+                best = max(best, float(abs(np.conj(x) @ (b @ np.conj(x)))))
+    return float(best)
+
+
+def _assert_unblocked_bits(t, n_samples, seed):
+    for refine in (False, True):
+        got = sample_sup(t, n_samples, np.random.default_rng(seed), refine)
+        want = _unblocked_sample_sup(t, n_samples, np.random.default_rng(seed), refine)
+        assert got == want, (seed, n_samples, refine)
+
+
+class TestSampleSupBits:
+    # n = 8 | 9 and 81 | 82 straddle the elision of the whole product at
+    # 2000 and at 200 samples; 255-257 straddle a block edge
+    @pytest.mark.parametrize("n", (1, 2, 8, 9, 81, 82, 128))
+    def test_blocked_equals_unblocked(self, n):
+        for seed in range(3):
+            t = random_antilinear(np.random.default_rng(seed), n)
+            for n_samples in (1, 200, 255, 256, 257, 2000):
+                _assert_unblocked_bits(t, n_samples, seed)
+
+    @pytest.mark.parametrize("n", (2, 9, 128))
+    def test_lone_last_column_equals_unblocked(self, n):
+        # B = conj(c c^T) for the last sample's direction c makes that
+        # sample the best, so the bits of the column a block edge leaves
+        # over decide the result
+        for seed in range(3):
+            for n_samples in (257, 513):
+                draw = np.random.default_rng(seed)
+                x = draw.standard_normal((n, n_samples)) + 1j * draw.standard_normal((n, n_samples))
+                c = np.conj(x[:, -1]) / np.linalg.norm(x[:, -1])
+                t = AntilinearOperator(np.conj(np.outer(c, c)))
+                _assert_unblocked_bits(t, n_samples, seed)
+
+    @pytest.mark.parametrize("refine", (False, True))
+    @pytest.mark.parametrize("n_samples", (0, -1))
+    def test_rejects_no_samples(self, n_samples, refine):
+        with pytest.raises(ValueError, match="n_samples"):
+            sample_sup(DIAG2I, n_samples=n_samples, refine=refine)
 
 
 class TestWitnessDisk:

@@ -51,7 +51,8 @@ with ``--mu "0.3+0.1j;1;0"``.  Then ``block --mu "-0.0-0.5j;0.5-0.0j;-0.0"``
 seed-0 block and on the 3x5 block, so shifts with signed-zero parts are
 compared on the CLI output.  Last, the cross-kind misuse: the d = 16 and
 the 3x5 block file under every operator subcommand and a d = 16 operator
-file under ``block`` (exit 2).  Both
+file under ``block`` (exit 2), and ``gen --dim2`` on a kind without blocks
+(exit 2).  Both
 workers run in fresh directories of the same name, so the relative
 ``--input`` paths inside the reports agree.  The comparison requires equal exit codes, equal
 stdout bytes and equal stderr for every invocation, the generated files
@@ -151,6 +152,8 @@ CROSS_KIND = (
     ("block-3x5", OPERATOR_COMMANDS),
     ("twisted_normal-16-s0", ("block",)),
 )
+# a second dimension for a kind without blocks
+DIM2_MISUSE = ["gen", "--kind", "selfadjoint", "--dim", "2", "--dim2", "7"]
 
 
 def _run(main, argv: list) -> dict:
@@ -224,6 +227,7 @@ def worker() -> list:
     for stem, cmds in CROSS_KIND:
         for cmd in cmds:
             records.append(_run(main, [cmd, "--input", f"ops/{stem}.json"]))
+    records.append(_run(main, DIM2_MISUSE))
     return records
 
 
