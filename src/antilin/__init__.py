@@ -1,12 +1,12 @@
 """Finite-dimensional calculus of antilinear operators on complex space.
 
 The package represents an antilinear operator by its canonical matrix A
-(action ``x -> A conj(x)``), closes compositions and resolvents in the
-real-linear (P, Q) algebra, and provides adjoints, normality tests, polar
-and Moore-Penrose decompositions, spectra (unions of origin-centered
-circles), the numerical-range disk with constructive witnesses, block
-operator matrices with Schur and quadratic complements, and the span
-criterion for minimal antilinear normal extensions.  The ``antilin`` CLI
+(action ``x -> A conj(x)``), closes compositions in the real-linear (P, Q)
+algebra, inverts resolvents as realified matrices, and provides adjoints,
+normality tests, polar and Moore-Penrose decompositions, spectra (unions
+of origin-centered circles), the numerical-range disk with constructive
+witnesses, block operator matrices with Schur and quadratic complements,
+and the span criterion for minimal antilinear normal extensions.  The ``antilin`` CLI
 verifies all of it on concrete operator files.
 
 The public names below are resolved on first access (PEP 562), each from

@@ -15,15 +15,25 @@ Representations
   :func:`make_conjugation` has validated as an isometric involution
   (``K conj(K) = I`` and ``K* K = I``); it has no type of its own.
 * ``RealLinearOperator`` stores the pair ``(P, Q)`` of the action
-  ``x -> P x + Q conj(x)``.  This algebra closes compositions, sums and
-  resolvents of linear and antilinear maps.  Composition follows
+  ``x -> P x + Q conj(x)``.  This algebra closes compositions and
+  differences of linear and antilinear maps.  Composition follows
 
   ``(P1, Q1) o (P2, Q2) = (P1 P2 + Q1 conj(Q2), P1 Q2 + Q1 conj(P2))``.
+
+  A composition of maps of one parity each (linear or antilinear) has one
+  nonzero part, ``M1 conj^p1(M2)``; the package forms such products on the
+  canonical matrices alone (:func:`_parity_product`), and keeps
+  :func:`compose` as the general algebra.
 
 * ``realify`` represents a real-linear map as the real ``2m x 2n`` matrix
   acting on stacked ``(Re x; Im x)`` coordinates:
 
   ``[[Re P + Re Q, -Im P + Im Q], [Im P + Im Q, Re P - Re Q]]``.
+
+  It is an algebra homomorphism, ``realify(f o g) = realify(f)
+  realify(g)``, so a resolvent, which is real-linear but not complex-linear,
+  is the inverse of a realified matrix, and the block complements of
+  :mod:`antilin.blockops` are computed on realified matrices throughout.
 
   A scalar shift ``op - lam`` is defined to move only the diagonal of the
   linear part (:meth:`RealLinearOperator.shifted`), so it moves only the
@@ -35,7 +45,7 @@ All value types are immutable and every operation is a pure function, so
 everything here is safe to share across threads.  Because an operator never
 changes, whatever is computed from it can be kept for its lifetime:
 :func:`derived` keeps such values on an operator (its realification, its
-factorizations, and a block pivot's inverse and smallest singular value).
+shift base and its factorizations).
 Composite results that are not operators, such as a block matrix or a
 Moore-Penrose result, keep their own derived fields with
 ``functools.cached_property``.
@@ -170,15 +180,6 @@ class RealLinearOperator:
     def from_antilinear(cls, t: AntilinearOperator) -> "RealLinearOperator":
         return cls(np.zeros_like(t.canon), t.canon)
 
-    @classmethod
-    def identity(cls, n: int) -> "RealLinearOperator":
-        return cls.from_linear(np.eye(n))
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> "RealLinearOperator":
-        z = np.zeros((m, n), dtype=complex)
-        return cls(z, z)
-
     @property
     def dim_in(self) -> int:
         return self.lin.shape[1]
@@ -195,16 +196,9 @@ class RealLinearOperator:
             )
         return self.lin @ x + self.anti @ np.conj(x)
 
-    def __add__(self, other: "RealLinearOperator") -> "RealLinearOperator":
-        other = coerce(other)
-        return RealLinearOperator(self.lin + other.lin, self.anti + other.anti)
-
     def __sub__(self, other: "RealLinearOperator") -> "RealLinearOperator":
         other = coerce(other)
         return RealLinearOperator(self.lin - other.lin, self.anti - other.anti)
-
-    def __neg__(self) -> "RealLinearOperator":
-        return RealLinearOperator(-self.lin, -self.anti)
 
     def shifted(self, mu: complex) -> "RealLinearOperator":
         """The operator ``self - mu``: the diagonal of the linear part becomes
@@ -264,6 +258,15 @@ def compose(f: Composable, g: Composable) -> RealLinearOperator:
     lin = f.lin @ g.lin + f.anti @ np.conj(g.anti)
     anti = f.lin @ g.anti + f.anti @ np.conj(g.lin)
     return RealLinearOperator(lin, anti)
+
+
+def _parity_product(f: tuple, g: tuple) -> tuple:
+    """``f o g`` (g applied first) for two maps of one parity each, given
+    as ``(M, p)`` for ``x -> M conj^p(x)`` (p = 1 antilinear, 0 linear):
+    ``(M_f conj^{p_f}(M_g), p_f xor p_g)``, the one product of the four
+    that :func:`compose` forms which is not exactly zero."""
+    (mf, pf), (mg, pg) = f, g
+    return mf @ (np.conj(mg) if pf else mg), pf ^ pg
 
 
 def realify(op: Composable) -> np.ndarray:

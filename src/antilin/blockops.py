@@ -2,14 +2,17 @@
 
 A block matrix ``[[A, B], [F, E]]`` with purely antilinear entries acts on
 ``C^n (+) C^m``.  Resolvents such as ``(A - mu)^{-1}`` are real-linear, not
-complex-linear, so they are computed by inverting the realification and
-reinterpreting the result as a (P, Q) pair; the complement formulas then
-live entirely in the real-linear algebra:
+complex-linear, so the module computes in realified coordinates from start
+to end: each block is realified once, each shifted block by
+:func:`~antilin.antiop.realify_shifted`, each pivot is inverted as a real
+matrix, and the complements are products of those real matrices.
+Realification is an algebra homomorphism, ``realify(f o g) =
+realify(f) realify(g)``, so these are the realifications of
 
-* Schur complements
+* the Schur complements
   ``S2(mu) = E - mu - F (A - mu)^{-1} B``      (pivot A - mu),
   ``S1(mu) = A - mu - B (E - mu)^{-1} F``      (pivot E - mu),
-* quadratic complements
+* the quadratic complements
   ``T2(mu) = B - (A - mu) F^{-1} (E - mu)``    (pivot F),
   ``T1(mu) = F - (E - mu) B^{-1} (A - mu)``    (pivot B).
 
@@ -36,15 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .antiop import (
-    AntilinearOperator,
-    RealLinearOperator,
-    _realified,
-    compose,
-    derived,
-    realify,
-    unrealify,
-)
+from .antiop import AntilinearOperator, _realified, realify_shifted
 from .errors import DimensionMismatch, PivotSingular
 from .matkernel import (
     SING_TOL,
@@ -59,6 +54,59 @@ from .spectra import is_in_spectrum
 SELECTORS = ("S1", "S2", "T1", "T2")
 # rank_link ranks every matrix against RANK_FLOOR_RTOL * (1 + ||realify(blk)||)
 RANK_FLOOR_RTOL = 1e-10
+
+
+class Pivot:
+    """The pivot of a complement: its name and its realified matrix ``r``.
+
+    The pivot test is :func:`~antilin.matkernel.is_singular` on ``r``, then
+    LU, which can still find the matrix singular when ``tol`` is 0 or tiny
+    (a smallest singular value far below ``eps * ||r||`` passes the test);
+    that counts as singular too.  The outcome is kept per ``tol``, and the
+    smallest singular value comes from one SVD: the verdict's own, when an
+    SVD decided it.  A block keeps its F and B pivots, which do not depend
+    on mu; the pivots A - mu and E - mu are made per evaluation.
+    """
+
+    def __init__(self, name: str, r: np.ndarray):
+        self.name, self.r = name, r
+        self._inverses: dict = {}
+        self._min_singular: Optional[float] = None
+
+    @property
+    def min_singular(self) -> float:
+        """Smallest singular value of ``r``, from one SVD made on first
+        use: the value a :class:`PivotSingular` names and
+        :attr:`ComplementResult.pivot_condition` reports."""
+        if self._min_singular is None:
+            self._min_singular = singularity(self.r)[0]
+        return self._min_singular
+
+    def inverse(self, tol: float = SING_TOL) -> np.ndarray:
+        """The real inverse of ``r`` (read-only), tested and computed once
+        per ``tol``.
+
+        Raises:
+            DimensionMismatch: when ``r`` is not square.
+            PivotSingular: when the smallest singular value of ``r`` is at
+                or below ``tol * (1 + ||r||)``, or LU finds ``r`` singular.
+        """
+        if self.r.shape[0] != self.r.shape[1]:
+            raise DimensionMismatch(f"{self.name} must be square to invert")
+        if tol not in self._inverses:
+            singular, _, _, smin = _first_phase(self.r, tol, False)
+            if self._min_singular is None:
+                self._min_singular = smin
+            try:
+                inv = None if singular else np.linalg.inv(self.r)
+            except np.linalg.LinAlgError:
+                inv = None
+            if inv is not None:
+                inv.setflags(write=False)
+            self._inverses[tol] = inv
+        if self._inverses[tol] is None:
+            raise PivotSingular(self.name, self.min_singular)
+        return self._inverses[tol]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,101 +151,43 @@ class BlockAntilinearMatrix:
         bot = np.hstack([self.f.canon, self.e.canon])
         return AntilinearOperator(np.vstack([top, bot]))
 
-    @property
-    def flat_realified(self) -> np.ndarray:
-        """``realify(self.flatten())``, made on first use and read-only:
-        :attr:`flat_singular_values`, every :func:`factorization_residual`
-        of this block and the shift base of the flat membership probes of
-        :func:`correspondence_scan` read the same matrix."""
-        return _realified(self.flatten())
-
     @cached_property
-    def _real(self) -> tuple:
-        """The four blocks as real-linear operators ``(a, b, f, e)``,
-        converted once per block."""
-        return tuple(
-            RealLinearOperator.from_antilinear(x) for x in (self.a, self.b, self.f, self.e)
-        )
+    def _pivots(self) -> dict:
+        """The mu-independent pivots F (of T2) and B (of T1), one per block."""
+        return {"F": Pivot("F", _realified(self.f)), "B": Pivot("B", _realified(self.b))}
 
     @cached_property
     def flat_singular_values(self) -> np.ndarray:
-        """Singular values of :attr:`flat_realified`, descending, from one
-        SVD made on first use: :func:`rank_link` ranks the flat matrix with
-        them and the CLI reads the flat norm from ``[0]``."""
-        s = singular_values(self.flat_realified)
+        """Singular values of ``realify(self.flatten())``, descending, from
+        one SVD made on first use: :func:`rank_link` ranks the flat matrix
+        with them and the CLI reads the flat norm from ``[0]``.  The flat
+        membership probes of :func:`correspondence_scan` shift the same
+        realification."""
+        s = singular_values(_realified(self.flatten()))
         s.setflags(write=False)  # shared by every reader of this block
         return s
 
 
-def _min_singular(op: RealLinearOperator) -> float:
-    """Smallest singular value of ``realify(op)``, from one SVD per operator
-    (:func:`~antilin.antiop.derived`): the value a :class:`PivotSingular`
-    names and :attr:`ComplementResult.pivot_condition` reports."""
-    return derived(op, "min_singular", lambda: singularity(_realified(op))[0])
-
-
-def _inverse(op: RealLinearOperator, tol: float) -> Optional[RealLinearOperator]:
-    """The inverse of a square ``op``, or None for "singular".  An SVD that
-    decides the verdict also gives the value :func:`_min_singular` names."""
-    r = _realified(op)
-    singular, _, _, smin = _first_phase(r, tol, False)
-    if smin is not None:
-        derived(op, "min_singular", lambda: smin)
-    if not singular:
-        try:
-            return unrealify(np.linalg.inv(r))
-        except np.linalg.LinAlgError:
-            pass
-    return None
-
-
-def invert_real_linear(
-    op: RealLinearOperator, pivot_name: str = "operator", tol: float = SING_TOL
-) -> RealLinearOperator:
-    """Inverse of a bijective real-linear operator via its realification.
-
-    The pivot test is :func:`~antilin.matkernel.is_singular` on
-    ``realify(op)``, then LU, which can still find the matrix singular when
-    ``tol`` is 0 or tiny (a smallest singular value far below ``eps *
-    ||realify(op)||`` passes the test); that counts as singular too.  The
-    outcome is kept on ``op`` per ``tol`` (:func:`~antilin.antiop.derived`),
-    so an operator is tested and inverted once, and a singular one is named
-    with its smallest singular value from one SVD: the verdict's own, when
-    an SVD decided it.
-
-    Raises:
-        PivotSingular: when the smallest singular value of the
-            realification is at or below ``tol * (1 + ||realify(op)||)``,
-            or LU finds the realification singular.
-    """
-    if op.dim_in != op.dim_out:
-        raise DimensionMismatch(f"{pivot_name} must be square to invert")
-    inv = derived(op, ("inverse", tol), lambda: _inverse(op, tol))
-    if inv is None:
-        raise PivotSingular(pivot_name, _min_singular(op))
-    return inv
-
-
 @dataclass(frozen=True, eq=False)
 class ComplementResult:
-    """A Schur or quadratic complement evaluated at ``mu``, with its pivot
-    and the pivot's inverse."""
+    """A Schur or quadratic complement evaluated at ``mu``: its realified
+    matrix ``real`` (read-only), its pivot and the pivot's real inverse."""
 
-    op: RealLinearOperator
+    real: np.ndarray
     selector: str
     mu: complex
-    pivot: RealLinearOperator
-    pivot_inverse: RealLinearOperator
+    pivot: Pivot
+    pivot_inverse: np.ndarray
 
     @property
     def pivot_condition(self) -> float:
-        """Smallest singular value of ``realify(pivot)``, from one SVD made
+        """Smallest singular value of the realified pivot, from one SVD made
         on first access per pivot: the complements of one block at every
         mu share its F and B pivots, and with them this value."""
-        return _min_singular(self.pivot)
+        return self.pivot.min_singular
 
 
-def _oriented(blocks: tuple, selector: str) -> tuple:
+def _oriented(blk: BlockAntilinearMatrix, selector: str) -> tuple:
     """``(schur, swapped, (a, b, f, e))`` for a selector.
 
     ``schur`` tells a Schur complement (S2, S1) from a quadratic one (T2,
@@ -209,8 +199,8 @@ def _oriented(blocks: tuple, selector: str) -> tuple:
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
     swapped = selector in ("S1", "T1")
-    a, b, f, e = blocks
-    return selector[0] == "S", swapped, ((e, f, b, a) if swapped else blocks)
+    blocks = (blk.e, blk.f, blk.b, blk.a) if swapped else (blk.a, blk.b, blk.f, blk.e)
+    return selector[0] == "S", swapped, blocks
 
 
 def complement(
@@ -222,42 +212,47 @@ def complement(
     """Evaluate the selected complement of ``blk`` at ``mu``.
 
     The pivot is ``A - mu``, ``E - mu``, ``F`` or ``B``.  F and B do not
-    depend on mu, and a block hands out one operator object for each, so
-    :func:`invert_real_linear` tests and inverts each once per block and
-    ``tol``; a singular one raises at every mu, naming the same smallest
-    singular value.
+    depend on mu, and a block keeps one :class:`Pivot` for each, so each is
+    tested and inverted once per block and ``tol``; a singular one raises
+    at every mu, naming the same smallest singular value.
 
     Raises:
         PivotSingular: when the pivot that must be inverted is singular
             (names the pivot and its smallest singular value).
-        DimensionMismatch: as :func:`invert_real_linear`.
-        ValueError: when ``selector`` is not one of :data:`SELECTORS`.
+        DimensionMismatch: when the pivot F or B is not square.
+        ValueError: when ``selector`` is not one of :data:`SELECTORS`, or
+            the complement overflows (a shift too large for the blocks).
     """
     mu = complex(mu)
-    schur, swapped, (a, b, f, e) = _oriented(blk._real, selector)
+    schur, swapped, (a, b, f, e) = _oriented(blk, selector)
     if schur:
-        pivot = a.shifted(mu)
-        inv = invert_real_linear(pivot, "E - mu" if swapped else "A - mu", tol)
-        op = e.shifted(mu) - compose(f, compose(inv, b))
+        pivot = Pivot("E - mu" if swapped else "A - mu", realify_shifted(a, mu))
     else:
-        pivot = f
-        inv = invert_real_linear(pivot, "B" if swapped else "F", tol)
-        op = b - compose(a.shifted(mu), compose(inv, e.shifted(mu)))
+        pivot = blk._pivots["B" if swapped else "F"]
+    inv = pivot.inverse(tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        real = (realify_shifted(e, mu) - _realified(f) @ (inv @ _realified(b)) if schur
+                else _realified(b) - realify_shifted(a, mu) @ (inv @ realify_shifted(e, mu)))
+    if not np.isfinite(real).all():
+        raise ValueError(f"complement {selector} at mu = {mu} has non-finite entries")
+    real.setflags(write=False)
     return ComplementResult(
-        op=op, selector=selector, mu=mu, pivot=pivot, pivot_inverse=inv
+        real=real, selector=selector, mu=mu, pivot=pivot, pivot_inverse=inv
     )
 
 
-def _block2(op11, op12, op21, op22) -> RealLinearOperator:
-    lin = np.block([[op11.lin, op12.lin], [op21.lin, op22.lin]])
-    anti = np.block([[op11.anti, op12.anti], [op21.anti, op22.anti]])
-    return RealLinearOperator(lin, anti)
+def _layout(x11, x12, x21, x22, swapped: bool) -> np.ndarray:
+    """The 2x2 block matrix ``[[x11, x12], [x21, x22]]`` of an oriented
+    frame, laid out in the frame of ``[[A, B], [F, E]]``: the swapped
+    frame ``[[E, F], [B, A]]`` sits there as ``[[x22, x21], [x12, x11]]``."""
+    return np.block([[x22, x21], [x12, x11]] if swapped else [[x11, x12], [x21, x22]])
 
 
 def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -> float:
-    """Residual ``||realify(blk) - realify(mu + L . mid . R)||`` of the
-    factorization associated with a complement of ``blk`` (its selector,
-    ``mu`` and pivot inverse).
+    """Residual ``||M - L . mid . R||`` of the factorization associated with
+    a complement of ``blk`` (its selector, ``mu`` and pivot inverse), where
+    ``M = [[realify(A - mu), realify(B)], [realify(F), realify(E - mu)]]``
+    and the factors are realified the same way.
 
     The Schur complements S2/S1 sit in a diagonal middle factor, the
     quadratic complements T2/T1 in an antidiagonal one; the outer factors
@@ -265,32 +260,26 @@ def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -
     dimension the identity is exact, so the residual is pure floating-point
     noise.
     """
-    schur, swapped, (a, b, f, e) = _oriented(blk._real, comp.selector)
+    schur, swapped, (a, b, f, e) = _oriented(blk, comp.selector)
     mu, inv = comp.mu, comp.pivot_inverse
-    n, m = a.dim_in, e.dim_in
-    i_n = RealLinearOperator.identity(n)
-    i_m = RealLinearOperator.identity(m)
-    z_nm = RealLinearOperator.zero(n, m)
-    z_mn = RealLinearOperator.zero(m, n)
+    ra, rb, rf, re = realify_shifted(a, mu), _realified(b), _realified(f), realify_shifted(e, mu)
+    i_n, i_m = np.eye(ra.shape[0]), np.eye(re.shape[0])
+    z_nm, z_mn = np.zeros(rb.shape), np.zeros(rf.shape)
     # (x11, x12, x21, x22) of the left, middle and right factors of S2 or T2
     if schur:
         factors = (
-            (i_n, z_nm, compose(f, inv), i_m),
-            (a.shifted(mu), z_nm, z_mn, comp.op),
-            (i_n, compose(inv, b), z_mn, i_m),
+            (i_n, z_nm, rf @ inv, i_m),
+            (ra, z_nm, z_mn, comp.real),
+            (i_n, inv @ rb, z_mn, i_m),
         )
     else:
         factors = (
-            (i_n, compose(a.shifted(mu), inv), z_mn, i_m),
-            (RealLinearOperator.zero(n, n), comp.op, f, RealLinearOperator.zero(m, m)),
-            (i_n, compose(inv, e.shifted(mu)), z_mn, i_m),
+            (i_n, ra @ inv, z_mn, i_m),
+            (np.zeros(ra.shape), comp.real, rf, np.zeros(re.shape)),
+            (i_n, inv @ re, z_mn, i_m),
         )
-    # swapped blocks: [[x11, x12], [x21, x22]] of [[E, F], [B, A]] sits in
-    # [[A, B], [F, E]] as [[x22, x21], [x12, x11]]
-    left, mid, right = (_block2(*(x[::-1] if swapped else x)) for x in factors)
-
-    rhs = compose(left, compose(mid, right)).shifted(-mu)
-    return spectral_norm(blk.flat_realified - realify(rhs))
+    left, mid, right = (_layout(*x, swapped) for x in factors)
+    return spectral_norm(_layout(ra, rb, rf, re, swapped) - left @ (mid @ right))
 
 
 @dataclass(frozen=True)
@@ -351,10 +340,10 @@ def correspondence_scan(
     cannot decide).  The flat membership probes share the block's one
     realification of the flattened matrix
     (:func:`~antilin.antiop.realify_shifted`).  Each complement is evaluated
-    by :func:`complement`, as in every other caller, so each pivot is
-    tested, inverted and conditioned once per operator object: the
-    mu-independent pivots F (T2) and B (T1) once per block and ``tol``, and
-    a singular one is skipped at every mu with the same reason.
+    by :func:`complement`, as in every other caller, so each
+    :class:`Pivot` is tested, inverted and conditioned once per ``tol``:
+    the mu-independent pivots F (T2) and B (T1) once per block, and a
+    singular one is skipped at every mu with the same reason.
     """
     flat = blk.flatten()
     entries = []
@@ -377,7 +366,7 @@ def correspondence_scan(
                 ScanEntry(
                     mu=mu, selector=sel,
                     member_block=in_flat,
-                    member_complement=is_singular(realify(comp.op), tol),
+                    member_complement=is_singular(comp.real, tol),
                 )
             )
     return ScanReport(entries=tuple(entries))
@@ -456,9 +445,9 @@ def rank_link(blk: BlockAntilinearMatrix, tol: float = SING_TOL) -> RankLinkRepo
         s2 = complement(blk, "S2", 0.0, tol)  # its pivot A - 0 is A itself
     except PivotSingular as exc:
         raise PivotSingular("A", exc.min_singular) from None
-    rank_s2 = int(np.count_nonzero(singular_values(realify(s2.op)) > floor))
+    rank_s2 = int(np.count_nonzero(singular_values(s2.real) > floor))
     primal = rank_flat == 2 * blk.n + rank_s2
-    f_rel = spectral_norm(realify(compose(blk._real[2], s2.pivot_inverse)))
+    f_rel = spectral_norm(_realified(blk.f) @ s2.pivot_inverse)
 
     rank_s1: Optional[int] = None
     dual: Optional[bool] = None
@@ -467,7 +456,7 @@ def rank_link(blk: BlockAntilinearMatrix, tol: float = SING_TOL) -> RankLinkRepo
     except PivotSingular:
         pass
     else:
-        rank_s1 = int(np.count_nonzero(singular_values(realify(s1.op)) > floor))
+        rank_s1 = int(np.count_nonzero(singular_values(s1.real) > floor))
         dual = rank_flat == 2 * blk.m + rank_s1
 
     return RankLinkReport(

@@ -94,12 +94,14 @@ def _load(args, report: Report):
 
 
 def _pairing_residual(t: AntilinearOperator, rng: np.random.Generator, pairs: int = 100) -> float:
+    """Largest ``|conj(<T x, y>) - <x, T# y>|`` over random pairs, with T#
+    the package's :meth:`~antilin.antiop.AntilinearOperator.adjoint`."""
     a = t.canon
     m, n = a.shape
     x = crandn(rng, n, pairs)
     y = crandn(rng, m, pairs)
     tx = a @ np.conj(x)
-    tsy = a.T @ np.conj(y)
+    tsy = t.adjoint().canon @ np.conj(y)
     lhs = np.conj(np.sum(tx * np.conj(y), axis=0))
     rhs = np.sum(x * np.conj(tsy), axis=0)
     return float(np.max(np.abs(lhs - rhs)))

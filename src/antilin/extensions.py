@@ -7,12 +7,13 @@ normal extension N is minimal exactly when the span
 
     ``G = span{ (N#)^j N^i x : i, j >= 0, x in H }``
 
-is the whole ambient space.  :func:`minimal_span` grows G degree by degree
-using the parity-aware (P, Q) composition algebra; for normal N the single
-commutation relation ``N N# = N# N`` collapses arbitrary words in {N, N#}
-to the ``(N#)^j N^i`` form, so the span stabilizes as soon as one full
-degree adds nothing new.  :func:`word_span_oracle` checks that independently
-by spanning over ALL words up to a given length.
+is the whole ambient space.  :func:`minimal_span` grows G degree by degree,
+keeping each word ``x -> M conj^p(x)`` as its matrix M and parity p; for
+normal N the single commutation relation ``N N# = N# N`` collapses
+arbitrary words in {N, N#} to the ``(N#)^j N^i`` form, so the span
+stabilizes as soon as one full degree adds nothing new.
+:func:`word_span_oracle` checks that independently by spanning over ALL
+words up to a given length.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .antiop import AntilinearOperator, RealLinearOperator, compose
+from .antiop import AntilinearOperator, _parity_product
 from .errors import DimensionMismatch, NotNormal
 from .matkernel import spectral_norm
 from .structure import is_normal
@@ -160,13 +161,12 @@ def minimal_span(p: ExtensionProblem, cap: Optional[int] = None) -> SpanResult:
     big = p.ambient_dim
     if cap is None:
         cap = 2 * big
-    n_op = p.ambient
-    ns_op = n_op.adjoint()
+    letters = (p.ambient.canon, 1), (p.ambient.adjoint().canon, 1)
 
-    # powers of N and N# in the (P, Q) algebra, indexed by exponent and
-    # extended by one per degree, so only the degrees the loop reaches exist
-    n_pows = [RealLinearOperator.identity(big)]
-    ns_pows = [RealLinearOperator.identity(big)]
+    # powers of N and N# as (canonical matrix, parity), indexed by exponent
+    # and extended by one per degree, so only the degrees the loop reaches exist
+    n_pows = [(np.eye(big), 0)]
+    ns_pows = [(np.eye(big), 0)]
 
     basis = _Basis(big)
     cols = [p.embed[:, k] for k in range(p.subspace_dim)]
@@ -174,14 +174,14 @@ def minimal_span(p: ExtensionProblem, cap: Optional[int] = None) -> SpanResult:
     hit_cap = True
     for degree in range(cap + 1):
         if degree > 0:
-            n_pows.append(compose(n_op, n_pows[-1]))
-            ns_pows.append(compose(ns_op, ns_pows[-1]))
+            n_pows.append(_parity_product(letters[0], n_pows[-1]))
+            ns_pows.append(_parity_product(letters[1], ns_pows[-1]))
         grew = False
         for j in range(degree + 1):
             i = degree - j
-            word = compose(ns_pows[j], n_pows[i])
+            m, parity = _parity_product(ns_pows[j], n_pows[i])
             for x in cols:
-                if basis.add(word.apply(x)):
+                if basis.add(m @ (np.conj(x) if parity else x)):
                     grew = True
         if degree > 0 and not grew:
             stabilized = degree - 1
@@ -213,10 +213,10 @@ def word_span_oracle(p: ExtensionProblem, max_len: int) -> int:
     if not is_normal(p.ambient):
         raise NotNormal("word_span_oracle requires a normal ambient operator")
     big = p.ambient_dim
-    letters = (p.ambient, p.ambient.adjoint())
+    letters = (p.ambient.canon, 1), (p.ambient.adjoint().canon, 1)
     basis = _Basis(big)
     cols = [p.embed[:, k] for k in range(p.subspace_dim)]
-    level = [RealLinearOperator.identity(big)]
+    level = [(np.eye(big), 0)]
     for x in cols:
         basis.add(x)
     for _ in range(max_len):
@@ -224,10 +224,10 @@ def word_span_oracle(p: ExtensionProblem, max_len: int) -> int:
         grew = False
         for op in level:
             for letter in letters:
-                w = compose(letter, op)
+                w = _parity_product(letter, op)
                 nxt.append(w)
                 for x in cols:
-                    if basis.add(w.apply(x)):
+                    if basis.add(w[0] @ (np.conj(x) if w[1] else x)):
                         grew = True
         level = nxt
         if len(basis) == big or not grew:

@@ -356,7 +356,8 @@ class _Bracket:
 
     def __init__(self, m: np.ndarray, tol: float, fro=None, colmax=None):
         self.m, self.tol, self.colmax = m, tol, colmax
-        self.fro = fro = float(np.linalg.norm(m)) if fro is None else fro
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf
+            self.fro = fro = float(np.linalg.norm(m)) if fro is None else fro
         self.applies = _applies(fro, tol)
         self.delta = _delta(m.shape[0], fro)
         self.target = _target(m.shape[0], fro, tol)

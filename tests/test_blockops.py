@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from antilin.antiop import AntilinearOperator, realify
+from antilin.antiop import (
+    AntilinearOperator,
+    RealLinearOperator,
+    compose,
+    realify,
+    realify_shifted,
+    unrealify,
+)
 from antilin.blockops import (
     SELECTORS,
     BlockAntilinearMatrix,
+    Pivot,
     complement,
     correspondence_scan,
     factorization_residual,
@@ -12,7 +20,7 @@ from antilin.blockops import (
     samples_for_radii,
 )
 from antilin.errors import DimensionMismatch, PivotSingular
-from antilin.matkernel import SING_TOL, spectral_norm
+from antilin.matkernel import SING_TOL, is_singular, spectral_norm
 from antilin.spectra import antilinear_spectrum, is_in_spectrum
 
 from conftest import random_block
@@ -33,17 +41,15 @@ class TestWorkedExample:
 
     def test_schur_at_two(self):
         comp = complement(scalar_block(), "S2", 2.0)
-        np.testing.assert_allclose(comp.op.lin, [[-4.0 / 3.0]], atol=1e-12)
-        np.testing.assert_allclose(comp.op.anti, [[1.0 / 3.0]], atol=1e-12)
+        op = unrealify(comp.real)
+        np.testing.assert_allclose(op.lin, [[-4.0 / 3.0]], atol=1e-12)
+        np.testing.assert_allclose(op.anti, [[1.0 / 3.0]], atol=1e-12)
         assert comp.pivot_condition > 0.5
 
     def test_resolvent_action(self):
         # (A-2)^{-1} y = -Re y - (i/3) Im y, by scalar real-linear algebra
-        from antilin.antiop import RealLinearOperator
-        from antilin.blockops import invert_real_linear
-
-        a = RealLinearOperator.from_antilinear(AntilinearOperator([[1.0]]))
-        inv = invert_real_linear(a.shifted(2.0), "A - 2")
+        pivot = Pivot("A - 2", realify_shifted(AntilinearOperator([[1.0]]), 2.0))
+        inv = unrealify(pivot.inverse())
         for y in (1.0, 1j, 0.7 - 0.2j):
             expect = -np.real(y) - (1j / 3.0) * np.imag(y)
             np.testing.assert_allclose(inv.apply(np.array([y])), [expect], atol=1e-14)
@@ -63,12 +69,11 @@ class TestWorkedExample:
         # mu = 2 is off every circle: block regular and S2 regular
         assert not is_in_spectrum(flat, 2.0)
         s2 = complement(blk, "S2", 2.0)
-        assert not is_in_spectrum(s2.op, 0.0)
+        assert not is_singular(s2.real)
         # the golden ratio sits on the outer circle but not on sigma(A)
         assert is_in_spectrum(flat, GOLDEN_HI)
         s2g = complement(blk, "S2", GOLDEN_HI)
-        r = realify(s2g.op)
-        assert np.linalg.svd(r, compute_uv=False)[-1] <= 1e-12
+        assert np.linalg.svd(s2g.real, compute_uv=False)[-1] <= 1e-12
 
     def test_rank_link(self):
         link = rank_link(scalar_block())
@@ -90,9 +95,9 @@ class TestDecoupled:
         blk = BlockAntilinearMatrix(
             a=A([[1.0]]), b=A([[0.0]]), f=A([[1.0]]), e=A([[0.5]])
         )
-        comp = complement(blk, "S2", 2.0)
-        np.testing.assert_allclose(comp.op.lin, [[-2.0]], atol=1e-14)
-        np.testing.assert_allclose(comp.op.anti, [[0.5]], atol=1e-14)
+        op = unrealify(complement(blk, "S2", 2.0).real)
+        np.testing.assert_allclose(op.lin, [[-2.0]], atol=1e-14)
+        np.testing.assert_allclose(op.anti, [[0.5]], atol=1e-14)
 
     def test_block_diagonal_spectrum_union(self):
         A = AntilinearOperator
@@ -252,6 +257,73 @@ def test_dual_complement_is_primal_of_swapped_block(rng, dual, primal, n, m):
     swapped = BlockAntilinearMatrix(a=blk.e, b=blk.f, f=blk.b, e=blk.a)
     got = complement(blk, dual, 0.4 - 0.3j)
     want = complement(swapped, primal, 0.4 - 0.3j)
-    for x, y in ((got.op, want.op), (got.pivot_inverse, want.pivot_inverse)):
-        assert np.array_equal(x.lin, y.lin)
-        assert np.array_equal(x.anti, y.anti)
+    assert np.array_equal(got.real, want.real)
+    assert np.array_equal(got.pivot_inverse, want.pivot_inverse)
+
+
+def _pq_route(blk, selector, mu):
+    """The complement, its pivot inverse and its factorization residual by
+    the (P, Q) route: shifted (P, Q) pairs, ``compose``, and the inverse of
+    the realified pivot read back with ``unrealify``."""
+    ops = [RealLinearOperator.from_antilinear(x) for x in (blk.a, blk.b, blk.f, blk.e)]
+    swapped = selector in ("S1", "T1")
+    a, b, f, e = ops[::-1] if swapped else ops
+    n, m = a.dim_in, e.dim_in
+
+    def eye(k):
+        return RealLinearOperator.from_linear(np.eye(k))
+
+    def zero(r, c):
+        return RealLinearOperator(np.zeros((r, c)), np.zeros((r, c)))
+
+    if selector[0] == "S":
+        inv = unrealify(np.linalg.inv(realify(a.shifted(mu))))
+        op = e.shifted(mu) - compose(f, compose(inv, b))
+        factors = ((eye(n), zero(n, m), compose(f, inv), eye(m)),
+                   (a.shifted(mu), zero(n, m), zero(m, n), op),
+                   (eye(n), compose(inv, b), zero(m, n), eye(m)))
+    else:
+        inv = unrealify(np.linalg.inv(realify(f)))
+        op = b - compose(a.shifted(mu), compose(inv, e.shifted(mu)))
+        factors = ((eye(n), compose(a.shifted(mu), inv), zero(m, n), eye(m)),
+                   (zero(n, n), op, f, zero(m, m)),
+                   (eye(n), compose(inv, e.shifted(mu)), zero(m, n), eye(m)))
+
+    def block2(x11, x12, x21, x22):
+        if swapped:
+            x11, x12, x21, x22 = x22, x21, x12, x11
+        return RealLinearOperator(
+            np.block([[x11.lin, x12.lin], [x21.lin, x22.lin]]),
+            np.block([[x11.anti, x12.anti], [x21.anti, x22.anti]]),
+        )
+
+    left, mid, right = (block2(*x) for x in factors)
+    rhs = compose(left, compose(mid, right)).shifted(-mu)
+    return op, inv, spectral_norm(realify(blk.flatten()) - realify(rhs))
+
+
+def _assert_close(got, want, rel=1e-12):
+    scale = 1.0 + max(spectral_norm(realify(want)), 1.0)
+    for x, y in ((got.lin, want.lin), (got.anti, want.anti)):
+        assert spectral_norm(x - y) <= rel * scale
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (2, 4), (4, 1)])
+def test_realified_path_matches_pq_route(rng, n, m):
+    # the realified evaluation against the (P, Q) algebra it replaces
+    blk = random_block(rng, n, m)
+    mu = complex(rng.normal(), rng.normal())
+    flat_scale = 1.0 + spectral_norm(realify(blk.flatten()))
+    for sel in SELECTORS:
+        if n != m and sel in ("T1", "T2"):
+            with pytest.raises(DimensionMismatch):
+                complement(blk, sel, mu)
+            continue
+        comp = complement(blk, sel, mu)
+        op, inv, residual = _pq_route(blk, sel, mu)
+        _assert_close(unrealify(comp.real), op)
+        _assert_close(unrealify(comp.pivot_inverse), inv)
+        # both residuals are rounding noise of the factor product, whose
+        # size is at most that of ||M|| (1 + ||inv|| ||M||)^2
+        factor_scale = flat_scale * (1.0 + spectral_norm(comp.pivot_inverse) * flat_scale) ** 2
+        assert abs(factorization_residual(blk, comp) - residual) <= 1e-12 * factor_scale

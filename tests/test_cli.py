@@ -477,6 +477,34 @@ def test_block_lists_each_skipped_complement_once(tmp_path, capsys):
         "T2 at mu_0", "T2 at mu_1", "T2 at mu_2"]
 
 
+@pytest.mark.parametrize("mu, shown", [("1e160", "(1e+160+0j)"), ("1e200j", "1e+200j")])
+def test_block_shift_whose_complement_overflows_exit_2(mu, shown, tmp_path):
+    # the quadratic complements grow like |mu|^2 and overflow: one line
+    # naming the first such selector and the shift, and no numpy warning
+    path = str(tmp_path / "blk.json")
+    assert cli.main(["gen", "--kind", "block", "--dim", "16", "--dim2", "16",
+                     "--seed", "0", "--output", path]) == 0
+    res = run_cli("block", "--input", path, "--mu", mu)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: complement T1 at mu = {shown} has non-finite entries\n"
+
+
+def test_adjoint_pairing_checks_the_package_adjoint(tmp_path, monkeypatch, capsys):
+    # an adjoint that returns the conjugate transpose breaks the pairing
+    path = str(tmp_path / "op.json")
+    assert cli.main(["gen", "--kind", "nonnormal", "--dim", "4", "--output", path]) == 0
+
+    def pairing_pass():
+        code, out, err = _main(capsys, "inspect", "--input", path)
+        assert code in (0, 1), err
+        return {c["name"]: c["pass"] for c in json.loads(out)["checks"]}["adjoint_pairing"]
+
+    assert pairing_pass()
+    monkeypatch.setattr(cli.AntilinearOperator, "adjoint",
+                        lambda t: cli.AntilinearOperator(t.canon.conj().T))
+    assert not pairing_pass()
+
+
 def test_missing_file_exit_2():
     res = run_cli("inspect", "--input", "/nonexistent/op.json")
     assert res.returncode == 2

@@ -19,8 +19,8 @@ import numpy.linalg._linalg as npl
 import pytest
 
 import antilin
-from antilin.antiop import AntilinearOperator, RealLinearOperator, realify
-from antilin.blockops import complement, invert_real_linear
+from antilin.antiop import AntilinearOperator, realify_shifted
+from antilin.blockops import Pivot, complement
 from antilin.errors import PivotSingular
 from antilin.generators import haar_unitary
 from antilin.matkernel import SING_TOL, is_singular, singularity
@@ -139,8 +139,8 @@ def test_bracket_decided_verdicts_run_no_svd(monkeypatch, rng):
     for lam, member in ((0.5, True), (2.0j, True), (np.exp(1j), True),
                         (0.0, False), (0.75, False), (1.0 + 2.0j, False)):
         assert _svds_per_call(calls, is_in_spectrum, t, lam) == (0, member)
-    pivot = RealLinearOperator.from_antilinear(AntilinearOperator(np.eye(3))).shifted(0.5)
-    assert _svds_per_call(calls, invert_real_linear, pivot)[0] == 0
+    pivot = Pivot("A - mu", realify_shifted(AntilinearOperator(np.eye(3)), 0.5))
+    assert _svds_per_call(calls, pivot.inverse)[0] == 0
 
 
 @pytest.mark.parametrize("side", [1 - 1e-6, 1 + 1e-6])
@@ -161,14 +161,14 @@ def test_pivot_condition_is_the_lazy_exact_svd_value(monkeypatch, rng):
     cond = comp.pivot_condition
     assert len(calls) == 1
     assert comp.pivot_condition == cond and len(calls) == 1
-    assert cond == singularity(realify(comp.pivot))[0]
+    assert cond == singularity(comp.pivot.r)[0]
 
 
 def test_singular_pivot_names_the_svd_value(monkeypatch):
-    pivot = RealLinearOperator.from_antilinear(AntilinearOperator(np.eye(2))).shifted(1.0)
+    pivot = Pivot("A - mu", realify_shifted(AntilinearOperator(np.eye(2)), 1.0))
     with pytest.raises(PivotSingular) as info:
-        invert_real_linear(pivot, "A - mu")
-    assert info.value.min_singular == singularity(realify(pivot))[0]
+        pivot.inverse()
+    assert info.value.min_singular == singularity(pivot.r)[0]
 
 
 def test_svd_called_only_in_matkernel():

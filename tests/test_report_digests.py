@@ -53,8 +53,8 @@ DIGESTS = {
     ('multiplication', 16, 0, 'numrange'): (0, '1670855d1ff010cc8aca2e6aeabb48301c107681643e83b513b219b3fa4f9733'),
     ('multiplication', 16, 0, 'extension'): (0, '18c611536b3ba9a3bd2ddb61afdcb68698468e04909d42fce3936166be820128'),
     ('multiplication', 16, 0, 'spectrum'): (0, '36c523ea2bfaecacac6691ae4fac6f462fa264dfca90b865a59461c6f0b9d458'),
-    ('block', 8, 0, 'block'): (0, 'f97dffb536310c06a8422e5862f4a7ff6be8223a912e39a611f4efe14d4e5e44'),
-    ('block', 4, 1, 'block'): (0, '5a9d04b5a852b6c0299d32e96d459c08ec583ba7984b693df342708babc03497'),
+    ('block', 8, 0, 'block'): (0, 'aff37bd844af5bbb657f6bfdcbf25e61cfeb4b31944255dd8234273ffa83732b'),
+    ('block', 4, 1, 'block'): (0, '0d72b0993e2fe1c5a8e81d60af7cb8b0567e7f3ef622024e464a0ca2316a521a'),
 }
 
 

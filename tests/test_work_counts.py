@@ -34,8 +34,8 @@ import antilin.matkernel as matkernel
 import antilin.numrange as numrange
 import antilin.spectra as spectra
 import antilin.structure as structure
-from antilin.antiop import AntilinearOperator, RealLinearOperator, compose, realify
-from antilin.blockops import correspondence_scan, invert_real_linear, rank_link
+from antilin.antiop import AntilinearOperator, RealLinearOperator, realify, realify_shifted
+from antilin.blockops import Pivot, correspondence_scan, rank_link
 from antilin.cli import main
 from antilin.extensions import ExtensionProblem, minimal_span
 from antilin.matkernel import spectral_norm
@@ -106,13 +106,22 @@ def test_minimal_span_composes_only_reached_powers(rng, monkeypatch):
     t = normal_instance(rng, n, "twisted")
     v, _ = np.linalg.qr(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
     problem = ExtensionProblem(ambient=t, embed=v)
-    powers = []
-    # a power step composes N or N# (antilinear) with the previous power
-    _counting(monkeypatch, extensions, "compose", powers,
-              lambda f, g: isinstance(f, AntilinearOperator))
+    letters, powers = [t.canon], []
+    adjoint = AntilinearOperator.adjoint
+
+    def recorded_adjoint(op):
+        out = adjoint(op)
+        letters.append(out.canon)
+        return out
+
+    monkeypatch.setattr(AntilinearOperator, "adjoint", recorded_adjoint)
+    # a power step multiplies N or N# (antilinear) into the previous power;
+    # a word's left factor is a power, never the letter itself
+    _counting(monkeypatch, extensions, "_parity_product", powers,
+              lambda f, g: any(f[0] is m for m in letters))
     span = minimal_span(problem)
     assert not span.hit_cap
-    assert sum(powers) <= 2 * (span.stabilized_degree + 1)
+    assert 0 < sum(powers) <= 2 * (span.stabilized_degree + 1)
 
 
 def test_one_eigensolve_per_spectrum(tmp_path, monkeypatch):
@@ -175,7 +184,9 @@ def test_no_realification_carries_over_between_invocations(tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     op = _gen("nonnormal", 5)
     blk = _gen("block", 3, path="blk.json", dim2=2)
-    for argv in (["spectrum", "--input", op], ["block", "--input", blk]):
+    # one base per shifted operator: the spectrum's operator; the block's
+    # flattening (all its flat probes share it), A and E
+    for argv, per_run in ((["spectrum", "--input", op], 1), (["block", "--input", blk], 3)):
         counts = []
         for _ in range(2):
             bases = []
@@ -183,7 +194,7 @@ def test_no_realification_carries_over_between_invocations(tmp_path, monkeypatch
                 _counting(m, antiop, "_shift_base", bases)
                 _run(argv)
             counts.append(len(bases))
-        assert counts == [1, 1], argv   # the block's flat probes share one base
+        assert counts == [per_run, per_run], argv
 
 
 def test_rank_link_factors_flat_matrix_and_pivot_once(rng, monkeypatch):
@@ -198,9 +209,8 @@ def test_rank_link_factors_flat_matrix_and_pivot_once(rng, monkeypatch):
         link = rank_link(blk)
     assert svds.count(flat_shape) == 1
     assert invs.count(pivot_shape) == 1
-    a_inv = invert_real_linear(RealLinearOperator.from_antilinear(blk.a), "A")
-    f = RealLinearOperator.from_antilinear(blk.f)
-    assert link.f_rel_bound == spectral_norm(realify(compose(f, a_inv)))
+    a_inv = Pivot("A", realify_shifted(blk.a, 0.0)).inverse()
+    assert link.f_rel_bound == spectral_norm(realify(blk.f) @ a_inv)
 
 
 def _digest(a) -> str:
@@ -231,11 +241,14 @@ def test_zero_pivot_is_tested_once_and_never_inverted(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write_block_file(tmp_path / "f0.json", np.zeros((3, 3), dtype=complex))
     zero = _digest(np.zeros((6, 6)))   # realify(F)
-    svds, invs, minima, scans = [], [], [], []
+    # SVD and singularity inputs are kept as arrays: rank_link's ||F A^-1||
+    # is another zero 6 x 6 matrix, so realify(F) is told by identity
+    blocks, svds, invs, minima, scans = [], [], [], [], []
     for owner in (np.linalg, npl):
-        _counting(monkeypatch, owner, "svd", svds, lambda a, *r, **k: _digest(a))
+        _counting(monkeypatch, owner, "svd", svds, lambda a, *r, **k: a)
     _counting(monkeypatch, np.linalg, "inv", invs, lambda a, *r, **k: _digest(a))
-    _counting(monkeypatch, blockops, "singularity", minima, lambda a, *r, **k: _digest(a))
+    _counting(monkeypatch, blockops, "singularity", minima, lambda a, *r, **k: a)
+    _counting(monkeypatch, blockops, "complement", blocks, lambda blk, *r, **k: blk)
     scan = blockops.correspondence_scan
     monkeypatch.setattr(blockops, "correspondence_scan",
                         lambda *a, **k: scans.append(scan(*a, **k)) or scans[-1])
@@ -248,7 +261,11 @@ def test_zero_pivot_is_tested_once_and_never_inverted(tmp_path, monkeypatch):
     reasons += [e.skipped_reason for e in t2]
     assert len(skipped) == 3 and len(t2) > 3   # one line per skipped T2
     assert set(reasons) == {"pivot F is numerically singular (min singular value 0.000e+00)"}
-    assert svds.count(zero) == 1 and zero not in minima
+    realified_f = blocks[0]._pivots["F"].r
+    assert all(blk is blocks[0] for blk in blocks)
+    assert _digest(realified_f) == zero
+    assert sum(a is realified_f for a in svds) == 1
+    assert all(a is not realified_f for a in minima)
     assert zero not in invs
 
 

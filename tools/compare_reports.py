@@ -31,8 +31,10 @@ Finally it runs the flag variants on d = 16 seed-0 files: ``--tol 1e-6``
 and ``--tol 1e-30`` with every operator subcommand on ``twisted_normal``
 (normal) and ``nonnormal``, ``--csv``, ``numrange --target`` inside and
 outside the disk (exit 2), ``block --mu`` and ``--tol``, ``block --mu ";"``
-(a list of no shift, exit 2), and ``numrange --target`` on the d = 1 file
-above (exit 2).  Then the
+(a list of no shift, exit 2), the large shifts ``block --mu 1e4`` (which
+fails the T1 and T2 factorization bounds) and ``--mu 1e160`` and
+``--mu 1e200j`` (whose quadratic complements overflow, exit 2), and
+``numrange --target`` on the d = 1 file above (exit 2).  Then the
 inputs ``gen`` cannot write, written with the tree's own ``io.dump_payload``
 (the file text is compared too): conjugation files (symmetric unitaries at
 d = 4 and 16) and rectangular 3x5 and 6x2 operator files, each under every
@@ -103,6 +105,11 @@ FLAG_VARIANTS = tuple(
     ("block-16-s0", "block", ["--mu", "0.3+0.1j;1"]),
     ("block-16-s0", "block", ["--tol", "1e-6"]),
     ("block-16-s0", "block", ["--mu", ";"]),
+    # large shifts: 1e4 fails the T1/T2 factorization bounds (ROADMAP item
+    # 7); at 1e160 and 1e200j the quadratic complements overflow (exit 2)
+    ("block-16-s0", "block", ["--mu", "1e4"]),
+    ("block-16-s0", "block", ["--mu", "1e160"]),
+    ("block-16-s0", "block", ["--mu", "1e200j"]),
     ("selfadjoint-1-s0", "numrange", ["--target", "0.1,0"]),
 )
 # files antilin gen cannot write: (stem, payload kind, dims, seed); the
