@@ -13,8 +13,10 @@ The public names below are resolved on first access (PEP 562), each from
 the module that :data:`_EXPORTS` names, so ``import antilin`` loads no
 submodule, and a CLI handler imports only the modules its checks run.
 Where bytecode is not cached, every module a process loads is compiled
-and its dataclasses are built at start-up; a cold ``antilin`` process thus
-pays only for what its subcommand executes.
+at start-up; a cold ``antilin`` process thus pays only for what its
+subcommand executes.  The record types are ``typing.NamedTuple`` classes
+and the other value types plain classes, so no import runs the
+``dataclasses`` code generator.
 """
 
 from importlib import import_module

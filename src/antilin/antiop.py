@@ -54,7 +54,6 @@ Moore-Penrose result, keep their own derived fields with
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Hashable, TypeVar, Union
 
 import numpy as np
@@ -77,14 +76,26 @@ def _own_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class AntilinearOperator:
+class _Frozen:
+    """Base of the package's immutable classes that are not tuples (they
+    are weakly referenced, or cache with ``cached_property``): ``__init__``
+    sets the fields with ``object.__setattr__``, and any later assignment
+    or deletion raises ``AttributeError``.  Equality is identity."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AntilinearOperator(_Frozen):
     """Antilinear map ``x -> canon @ conj(x)`` between C^n and C^m."""
 
     canon: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "canon", _own_matrix(self.canon))
+    def __init__(self, canon):
+        object.__setattr__(self, "canon", _own_matrix(canon))
 
     @property
     def dim_in(self) -> int:
@@ -154,16 +165,15 @@ def make_conjugation(k) -> AntilinearOperator:
     return AntilinearOperator(k)
 
 
-@dataclass(frozen=True, eq=False)
-class RealLinearOperator:
+class RealLinearOperator(_Frozen):
     """Real-linear map ``x -> lin @ x + anti @ conj(x)``."""
 
     lin: np.ndarray
     anti: np.ndarray
 
-    def __post_init__(self):
-        lin = _own_matrix(self.lin)
-        anti = _own_matrix(self.anti)
+    def __init__(self, lin, anti):
+        lin = _own_matrix(lin)
+        anti = _own_matrix(anti)
         if lin.shape != anti.shape:
             raise DimensionMismatch(
                 f"linear part {lin.shape} and antilinear part {anti.shape} differ"

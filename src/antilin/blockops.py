@@ -33,13 +33,12 @@ complement through :func:`complement`, the module's one evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .antiop import AntilinearOperator, _realified, realify_shifted
+from .antiop import AntilinearOperator, _Frozen, _realified, realify_shifted
 from .errors import DimensionMismatch, PivotSingular
 from .matkernel import (
     SING_TOL,
@@ -109,8 +108,7 @@ class Pivot:
         return self._inverses[tol]
 
 
-@dataclass(frozen=True, eq=False)
-class BlockAntilinearMatrix:
+class BlockAntilinearMatrix(_Frozen):
     """Blocks a (n x n), b (n x m), f (m x n), e (m x m), all antilinear."""
 
     a: AntilinearOperator
@@ -118,16 +116,21 @@ class BlockAntilinearMatrix:
     f: AntilinearOperator
     e: AntilinearOperator
 
-    def __post_init__(self):
-        n, m = self.a.dim_in, self.e.dim_in
-        if self.a.dim_out != n:
+    def __init__(
+        self, a: AntilinearOperator, b: AntilinearOperator,
+        f: AntilinearOperator, e: AntilinearOperator,
+    ):
+        n, m = a.dim_in, e.dim_in
+        if a.dim_out != n:
             raise DimensionMismatch("block a must be square")
-        if self.e.dim_out != m:
+        if e.dim_out != m:
             raise DimensionMismatch("block e must be square")
-        if self.b.canon.shape != (n, m):
+        if b.canon.shape != (n, m):
             raise DimensionMismatch(f"block b must be {n}x{m}")
-        if self.f.canon.shape != (m, n):
+        if f.canon.shape != (m, n):
             raise DimensionMismatch(f"block f must be {m}x{n}")
+        for name, block in zip("abfe", (a, b, f, e)):
+            object.__setattr__(self, name, block)
 
     @property
     def n(self) -> int:
@@ -168,8 +171,7 @@ class BlockAntilinearMatrix:
         return s
 
 
-@dataclass(frozen=True, eq=False)
-class ComplementResult:
+class ComplementResult(NamedTuple):
     """A Schur or quadratic complement evaluated at ``mu``: its realified
     matrix ``real`` (read-only), its pivot and the pivot's real inverse."""
 
@@ -178,6 +180,11 @@ class ComplementResult:
     mu: complex
     pivot: Pivot
     pivot_inverse: np.ndarray
+
+    # compared by identity: tuple equality would compare the arrays
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     @property
     def pivot_condition(self) -> float:
@@ -282,8 +289,7 @@ def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -
     return spectral_norm(_layout(ra, rb, rf, re, swapped) - left @ (mid @ right))
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     mu: complex
     selector: str
     member_block: Optional[bool]
@@ -299,8 +305,7 @@ class ScanEntry:
         return self.skipped or self.member_block == self.member_complement
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     entries: tuple
 
     @property
@@ -407,8 +412,7 @@ def samples_for_radii(
     return samples
 
 
-@dataclass(frozen=True)
-class RankLinkReport:
+class RankLinkReport(NamedTuple):
     """Rank bookkeeping from the factorizations at mu = 0.
 
     With 0 in the resolvent set of the pivot, the outer factors are

@@ -24,9 +24,8 @@ only their checks.
 
 At module level this imports only what parsing, loading and emitting
 need; each handler imports the modules of its own checks.  Where bytecode
-is not cached, every module a process loads is compiled and its
-dataclasses are built at start-up, so a cold process compiles and builds
-only what its subcommand runs.
+is not cached, every module a process loads is compiled at start-up, so a
+cold process compiles only what its subcommand runs.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 malformed
 input, usage error or a size too large to allocate (one-line diagnostic,
@@ -460,6 +459,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code == 0 else 2
 
     try:
+        if args.seed < 0:
+            raise _Usage(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command == "gen":
             text = cmd_gen(args, None)
             if args.output is None:

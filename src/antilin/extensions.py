@@ -18,12 +18,11 @@ words up to a given length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .antiop import AntilinearOperator, _parity_product
+from .antiop import AntilinearOperator, _Frozen, _parity_product
 from .errors import DimensionMismatch, NotNormal
 from .matkernel import spectral_norm
 from .structure import is_normal
@@ -31,20 +30,24 @@ from .structure import is_normal
 SPAN_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class ExtensionProblem:
+class ExtensionProblem(_Frozen):
     """Ambient operator N, subspace embedding V, optional restriction T."""
 
     ambient: AntilinearOperator
     embed: np.ndarray
-    restricted: Optional[AntilinearOperator] = None
+    restricted: Optional[AntilinearOperator]
 
-    def __post_init__(self):
-        v = np.asarray(self.embed, dtype=complex)
+    def __init__(
+        self,
+        ambient: AntilinearOperator,
+        embed,
+        restricted: Optional[AntilinearOperator] = None,
+    ):
+        v = np.asarray(embed, dtype=complex)
         if v.ndim != 2:
             raise DimensionMismatch("embed must be a 2-d array of column vectors")
-        big = self.ambient.dim_in
-        if self.ambient.dim_out != big:
+        big = ambient.dim_in
+        if ambient.dim_out != big:
             raise DimensionMismatch("ambient operator must be square")
         if v.shape[0] != big or v.shape[1] > big:
             raise DimensionMismatch(
@@ -55,11 +58,13 @@ class ExtensionProblem:
             raise DimensionMismatch(
                 f"embed columns are not orthonormal (residual {gram_res:.3e})"
             )
-        if self.restricted is not None:
+        if restricted is not None:
             h = v.shape[1]
-            if self.restricted.canon.shape != (h, h):
+            if restricted.canon.shape != (h, h):
                 raise DimensionMismatch("restricted operator must be h x h")
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "embed", v)
+        object.__setattr__(self, "restricted", restricted)
 
     @property
     def ambient_dim(self) -> int:
@@ -70,8 +75,7 @@ class ExtensionProblem:
         return self.embed.shape[1]
 
 
-@dataclass(frozen=True)
-class ExtensionResidual:
+class ExtensionResidual(NamedTuple):
     """match: ||A_N conj(V) - V A_T||; range_leak: ||(I - V V*) A_N conj(V)||.
 
     ``range_leak`` measures whether T maps the subspace into itself at all,
@@ -134,8 +138,7 @@ class _Basis:
         return self._size
 
 
-@dataclass(frozen=True)
-class SpanResult:
+class SpanResult(NamedTuple):
     g_dim: int
     is_minimal: bool
     stabilized_degree: int

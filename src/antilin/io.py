@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -175,8 +174,7 @@ def _matrix_from_entries(entries, rows: int, cols: int, where: str, admitted: se
 LoadedObject = Union[AntilinearOperator, "BlockAntilinearMatrix"]
 
 
-@dataclass(frozen=True)
-class LoadedOperator:
+class LoadedOperator(NamedTuple):
     kind: str
     obj: LoadedObject
     digest: str

@@ -43,7 +43,6 @@ derived in the docstring of :func:`is_singular`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -84,8 +83,7 @@ def _as_complex(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class TakagiFactorization:
+class TakagiFactorization(NamedTuple):
     """Factorization B = u @ diag(sigma) @ u.T with u unitary, sigma >= 0."""
 
     u: np.ndarray
@@ -596,8 +594,7 @@ def _phase_verdicts(circle: _Circle, tol: float, singular_first: bool) -> list:
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class Factored:
+class Factored(NamedTuple):
     """Full SVD ``a = w @ diag(s) @ vh`` with the package rank decision
     applied: singular values above ``cutoff`` count, and there are ``rank``
     of them.  The arrays are read-only, so one factorization can be shared."""
@@ -607,6 +604,11 @@ class Factored:
     vh: np.ndarray
     cutoff: float
     rank: int
+
+    # compared by identity: tuple equality would compare the arrays
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def range_projector(self) -> np.ndarray:
         """Orthogonal projector onto the column space of ``a``."""

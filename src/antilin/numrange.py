@@ -32,8 +32,7 @@ sampled value is bitwise the unblocked one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -80,8 +79,7 @@ def nr_value(t: AntilinearOperator, x) -> complex:
     return complex(xc @ (t.canon @ xc))
 
 
-@dataclass(frozen=True)
-class NumericalRangeDisk:
+class NumericalRangeDisk(NamedTuple):
     """Closed origin-centered disk description of W(T).
 
     ``extremal_vector`` is a unit vector whose value has modulus ``radius``.
@@ -139,8 +137,7 @@ def witness_disk(t: AntilinearOperator, target: complex) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     """Outcome of the convex-combination witness construction."""
 
     vector: np.ndarray

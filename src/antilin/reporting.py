@@ -19,9 +19,8 @@ inputs and seeds always produce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Dict, List
+from typing import Dict, List, NamedTuple, Optional
 
 from .io import canonical_json
 
@@ -108,21 +107,29 @@ def bound_entry(name: str):
     return CHECK_BOUNDS[name]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     residual: float
     tolerance: float
     passed: bool
 
 
-@dataclass
 class Report:
-    command: str
-    input_digest: str
-    checks: List[CheckRecord] = field(default_factory=list)
-    environment: Dict[str, object] = field(default_factory=dict)
-    summary: Dict[str, object] = field(default_factory=dict)
+    """The checks a subcommand records, with its environment and summary."""
+
+    def __init__(
+        self,
+        command: str,
+        input_digest: str,
+        checks: Optional[List[CheckRecord]] = None,
+        environment: Optional[Dict[str, object]] = None,
+        summary: Optional[Dict[str, object]] = None,
+    ):
+        self.command = command
+        self.input_digest = input_digest
+        self.checks = [] if checks is None else checks
+        self.environment = {} if environment is None else environment
+        self.summary = {} if summary is None else summary
 
     def add(self, name: str, residual: float, norm: float = 0.0) -> CheckRecord:
         """Record check ``name``: its tolerance is the bound of its

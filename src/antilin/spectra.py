@@ -31,8 +31,7 @@ byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,8 +49,7 @@ CLASSIFICATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class SpectrumDescription:
+class SpectrumDescription(NamedTuple):
     """Spectrum of a square antilinear operator.
 
     Each entry of ``radii`` denotes the full circle ``{lambda : |lambda| =
@@ -121,8 +119,7 @@ def is_in_spectrum(op: Composable, lam: complex, tol: float = SING_TOL) -> bool:
     return is_singular(realify_shifted(op, lam), tol)
 
 
-@dataclass(frozen=True)
-class CrosscheckPoint:
+class CrosscheckPoint(NamedTuple):
     """One probed point: a radius, a phase, the circle-algorithm prediction
     and the realification-oracle verdict."""
 
@@ -136,8 +133,7 @@ class CrosscheckPoint:
         return self.predicted_member == self.oracle_member
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     """Probed points of :func:`spectrum_crosscheck`, with the
     :func:`antilinear_spectrum` they test."""
 

@@ -27,13 +27,12 @@ The pseudoinverse and psd square-root oracles keep their own factorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .antiop import AntilinearOperator, _parity_product, derived, op_norm
+from .antiop import AntilinearOperator, _Frozen, _parity_product, derived, op_norm
 from .errors import DimensionMismatch, NotNormal
 from .matkernel import Factored, pinv, psd_sqrt, ranked_svd, spectral_norm
 from .reporting import BASE_TOLERANCES, scaled_bound
@@ -78,8 +77,7 @@ def gram(t: AntilinearOperator) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-@dataclass(frozen=True)
-class NormalityCheck:
+class NormalityCheck(NamedTuple):
     """Outcome of the normality test; truthy when normal."""
 
     value: bool
@@ -139,8 +137,7 @@ def modulus(t: AntilinearOperator) -> np.ndarray:
     return derived(t, "modulus", lambda: _read_only(psd_sqrt(a.T @ a.conj())))
 
 
-@dataclass(frozen=True)
-class PolarDecomposition:
+class PolarDecomposition(NamedTuple):
     """``T = U_T |T|`` with U_T a partial antilinear isometry.
 
     ``u`` holds the canonical matrix of U_T and ``modulus`` the Hermitian
@@ -240,8 +237,7 @@ def power_commute(t: AntilinearOperator, n: int) -> float:
     return op_norm(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class MpResult:
+class MpResult(_Frozen):
     """Moore-Penrose inverse of an antilinear operator ``source``.
 
     ``residuals`` checks ``dagger`` against the independent oracle
@@ -253,6 +249,10 @@ class MpResult:
 
     dagger: AntilinearOperator
     source: AntilinearOperator
+
+    def __init__(self, dagger: AntilinearOperator, source: AntilinearOperator):
+        object.__setattr__(self, "dagger", dagger)
+        object.__setattr__(self, "source", source)
 
     @cached_property
     def residuals(self) -> Dict[str, float]:
@@ -295,8 +295,7 @@ def moore_penrose(t: AntilinearOperator) -> MpResult:
     return MpResult(dagger=AntilinearOperator(dag), source=t)
 
 
-@dataclass(frozen=True)
-class IdentitySuiteResult:
+class IdentitySuiteResult(NamedTuple):
     """Residuals of the dagger/adjoint/modulus identity suite.
 
     ``projector_gap`` and ``range_gap`` feed the projector-equality test:

@@ -1,7 +1,9 @@
 """End-to-end CLI tests driven through the console entry point."""
 
+import gc
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +20,16 @@ from conftest import write_block_file
 
 
 def run_cli(*args, cwd=None):
+    # the package under test first on the path, whatever the working directory
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "antilin"] + list(args),
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -442,6 +449,18 @@ def test_wrong_file_kind_exit_2(command, block_file, diag2i_file, capsys):
     assert _main(capsys, command, "--input", source) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", OPERATOR_COMMANDS + ("block", "gen"))
+def test_negative_seed_exit_2(command, block_file, diag2i_file, capsys):
+    # one check for every subcommand, naming the flag, before any input is read
+    if command == "gen":
+        argv = ["gen", "--kind", "selfadjoint", "--dim", "2"]
+    else:
+        argv = [command, "--input", block_file if command == "block" else diag2i_file]
+    assert _main(capsys, *argv, "--seed", "-1") == (
+        2, "", "error: --seed must be a non-negative integer, got -1\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, source",
     [("inspect", "conjugation_file"), ("identities", "rect_file"), ("block", "block_file")],
@@ -556,6 +575,49 @@ def test_console_script_pins_the_allocator(monkeypatch):
     order = []
     monkeypatch.setattr(entry_module, "_fix_malloc_thresholds", lambda: order.append("fix"))
     monkeypatch.setattr(cli, "main", lambda argv=None: order.append("main") or 0)
+    # never freeze the test process itself
+    monkeypatch.setattr(entry_module.gc, "freeze", lambda: order.append("freeze"))
     monkeypatch.setattr(sys, "argv", ["antilin"])
     assert entry() == 0
-    assert order == ["fix", "main"]
+    assert order == ["fix", "main", "freeze"]
+
+
+@pytest.fixture(scope="module")
+def known_fail_file(tmp_path_factory):
+    # `identities` on it exits 1 (tests/test_known_fails.py pins its FAILs)
+    path = tmp_path_factory.mktemp("ops") / "nilpotent-d8-s1.json"
+    argv = ["gen", "--kind", "nilpotent", "--dim", "8", "--seed", "1", "--output", str(path)]
+    assert cli.main(argv) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("dest", ["stdout", "--output"])
+@pytest.mark.parametrize("case, code", [("pass", 0), ("fail", 1), ("usage", 2)])
+def test_exit_path_changes_no_report(
+    case, code, dest, diag2i_file, known_fail_file, tmp_path, monkeypatch, capsys
+):
+    # `python -m antilin` freezes its heap after the run; the bytes it
+    # writes and its exit code are those of cli.main in process
+    argv = {
+        "pass": ["inspect", "--input", diag2i_file],
+        "fail": ["identities", "--input", known_fail_file, "--csv"],
+        "usage": ["block", "--input", diag2i_file],
+    }[case]
+    if dest == "--output":
+        argv += ["--output", "report.out"]   # relative: the report echoes it
+    cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
+    cold_dir.mkdir()
+    warm_dir.mkdir()
+    # block-buffered stdout, as in a pipe: an exit that skipped the final
+    # flush would lose the report
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    cold = run_cli(*argv, cwd=cold_dir)
+    monkeypatch.chdir(warm_dir)
+    warm = _main(capsys, *argv)
+    assert (cold.returncode, cold.stdout, cold.stderr) == warm
+    assert warm[0] == code
+    written = [sorted(p.name for p in d.iterdir()) for d in (cold_dir, warm_dir)]
+    assert written[0] == written[1] == (["report.out"] if dest == "--output" and code < 2 else [])
+    for name in written[0]:
+        assert (cold_dir / name).read_bytes() == (warm_dir / name).read_bytes()
+    assert gc.get_freeze_count() == 0   # cli.main leaves the caller's heap alone

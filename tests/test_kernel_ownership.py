@@ -4,7 +4,8 @@ These tests pin the ownership itself: no module but matkernel calls the
 SVD, Cholesky or a linear solve; a singularity verdict the Cholesky/solve
 bracket decides runs no SVD and an undecided one runs exactly one; the CLI
 imports neither scipy nor OpenSSL's hashlib; and a cold subcommand loads
-only the package modules it runs.
+only the package modules it runs, builds no dataclass and freezes its heap
+before it exits.
 """
 
 import json
@@ -62,15 +63,17 @@ SUBCOMMAND_MODULES = {
     "block": {"blockops", "spectra"},
     "gen": set(),
 }
-# runs ``python -m antilin ARGV`` as -m does and prints the package modules loaded
+# runs ``python -m antilin ARGV`` as -m does and prints the package modules
+# loaded, whether ``dataclasses`` was imported and the frozen object count
 _RUN_AS_MAIN = """
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv[0] = "antilin"
 try:
     runpy.run_module("antilin", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "antilin")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "antilin"),
+                  "dataclasses" in sys.modules, gc.get_freeze_count()]))
 """
 
 
@@ -106,9 +109,13 @@ def test_cold_subcommand_loads_only_its_modules(command, tiny_files):
         [sys.executable, "-c", _RUN_AS_MAIN, *argv],
         capture_output=True, text=True, env=_src_env(), check=True,
     )
-    code, loaded = json.loads(out.stdout)
+    code, loaded, dataclasses_imported, frozen = json.loads(out.stdout)
     assert code == 0, out.stderr
     assert set(loaded) == CORE_MODULES | {f"antilin.{m}" for m in SUBCOMMAND_MODULES[command]}
+    # each dataclass costs about 1 ms to build; the records are NamedTuples
+    assert not dataclasses_imported
+    # the heap is frozen, so the interpreter's final collection skips it
+    assert frozen > 10000
 
 
 def _count_svds(monkeypatch) -> list:

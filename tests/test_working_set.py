@@ -39,7 +39,11 @@ def _cached_matrices(exclude) -> int:
         if any(op is e for e in exclude):
             continue
         for value in memo.values():
-            parts = vars(value).values() if hasattr(value, "__dict__") else (value,)
+            # a record (a factorization) holds its matrices as tuple fields
+            if hasattr(value, "_fields"):
+                parts = value
+            else:
+                parts = vars(value).values() if hasattr(value, "__dict__") else (value,)
             count += sum(isinstance(p, np.ndarray) and p.ndim == 2 for p in parts)
     return count
 

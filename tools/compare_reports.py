@@ -53,7 +53,8 @@ with ``--mu "0.3+0.1j;1;0"``.  Then ``block --mu "-0.0-0.5j;0.5-0.0j;-0.0"``
 seed-0 block and on the 3x5 block, so shifts with signed-zero parts are
 compared on the CLI output.  Last, the cross-kind misuse: the d = 16 and
 the 3x5 block file under every operator subcommand and a d = 16 operator
-file under ``block`` (exit 2), and ``gen --dim2`` on a kind without blocks
+file under ``block`` (exit 2), ``gen --dim2`` on a kind without blocks
+(exit 2), and ``--seed -1`` under ``inspect``, ``spectrum`` and ``gen``
 (exit 2).  Both
 workers run in fresh directories of the same name, so the relative
 ``--input`` paths inside the reports agree.  The comparison requires equal exit codes, equal
@@ -161,6 +162,12 @@ CROSS_KIND = (
 )
 # a second dimension for a kind without blocks
 DIM2_MISUSE = ["gen", "--kind", "selfadjoint", "--dim", "2", "--dim2", "7"]
+# a negative seed, under a subcommand that reads an input and under gen
+NEGATIVE_SEED = (
+    ["inspect", "--input", "ops/twisted_normal-16-s0.json", "--seed", "-1"],
+    ["spectrum", "--input", "ops/twisted_normal-16-s0.json", "--seed", "-1"],
+    ["gen", "--kind", "selfadjoint", "--dim", "2", "--seed", "-1"],
+)
 
 
 def _run(main, argv: list) -> dict:
@@ -235,6 +242,7 @@ def worker() -> list:
         for cmd in cmds:
             records.append(_run(main, [cmd, "--input", f"ops/{stem}.json"]))
     records.append(_run(main, DIM2_MISUSE))
+    records += [_run(main, argv) for argv in NEGATIVE_SEED]
     return records
 
 
