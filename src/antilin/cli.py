@@ -28,8 +28,9 @@ is not cached, every module a process loads is compiled at start-up, so a
 cold process compiles only what its subcommand runs.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 malformed
-input, usage error or a size too large to allocate (one-line diagnostic,
-never a stack trace).
+input (a file that nests too deeply included), usage error, a size too
+large to allocate or entries whose norms or products overflow the float
+range (one-line diagnostic, never a stack trace).
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def cmd_inspect(t: AntilinearOperator, args, report: Report, tols: dict) -> None
     report.summary["canon_norm"] = scale
     if t.dim_in == t.dim_out:
         normal = structure.is_normal(t)
-        cn_value, cn_residual = structure.c_normal_criterion(t)
+        cn_value, _ = structure.c_normal_criterion(t)
         agree = int(normal.value != normal.sampled_value) + int(normal.value != cn_value)
         report.add("normality_criteria_agree", float(agree))
         report.summary["is_normal"] = bool(normal)
@@ -343,7 +344,7 @@ def cmd_extension(t: AntilinearOperator, args, report: Report, tols: dict) -> No
     )
 
 
-def cmd_gen(args, report: Report) -> Optional[str]:
+def cmd_gen(args) -> str:
     if args.dim2 is not None and args.kind != "block":
         raise _Usage("--dim2 applies only to --kind block")
     payload = gen_payload(args.kind, args.dim, args.seed, dim2=args.dim2)
@@ -462,7 +463,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed < 0:
             raise _Usage(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command == "gen":
-            text = cmd_gen(args, None)
+            text = cmd_gen(args)
             if args.output is None:
                 sys.stdout.write(text)
             return 0
@@ -487,7 +488,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "tolerances": tols,
             },
         )
-        _HANDLERS[args.command](_load(args, report), args, report, tols)
+        with np.errstate(over="raise"):   # an overflow leaves a check undecidable
+            _HANDLERS[args.command](_load(args, report), args, report, tols)
         text = emit_csv(report) if args.fmt == "csv" else emit_json(report)
         if args.output is None:
             sys.stdout.write(text)
@@ -500,6 +502,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: a value overflows the float range: {exc}", file=sys.stderr)
         return 2
 
 

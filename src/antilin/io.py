@@ -12,7 +12,9 @@ kinds:
   matrices ``a`` (n x n), ``b`` (n x m), ``f`` (m x n), ``e`` (m x m).
 
 ``meta`` holds ``{seed, generator, description}``.  Complex numbers are
-stored as [re, im] pairs to avoid any locale or formatting ambiguity.
+stored as [re, im] pairs to avoid any locale or formatting ambiguity.  A
+file that nests too deeply for the decoder or for the digest's recursive
+render is an :class:`~antilin.errors.InvalidOperatorFile`, not a crash.
 
 Canonical JSON (sorted keys, floats rendered with %.17g, no whitespace) is
 used both for emitted files and for content digests, so identical content
@@ -235,7 +237,11 @@ def parse_payload(payload: dict) -> LoadedOperator:
 
     import hashlib   # loads OpenSSL's _hashlib: importing the CLI does not need it
 
-    digest = hashlib.sha256(_canonical(payload, admitted).encode("ascii")).hexdigest()
+    try:
+        text = _canonical(payload, admitted)
+    except RecursionError as exc:
+        raise InvalidOperatorFile("the file nests too deeply to digest") from exc
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     return LoadedOperator(kind=kind, obj=obj, digest=digest)
 
 
@@ -248,6 +254,8 @@ def load_operator(path: str) -> LoadedOperator:
         raise InvalidOperatorFile(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidOperatorFile(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidOperatorFile(f"{path} nests too deeply to decode") from exc
     return parse_payload(payload)
 
 

@@ -524,6 +524,52 @@ def test_adjoint_pairing_checks_the_package_adjoint(tmp_path, monkeypatch, capsy
     assert not pairing_pass()
 
 
+def test_deeply_nested_file_exit_2(tmp_path):
+    # arrays nested past the decoder's recursion limit, and a meta that the
+    # decoder accepts but the digest's recursive render cannot: one line
+    # each, not a RecursionError traceback
+    deep_array = tmp_path / "deep-array.json"
+    deep_array.write_text("[" * 100000 + "]" * 100000)
+    deep_meta = tmp_path / "deep-meta.json"
+    payload = {"schema": SCHEMA, "kind": "antilinear", "dims": [1, 1],
+               "entries": [[1.0, 0.0]], "meta": {"nested": "NEST"}}
+    deep_meta.write_text(json.dumps(payload).replace('"NEST"', "[" * 900 + "]" * 900))
+    for path, message in (
+        (deep_array, f"error: {deep_array} nests too deeply to decode"),
+        (deep_meta, "error: the file nests too deeply to digest"),
+    ):
+        res = run_cli("inspect", "--input", str(path))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.splitlines() == [message]
+
+
+@pytest.fixture(scope="module")
+def huge_file(tmp_path_factory):
+    # finite entries whose products and squared norms overflow a float
+    return _write_operator(tmp_path_factory, "antilinear", np.full((2, 2), 1e300 + 0j))
+
+
+@pytest.mark.parametrize("command", OPERATOR_COMMANDS)
+def test_entries_whose_norms_overflow_exit_2(command, huge_file):
+    # no check is decided with an infinite bound, and no numpy warning is printed
+    res = run_cli(command, "--input", huge_file)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.splitlines() == [
+        "error: a value overflows the float range: overflow encountered in matmul"]
+
+
+def test_bound_that_overflows_exit_2(diag2i_file, monkeypatch, capsys):
+    # a bound norm**k beyond the float range raises OverflowError in Python;
+    # structure binds the real scaled_bound on import, before the patch
+    import antilin.structure  # noqa: F401
+
+    monkeypatch.setattr("antilin.reporting.scaled_bound",
+                        lambda base, k, norm=0.0: base * (1 + 1e300 ** (k + 1)))
+    code, out, err = _main(capsys, "inspect", "--input", diag2i_file)
+    assert (code, out) == (2, "")
+    assert err == "error: a value overflows the float range: (34, 'Numerical result out of range')\n"
+
+
 def test_missing_file_exit_2():
     res = run_cli("inspect", "--input", "/nonexistent/op.json")
     assert res.returncode == 2
