@@ -64,9 +64,6 @@ from .matkernel import _as_complex, _ShiftFamily, spectral_norm
 # a conjugation matrix K must satisfy K conj(K) = I and K* K = I to this
 # absolute spectral-norm tolerance
 CONJUGATION_TOL = 1e-10
-# a real-linear operator is purely antilinear (linear) when its other part
-# is at most PURITY_TOL * (1 + ||its own part||)
-PURITY_TOL = 1e-12
 
 
 def _own_matrix(a) -> np.ndarray:
@@ -225,17 +222,6 @@ class RealLinearOperator(_Frozen):
         object.__setattr__(out, "lin", lin)
         object.__setattr__(out, "anti", self.anti)
         return out
-
-    def as_antilinear(self) -> AntilinearOperator:
-        # an exactly zero part passes without a norm
-        if self.lin.any() and spectral_norm(self.lin) > PURITY_TOL * (1.0 + spectral_norm(self.anti)):
-            raise ValueError("operator is not purely antilinear")
-        return AntilinearOperator(self.anti)
-
-    def as_linear(self) -> np.ndarray:
-        if self.anti.any() and spectral_norm(self.anti) > PURITY_TOL * (1.0 + spectral_norm(self.lin)):
-            raise ValueError("operator is not purely linear")
-        return self.lin.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RealLinearOperator({self.dim_out}x{self.dim_in})"

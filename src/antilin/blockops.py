@@ -48,7 +48,7 @@ from .matkernel import (
     singularity,
     spectral_norm,
 )
-from .spectra import is_in_spectrum
+from .spectra import DEDUP_ATOL, is_in_spectrum
 
 SELECTORS = ("S1", "S2", "T1", "T2")
 # rank_link ranks every matrix against RANK_FLOOR_RTOL * (1 + ||realify(blk)||)
@@ -313,16 +313,8 @@ class ScanReport(NamedTuple):
         return tuple(e for e in self.entries if not e.agrees)
 
     @property
-    def agreements(self) -> int:
-        return sum(1 for e in self.entries if not e.skipped and e.agrees)
-
-    @property
     def skipped(self) -> int:
         return sum(1 for e in self.entries if e.skipped)
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
 
 
 def correspondence_scan(
@@ -397,7 +389,7 @@ def samples_for_radii(
             samples.append(r * np.exp(2j * np.pi * k / 8))
     gap_radii = [0.5 * (lo + hi) for lo, hi in zip(radii, radii[1:])]
     if radii:
-        if radii[0] > 1e-7:
+        if radii[0] > DEDUP_ATOL:
             gap_radii.append(0.5 * radii[0])
         gap_radii.append(1.5 * radii[-1] + 0.5)
     else:

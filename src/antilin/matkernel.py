@@ -63,12 +63,6 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def _exceeds(d: np.ndarray, bound: float) -> bool:
-    """``spectral_norm(d) > bound``; an exactly zero ``d`` (the defect of an
-    exactly symmetric or Hermitian guard input) needs no SVD."""
-    return bool(d.any()) and spectral_norm(d) > bound
-
-
 def _require_square(a: np.ndarray, what: str = "matrix") -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {a.shape}")
@@ -111,8 +105,9 @@ def takagi(b) -> TakagiFactorization:
     """
     b = _as_complex(b)
     _require_square(b, "takagi input")
-    scale = spectral_norm(b)
-    if _exceeds(b - b.T, GUARD_RTOL * (1.0 + scale)):
+    defect = b - b.T
+    # an exactly zero defect needs no SVD, neither of itself nor of b
+    if defect.any() and spectral_norm(defect) > GUARD_RTOL * (1.0 + spectral_norm(b)):
         raise NotSymmetric("input is not complex symmetric within tolerance")
     bs = 0.5 * (b + b.T)
     n = bs.shape[0]
@@ -145,7 +140,8 @@ def psd_sqrt(h) -> np.ndarray:
     h = _as_complex(h)
     _require_square(h, "psd_sqrt input")
     bound = GUARD_RTOL * (1.0 + spectral_norm(h))
-    if _exceeds(h - h.conj().T, bound):
+    defect = h - h.conj().T
+    if defect.any() and spectral_norm(defect) > bound:   # zero needs no SVD
         raise NotHermitian("input is not Hermitian within tolerance")
     hs = 0.5 * (h + h.conj().T)
     vals, vecs = np.linalg.eigh(hs)

@@ -20,14 +20,9 @@ per-operator cache keyed weakly on the (immutable) operator, so an entry
 lives exactly as long as the operator it describes.
 
 The sampling oracle :func:`sample_sup` bounds the radius without that
-factorization.  Its RNG stream is that of the whole-array draw
-``re + 1j * im``, but it normalizes, multiplies and reduces the samples in
-blocks of ``_BLOCK`` columns, so beyond the two draws its working set is
-O(n * _BLOCK).  Each block states the operand order of its product
-explicitly: numpy's temporary elision turns ``a * (b @ a)`` into ``(b @ a)
-* a`` once the temporary holds 256 KiB, the two orders round differently,
-and a block keeps the order that the whole-array product had, so every
-sampled value is bitwise the unblocked one.
+factorization.  It draws, normalizes, multiplies and reduces the samples in
+blocks of ``_BLOCK`` columns, so beyond its output its working set is
+O(n * _BLOCK).
 """
 
 from __future__ import annotations
@@ -44,8 +39,7 @@ UNIT_ATOL = 1e-12     # | ||x|| - 1 | a unit vector may miss by
 RADIUS_ATOL = 1e-10   # |target| a disk witness may exceed the radius by
 WITNESS_ATOL = 1e-8   # |w(x) - target| a segment witness may miss by
 
-_BLOCK = 256                # sample columns per block of sample_sup
-_ELIDE_BYTES = 256 * 1024   # numpy's NPY_MIN_ELIDE_BYTES
+_BLOCK = 256          # sample columns per block of sample_sup
 
 
 def _require_square(t: AntilinearOperator) -> None:
@@ -249,16 +243,13 @@ def witness_segment(t: AntilinearOperator, x1, x2, lam: float) -> WitnessResult:
     )
 
 
-def _abs_values(b: np.ndarray, x: np.ndarray, swapped: bool) -> np.ndarray:
+def _abs_values(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``|w|`` at the unit columns of ``x``: the column sums of ``conj(x) *
-    (b conj(x))``, multiplied in the operand order that ``swapped`` names
-    (see :func:`sample_sup`)."""
+    (b conj(x))``.  Its temporaries end with the call, so they are gone
+    before :func:`sample_sup` draws its next block."""
     xc = np.conj(x)
     prod = b @ xc
-    if swapped:
-        np.multiply(prod, xc, out=prod)
-    else:
-        prod = xc * prod
+    np.multiply(xc, prod, out=prod)
     return np.abs(np.sum(prod, axis=0))
 
 
@@ -281,19 +272,13 @@ def sample_sup(
     - y)``, normalized, is a Takagi vector of value ``s1``.  The polish
     draws nothing from ``rng``.
 
-    The samples are the columns of ``re + 1j * im`` for two
-    ``standard_normal((n, n_samples))`` draws, in that order.  They are
-    normalized, multiplied and reduced in blocks of ``_BLOCK`` columns, so
-    beyond the draws the working set is O(n * _BLOCK) rather than four
-    ``n x n_samples`` complex arrays; the polish starts from the best
-    column, normalized in its own block.  Each value is bitwise the one of
-    the unblocked evaluation ``conj(x) * (B conj(x))``, which numpy
-    computes in place as ``(B conj(x)) * conj(x)`` once that product holds
-    ``_ELIDE_BYTES`` (temporary elision).  The two operand orders round the
-    imaginary part differently, so every block multiplies in the order the
-    whole product would have had, whatever the block's own size.  No block
-    is one column wide unless ``n_samples`` is 1: numpy multiplies and
-    reduces a single column by other kernels.
+    The samples are drawn in blocks of ``_BLOCK`` columns (the last block
+    may be narrower), each block as ``re + 1j * im`` for two
+    ``standard_normal((n, width))`` draws, and each block is normalized,
+    multiplied and reduced before the next is drawn.  The call consumes
+    ``2 * n * n_samples`` normals from ``rng`` whatever the block sizes, so
+    the generator ends where two whole ``(n, n_samples)`` draws leave it.
+    The polish starts from the first best sample.
 
     Raises:
         ValueError: if ``n_samples < 1``.
@@ -304,15 +289,12 @@ def sample_sup(
     n = b.shape[0]
     if rng is None:
         rng = np.random.default_rng(0x5A11)
-    re = rng.standard_normal((n, n_samples))
-    im = rng.standard_normal((n, n_samples))
-    swapped = 2 * re.nbytes >= _ELIDE_BYTES   # the whole complex product
     vals = np.empty(n_samples)
-    edges = [*range(0, max(n_samples - 1, 1), _BLOCK), n_samples]
-    for j0, j1 in zip(edges, edges[1:]):
-        x = re[:, j0:j1] + 1j * im[:, j0:j1]
+    for j0 in range(0, n_samples, _BLOCK):
+        j1 = min(j0 + _BLOCK, n_samples)
+        x = rng.standard_normal((n, j1 - j0)) + 1j * rng.standard_normal((n, j1 - j0))
         x /= np.linalg.norm(x, axis=0)
-        vals[j0:j1] = _abs_values(b, x, swapped)
+        vals[j0:j1] = _abs_values(b, x)
         # the best sample so far, the one np.argmax picks over all of vals
         k = int(np.argmax(vals[:j1]))
         if k >= j0:

@@ -121,15 +121,13 @@ class Report:
         self,
         command: str,
         input_digest: str,
-        checks: Optional[List[CheckRecord]] = None,
         environment: Optional[Dict[str, object]] = None,
-        summary: Optional[Dict[str, object]] = None,
     ):
         self.command = command
         self.input_digest = input_digest
-        self.checks = [] if checks is None else checks
+        self.checks: List[CheckRecord] = []
         self.environment = {} if environment is None else environment
-        self.summary = {} if summary is None else summary
+        self.summary: Dict[str, object] = {}
 
     def add(self, name: str, residual: float, norm: float = 0.0) -> CheckRecord:
         """Record check ``name``: its tolerance is the bound of its

@@ -152,10 +152,6 @@ class CrosscheckReport(NamedTuple):
     def nonmembers_tested(self) -> int:
         return sum(1 for p in self.points if not p.predicted_member)
 
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
 
 def spectrum_crosscheck(
     t: AntilinearOperator, phases: int = 8, tol: float = SING_TOL

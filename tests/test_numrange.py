@@ -93,21 +93,34 @@ class TestDisk:
         assert sample_sup(t, n_samples=200, rng=rng, refine=True) >= (1.0 - 1e-12) * r
 
 
-def _unblocked_sample_sup(t, n_samples=2000, rng=None, refine=True):
-    """Reference for sample_sup: the whole-array evaluation it replaced,
-    verbatim.  Its product ``xc * (b @ xc)`` is the one numpy evaluates in
-    place as ``(b @ xc) * xc`` from 256 KiB on."""
+def _drawn_blocks(rng, n, n_samples):
+    """The unit samples of sample_sup, block by block: ``re + 1j * im`` for
+    two draws per block of at most 256 columns."""
+    blocks = []
+    for j0 in range(0, n_samples, 256):
+        width = min(256, n_samples - j0)
+        x = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+        blocks.append(x / np.linalg.norm(x, axis=0))
+    return blocks
+
+
+def _reference_sample_sup(t, n_samples, rng, refine):
+    """Reference for sample_sup: the same blocks, each evaluated by the same
+    expression (a one-column block goes through numpy's matrix-vector
+    kernel, so a whole-array product would round differently), then one
+    ``np.argmax`` over all values and the same polish."""
     b = _symmetric_part(t)
-    n = b.shape[0]
-    if rng is None:
-        rng = np.random.default_rng(0x5A11)
-    xs = rng.standard_normal((n, n_samples)) + 1j * rng.standard_normal((n, n_samples))
-    xs /= np.linalg.norm(xs, axis=0)
-    xc = np.conj(xs)
-    vals = np.abs(np.sum(xc * (b @ xc), axis=0))
-    best = float(np.max(vals)) if vals.size else 0.0
+    blocks = _drawn_blocks(rng, b.shape[0], n_samples)
+    vals = []
+    for x in blocks:
+        xc = np.conj(x)
+        prod = b @ xc
+        np.multiply(xc, prod, out=prod)
+        vals.append(np.abs(np.sum(prod, axis=0)))
+    vals = np.concatenate(vals)
+    best = float(np.max(vals))
     if refine:
-        z = xs[:, int(np.argmax(vals))]
+        z = np.hstack(blocks)[:, int(np.argmax(vals))]
         collapsed = False
         for _ in range(200):
             z = b @ np.conj(b @ np.conj(z))
@@ -125,35 +138,48 @@ def _unblocked_sample_sup(t, n_samples=2000, rng=None, refine=True):
     return float(best)
 
 
-def _assert_unblocked_bits(t, n_samples, seed):
+def _assert_reference_bits(t, n_samples, seed):
     for refine in (False, True):
         got = sample_sup(t, n_samples, np.random.default_rng(seed), refine)
-        want = _unblocked_sample_sup(t, n_samples, np.random.default_rng(seed), refine)
+        want = _reference_sample_sup(t, n_samples, np.random.default_rng(seed), refine)
         assert got == want, (seed, n_samples, refine)
 
 
 class TestSampleSupBits:
-    # n = 8 | 9 and 81 | 82 straddle the elision of the whole product at
-    # 2000 and at 200 samples; 255-257 straddle a block edge
+    # 255-257 and 513 straddle a block edge; 257 and 513 leave a one-column
+    # last block
     @pytest.mark.parametrize("n", (1, 2, 8, 9, 81, 82, 128))
-    def test_blocked_equals_unblocked(self, n):
+    def test_equals_reference(self, n):
         for seed in range(3):
             t = random_antilinear(np.random.default_rng(seed), n)
-            for n_samples in (1, 200, 255, 256, 257, 2000):
-                _assert_unblocked_bits(t, n_samples, seed)
+            for n_samples in (1, 200, 255, 256, 257, 513, 2000):
+                _assert_reference_bits(t, n_samples, seed)
 
     @pytest.mark.parametrize("n", (2, 9, 128))
-    def test_lone_last_column_equals_unblocked(self, n):
+    def test_lone_last_column_equals_reference(self, n):
         # B = conj(c c^T) for the last sample's direction c makes that
-        # sample the best, so the bits of the column a block edge leaves
-        # over decide the result
+        # sample the best, so the bits of the one-column last block decide
+        # the result
         for seed in range(3):
             for n_samples in (257, 513):
-                draw = np.random.default_rng(seed)
-                x = draw.standard_normal((n, n_samples)) + 1j * draw.standard_normal((n, n_samples))
-                c = np.conj(x[:, -1]) / np.linalg.norm(x[:, -1])
+                last = _drawn_blocks(np.random.default_rng(seed), n, n_samples)[-1]
+                assert last.shape == (n, 1)
+                c = np.conj(last[:, 0])
                 t = AntilinearOperator(np.conj(np.outer(c, c)))
-                _assert_unblocked_bits(t, n_samples, seed)
+                _assert_reference_bits(t, n_samples, seed)
+
+    @pytest.mark.parametrize("refine", (False, True))
+    @pytest.mark.parametrize("n_samples", (1, 257, 2000))
+    def test_consumes_two_whole_draws(self, n_samples, refine):
+        # the refined 200-sample call and the convexity tuples of numrange
+        # draw from the generator the sampler leaves
+        n = 9
+        t = random_antilinear(np.random.default_rng(1), n)
+        rng, whole = np.random.default_rng(5), np.random.default_rng(5)
+        sample_sup(t, n_samples, rng, refine)
+        whole.standard_normal((n, n_samples))
+        whole.standard_normal((n, n_samples))
+        assert rng.standard_normal() == whole.standard_normal()
 
     @pytest.mark.parametrize("refine", (False, True))
     @pytest.mark.parametrize("n_samples", (0, -1))

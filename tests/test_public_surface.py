@@ -13,7 +13,6 @@ import pytest
 
 import antilin
 from antilin import blockops, numrange, structure
-from antilin.antiop import RealLinearOperator
 
 EXPORTED = {
     "antilinear_spectrum": ("t", "tol"),
@@ -56,8 +55,6 @@ MODULE_LEVEL = {
     structure.factored: ("t",),
     numrange.sample_sup: ("t", "n_samples", "rng", "refine"),
     blockops.samples_for_radii: ("radii", "rng", "random_count"),
-    RealLinearOperator.as_antilinear: ("self",),
-    RealLinearOperator.as_linear: ("self",),
 }
 
 

@@ -69,25 +69,25 @@ class TestMembershipOracle:
 class TestCrosscheck:
     def test_conjugation_16_phases(self):
         rep = spectrum_crosscheck(AntilinearOperator(np.eye(2)), phases=16)
-        assert rep.ok
+        assert not rep.disagreements
         # circle points all members, the gap radius 0.5 appears and is clean
         assert any(p.radius == pytest.approx(0.5) and not p.oracle_member for p in rep.points)
 
     def test_diag_2_i_midpoint(self):
         rep = spectrum_crosscheck(AntilinearOperator(np.diag([2.0, 1j])), phases=8)
-        assert rep.ok
+        assert not rep.disagreements
         np.testing.assert_allclose(rep.spectrum.radii, [1.0, 2.0], atol=1e-12)
         assert any(p.radius == pytest.approx(1.5) and not p.oracle_member for p in rep.points)
 
     def test_zero_operator(self):
         rep = spectrum_crosscheck(AntilinearOperator(np.zeros((2, 2))))
-        assert rep.ok
+        assert not rep.disagreements
         np.testing.assert_allclose(rep.spectrum.radii, [0.0])
         assert any(p.radius > 0 and not p.oracle_member for p in rep.points)
 
     def test_empty_spectrum(self):
         rep = spectrum_crosscheck(AntilinearOperator([[0, 1], [-1, 0]]))
-        assert rep.ok
+        assert not rep.disagreements
         assert rep.members_tested == 0
         assert rep.nonmembers_tested > 0
 
@@ -96,7 +96,7 @@ class TestCrosscheck:
             n = int(rng.integers(1, 11))
             t = random_antilinear(rng, n)
             rep = spectrum_crosscheck(t, phases=8)
-            assert rep.ok, rep.disagreements
+            assert not rep.disagreements, rep.disagreements
 
 
 def test_phase_invariance(rng):

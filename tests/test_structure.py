@@ -298,12 +298,10 @@ class TestIdentitySuite:
         assert max(suite.residuals.values()) <= 1e-10
         # T T+ = diag(1,0) while T+ T = diag(0,1); ranges differ likewise
         mp = moore_penrose(SHIFT)
-        np.testing.assert_allclose(
-            compose(SHIFT, mp.dagger).as_linear(), np.diag([1.0, 0.0]), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            compose(mp.dagger, SHIFT).as_linear(), np.diag([0.0, 1.0]), atol=1e-14
-        )
+        for prod, want in ((compose(SHIFT, mp.dagger), [1.0, 0.0]),
+                           (compose(mp.dagger, SHIFT), [0.0, 1.0])):
+            assert not prod.anti.any()
+            np.testing.assert_allclose(prod.lin, np.diag(want), atol=1e-14)
         assert suite.projector_gap == pytest.approx(1.0)
         assert suite.range_gap == pytest.approx(1.0)
         assert suite.classification_consistent

@@ -11,8 +11,8 @@ mu-independent pivots inverted once per block, each complement of a
 ``block`` run evaluated once, no operator's matrix factored twice by
 ``identities`` or ``inspect``, the Moore-Penrose residuals computed only
 where they are read, normality decided once per invocation, no
-guard SVD of an exactly zero symmetry defect, and a span basis that
-projects with matrix products.  None of the savings may come from a cache
+guard SVD of an exactly zero symmetry defect (so no SVD in ``numrange``),
+and a span basis that projects with matrix products.  None of the savings may come from a cache
 that outlives its operator.
 """
 
@@ -377,11 +377,24 @@ def test_guards_run_no_svd_on_an_exactly_zero_difference(rng, monkeypatch):
     gram = a.conj().T @ a
     hermitian = 0.5 * (gram + gram.conj().T)   # h - h* is exactly zero
     symmetric = a + a.T                          # b - b.T is exactly zero
-    for kernel, arg in ((matkernel.psd_sqrt, hermitian), (matkernel.takagi, symmetric)):
+    # psd_sqrt reads ||h|| in its flush bound; takagi needs ||b|| only to
+    # judge a nonzero defect
+    for kernel, arg, svds in ((matkernel.psd_sqrt, hermitian, 1), (matkernel.takagi, symmetric, 0)):
         with monkeypatch.context() as m:
             calls = _kernel_inputs(m, names=("svd",))
             kernel(arg)
-        assert len(calls) == 1, kernel.__name__   # the scale ||input|| only
+        assert len(calls) == svds, kernel.__name__
+
+
+def test_numrange_runs_no_svd(tmp_path, monkeypatch):
+    # takagi gets the exactly symmetric part; the oracle is sampling
+    monkeypatch.chdir(tmp_path)
+    for kind in ("selfadjoint", "nonnormal"):
+        path = _gen(kind, 16, path=f"{kind}.json")
+        with monkeypatch.context() as m:
+            calls = _kernel_inputs(m)
+            assert _run(["numrange", "--input", path]) == 0
+        assert [c[0] for c in calls] == ["eigh"], kind
 
 
 def test_normality_decided_once_per_invocation(tmp_path, monkeypatch):
