@@ -1,13 +1,14 @@
 """Finite-dimensional calculus of antilinear operators on complex space.
 
 The package represents an antilinear operator by its canonical matrix A
-(action ``x -> A conj(x)``), closes compositions in the real-linear (P, Q)
-algebra, inverts resolvents as realified matrices, and provides adjoints,
-normality tests, polar and Moore-Penrose decompositions, spectra (unions
-of origin-centered circles), the numerical-range disk with constructive
-witnesses, block operator matrices with Schur and quadratic complements,
-and the span criterion for minimal antilinear normal extensions.  The ``antilin`` CLI
-verifies all of it on concrete operator files.
+(action ``x -> A conj(x)``), forms products of linear and antilinear maps
+on their canonical matrices, inverts resolvents as realified matrices, and
+provides adjoints, normality tests, polar and Moore-Penrose
+decompositions, spectra (unions of origin-centered circles), the
+numerical-range disk with constructive witnesses, block operator matrices
+with Schur and quadratic complements, and the span criterion for minimal
+antilinear normal extensions.  The ``antilin`` CLI verifies all of it on
+concrete operator files.
 
 The public names below are resolved on first access (PEP 562), each from
 the module that :data:`_EXPORTS` names, so ``import antilin`` loads no
@@ -33,7 +34,6 @@ _EXPORTS = {
     "MpResult": "structure",
     "NumericalRangeDisk": "numrange",
     "PolarDecomposition": "structure",
-    "RealLinearOperator": "antiop",
     "SpectrumDescription": "spectra",
     "TakagiFactorization": "matkernel",
     "antilinear_spectrum": "spectra",
@@ -41,7 +41,6 @@ _EXPORTS = {
     "check_extension": "extensions",
     "check_polar_commutation": "structure",
     "complement": "blockops",
-    "compose": "antiop",
     "correspondence_scan": "blockops",
     "gram": "structure",
     "identity_suite": "structure",
@@ -55,7 +54,6 @@ _EXPORTS = {
     "moore_penrose": "structure",
     "nr_disk": "numrange",
     "nr_value": "numrange",
-    "op_norm": "antiop",
     "pinv": "matkernel",
     "polar": "structure",
     "power_commute": "structure",
@@ -65,7 +63,6 @@ _EXPORTS = {
     "singularity": "matkernel",
     "spectrum_crosscheck": "spectra",
     "takagi": "matkernel",
-    "unrealify": "antiop",
     "witness_disk": "numrange",
     "witness_segment": "numrange",
     "word_span_oracle": "extensions",

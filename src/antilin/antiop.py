@@ -1,4 +1,4 @@
-"""Conjugations, antilinear operators, and the real-linear (P, Q) algebra.
+"""Conjugations, antilinear operators, and their realification.
 
 Inner product convention
 ------------------------
@@ -14,32 +14,28 @@ Representations
 * A conjugation is an ``AntilinearOperator`` whose canonical matrix
   :func:`make_conjugation` has validated as an isometric involution
   (``K conj(K) = I`` and ``K* K = I``); it has no type of its own.
-* ``RealLinearOperator`` stores the pair ``(P, Q)`` of the action
-  ``x -> P x + Q conj(x)``.  This algebra closes compositions and
-  differences of linear and antilinear maps.  Composition follows
+* A map of one parity, linear or antilinear, is the pair ``(M, p)`` of the
+  action ``x -> M conj^p(x)`` (p = 0 linear, 1 antilinear).  A composition
+  of two such maps is again one: ``(M1, p1) o (M2, p2) = (M1 conj^p1(M2),
+  p1 xor p2)`` (:func:`_parity_product`), so powers and words of antilinear
+  operators are formed on canonical matrices alone.
 
-  ``(P1, Q1) o (P2, Q2) = (P1 P2 + Q1 conj(Q2), P1 Q2 + Q1 conj(P2))``.
+* ``realify`` represents an antilinear operator as the real ``2m x 2n``
+  matrix acting on stacked ``(Re x; Im x)`` coordinates:
 
-  A composition of maps of one parity each (linear or antilinear) has one
-  nonzero part, ``M1 conj^p1(M2)``; the package forms such products on the
-  canonical matrices alone (:func:`_parity_product`), and keeps
-  :func:`compose` as the general algebra.
+  ``[[Re A, Im A], [Im A, -Re A]]``,
 
-* ``realify`` represents a real-linear map as the real ``2m x 2n`` matrix
-  acting on stacked ``(Re x; Im x)`` coordinates:
+  and a linear map ``M`` as ``[[Re M, -Im M], [Im M, Re M]]``
+  (:func:`_realify_pair`).  Realification is an algebra homomorphism,
+  ``realify(f o g) = realify(f) realify(g)``, so a resolvent, which is
+  real-linear but not complex-linear, is the inverse of a realified matrix,
+  and the block complements of :mod:`antilin.blockops` are computed on
+  realified matrices throughout.
 
-  ``[[Re P + Re Q, -Im P + Im Q], [Im P + Im Q, Re P - Re Q]]``.
-
-  It is an algebra homomorphism, ``realify(f o g) = realify(f)
-  realify(g)``, so a resolvent, which is real-linear but not complex-linear,
-  is the inverse of a realified matrix, and the block complements of
-  :mod:`antilin.blockops` are computed on realified matrices throughout.
-
-  A scalar shift ``op - lam`` is defined to move only the diagonal of the
-  linear part (:meth:`RealLinearOperator.shifted`), so it moves only the
+  A scalar shift ``T - lam`` is the real-linear map ``x -> A conj(x) - lam
+  x``.  Its linear part ``-lam I`` is diagonal, so it moves only the
   diagonals of the four blocks: :func:`realify_shifted` realifies an
-  operator once and patches those 4n entries per shift, bitwise equal to
-  realifying ``op - lam``.
+  operator once and patches those 4n entries per shift.
 
 All value types are immutable and every operation is a pure function, so
 everything here is safe to share across threads.  Because an operator never
@@ -54,7 +50,7 @@ Moore-Penrose result, keep their own derived fields with
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Hashable, TypeVar, Union
+from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -123,9 +119,7 @@ _V = TypeVar("_V")
 _DERIVED: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
 
-def derived(
-    t: Union[AntilinearOperator, "RealLinearOperator"], key: Hashable, compute: Callable[[], _V]
-) -> _V:
+def derived(t: AntilinearOperator, key: Hashable, compute: Callable[[], _V]) -> _V:
     """``compute()``, evaluated once per operator object and ``key``.
 
     The cache is keyed weakly on the (immutable) operator object, never on
@@ -162,180 +156,93 @@ def make_conjugation(k) -> AntilinearOperator:
     return AntilinearOperator(k)
 
 
-class RealLinearOperator(_Frozen):
-    """Real-linear map ``x -> lin @ x + anti @ conj(x)``."""
-
-    lin: np.ndarray
-    anti: np.ndarray
-
-    def __init__(self, lin, anti):
-        lin = _own_matrix(lin)
-        anti = _own_matrix(anti)
-        if lin.shape != anti.shape:
-            raise DimensionMismatch(
-                f"linear part {lin.shape} and antilinear part {anti.shape} differ"
-            )
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "anti", anti)
-
-    @classmethod
-    def from_linear(cls, mat) -> "RealLinearOperator":
-        mat = np.asarray(mat, dtype=complex)
-        return cls(mat, np.zeros_like(mat))
-
-    @classmethod
-    def from_antilinear(cls, t: AntilinearOperator) -> "RealLinearOperator":
-        return cls(np.zeros_like(t.canon), t.canon)
-
-    @property
-    def dim_in(self) -> int:
-        return self.lin.shape[1]
-
-    @property
-    def dim_out(self) -> int:
-        return self.lin.shape[0]
-
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim_in,):
-            raise DimensionMismatch(
-                f"vector of length {self.dim_in} expected, got shape {x.shape}"
-            )
-        return self.lin @ x + self.anti @ np.conj(x)
-
-    def __sub__(self, other: "RealLinearOperator") -> "RealLinearOperator":
-        other = coerce(other)
-        return RealLinearOperator(self.lin - other.lin, self.anti - other.anti)
-
-    def shifted(self, mu: complex) -> "RealLinearOperator":
-        """The operator ``self - mu``: the diagonal of the linear part becomes
-        ``diag(lin) - mu`` and every other entry is kept bitwise, a ``-0.0``
-        included.  The new diagonal is not checked for finiteness, so a
-        non-finite ``mu`` gives a non-finite diagonal, as in
-        :func:`realify_shifted`."""
-        if self.dim_in != self.dim_out:
-            raise DimensionMismatch("scalar shift requires a square operator")
-        lin = self.lin.copy()
-        np.fill_diagonal(lin, lin.diagonal() - mu * np.ones(self.dim_in))
-        lin.setflags(write=False)
-        out = object.__new__(RealLinearOperator)
-        object.__setattr__(out, "lin", lin)
-        object.__setattr__(out, "anti", self.anti)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RealLinearOperator({self.dim_out}x{self.dim_in})"
-
-
-Composable = Union[AntilinearOperator, RealLinearOperator, np.ndarray]
-
-
-def coerce(op: Composable) -> RealLinearOperator:
-    """View any supported operator as a RealLinearOperator."""
-    if isinstance(op, RealLinearOperator):
-        return op
-    if isinstance(op, AntilinearOperator):
-        return RealLinearOperator.from_antilinear(op)
-    return RealLinearOperator.from_linear(op)
-
-
-def compose(f: Composable, g: Composable) -> RealLinearOperator:
-    """Composition ``f o g`` (g applied first) in the (P, Q) algebra.
-
-    antilinear o antilinear is purely linear, antilinear o linear and
-    linear o antilinear are purely antilinear; the zero parts are exact.
-    """
-    f = coerce(f)
-    g = coerce(g)
-    if f.dim_in != g.dim_out:
-        raise DimensionMismatch(
-            f"inner dimensions differ: {f.dim_in} vs {g.dim_out}"
-        )
-    lin = f.lin @ g.lin + f.anti @ np.conj(g.anti)
-    anti = f.lin @ g.anti + f.anti @ np.conj(g.lin)
-    return RealLinearOperator(lin, anti)
-
-
 def _parity_product(f: tuple, g: tuple) -> tuple:
     """``f o g`` (g applied first) for two maps of one parity each, given
     as ``(M, p)`` for ``x -> M conj^p(x)`` (p = 1 antilinear, 0 linear):
-    ``(M_f conj^{p_f}(M_g), p_f xor p_g)``, the one product of the four
-    that :func:`compose` forms which is not exactly zero."""
+    ``(M_f conj^{p_f}(M_g), p_f xor p_g)``."""
     (mf, pf), (mg, pg) = f, g
     return mf @ (np.conj(mg) if pf else mg), pf ^ pg
 
 
-def realify(op: Composable) -> np.ndarray:
-    """Real 2m x 2n matrix of ``op`` on stacked (Re x; Im x) coordinates.
+def _realify_pair(mat: np.ndarray, parity: int) -> np.ndarray:
+    """Real 2m x 2n matrix of ``x -> mat conj^parity(x)`` on stacked (Re x;
+    Im x) coordinates: ``[[Re M, -Im M], [Im M, Re M]]`` for a linear map,
+    ``[[Re M, Im M], [Im M, -Re M]]`` for an antilinear one.
 
-    The four blocks are written straight into one array.  ``qi - pi`` is the
-    IEEE sum ``-pi + qi`` of the module formula, signed zeros included.
+    The four blocks are written straight into one array, each as the IEEE
+    sum of the map's part and the zero part of the other parity: the left
+    blocks as ``0.0 + Re M`` and ``0.0 + Im M``, which turns a -0.0 into
+    +0.0, the negated block as ``0.0 - x`` and the other as ``x - 0.0``,
+    which is ``x`` itself.
     """
-    op = coerce(op)
-    pr, pi = op.lin.real, op.lin.imag
-    qr, qi = op.anti.real, op.anti.imag
-    m, n = op.lin.shape
+    m, n = mat.shape
+    re, im = mat.real, mat.imag
     r = np.empty((2 * m, 2 * n))
-    np.add(pr, qr, out=r[:m, :n])
-    np.subtract(qi, pi, out=r[:m, n:])
-    np.add(pi, qi, out=r[m:, :n])
-    np.subtract(pr, qr, out=r[m:, n:])
+    np.add(re, 0.0, out=r[:m, :n])
+    np.add(im, 0.0, out=r[m:, :n])
+    if parity:
+        r[:m, n:] = im
+        np.subtract(0.0, re, out=r[m:, n:])
+    else:
+        np.subtract(0.0, im, out=r[:m, n:])
+        r[m:, n:] = re
     return r
 
 
-def _shift_base(op: Union[AntilinearOperator, RealLinearOperator]):
-    """``(family, diag(lin), Re diag(anti), Im diag(anti))`` for a square
-    ``op``, the arrays read-only: a shift moves only the diagonal of the
-    linear part, so only the diagonals of the four blocks of ``realify(op)``
-    move with it, and the shifts form one
-    :class:`~antilin.matkernel._ShiftFamily` around ``realify(op)``.
+def realify(t: AntilinearOperator) -> np.ndarray:
+    """Real 2m x 2n matrix ``[[Re A, Im A], [Im A, -Re A]]`` of ``t`` on
+    stacked (Re x; Im x) coordinates (:func:`_realify_pair`)."""
+    return _realify_pair(t.canon, 1)
+
+
+def _shift_base(t: AntilinearOperator):
+    """``(family, Re diag(A), Im diag(A))`` for a square ``t``, the arrays
+    read-only: a shift moves only the diagonal of the linear part, so only
+    the diagonals of the four blocks of ``realify(t)`` move with it, and the
+    shifts form one :class:`~antilin.matkernel._ShiftFamily` around
+    ``realify(t)``.
 
     Raises:
-        DimensionMismatch: if ``op`` is not square.
+        DimensionMismatch: if ``t`` is not square.
     """
-    if op.dim_in != op.dim_out:
+    if t.dim_in != t.dim_out:
         raise DimensionMismatch("scalar shift requires a square operator")
-    rop = coerce(op)
-    diagonals = (rop.lin.diagonal().copy(), rop.anti.real.diagonal().copy(),
-                 rop.anti.imag.diagonal().copy())
+    diagonals = (t.canon.real.diagonal().copy(), t.canon.imag.diagonal().copy())
     for a in diagonals:
         a.setflags(write=False)
-    return (_ShiftFamily(_realified(op)),) + diagonals
+    return (_ShiftFamily(_realified(t)),) + diagonals
 
 
-def _realified(op: Union[AntilinearOperator, RealLinearOperator]) -> np.ndarray:
-    """``realify(op)``, made once per operator (:func:`derived`) and
+def _realified(t: AntilinearOperator) -> np.ndarray:
+    """``realify(t)``, made once per operator (:func:`derived`) and
     read-only, so every reader of one operator shares one matrix."""
 
     def compute():
-        r = realify(op)
+        r = realify(t)
         r.setflags(write=False)
         return r
 
-    return derived(op, "realified", compute)
+    return derived(t, "realified", compute)
 
 
-def _shifted_diagonals(op: Composable, lams) -> tuple:
-    """``(family, diags)``: the family of realified shifts of ``op`` and,
+def _shifted_diagonals(t: AntilinearOperator, lams) -> tuple:
+    """``(family, diags)``: the family of realified shifts of ``t`` and,
     for each ``lam`` in ``lams``, the 4n entries ``diags[k]`` (shape ``(4,
-    n)``) on the diagonals of the four blocks of ``realify(op - lam)``.
+    n)``) on the diagonals of the four blocks of the realification of ``t -
+    lam``, so ``family.fill(out, diags[k])`` is that matrix.
 
-    They are the expressions :func:`realify` evaluates on the shifted
-    diagonal ``d = diag(lin) - lam``, so ``family.fill(out, diags[k])`` is
-    ``realify(coerce(op).shifted(lams[k]))`` bitwise.  An operator keeps its
-    family (:func:`derived`); an ndarray is coerced to a new operator on
-    every call, so nothing is kept for it.
+    The linear part of ``t - lam`` has the diagonal ``d = 0.0 - lam * 1.0``
+    (a zero diagonal minus the scalar times the identity's), and the blocks'
+    diagonals are ``Re d + Re a``, ``Im a - Im d``, ``Im d + Im a`` and ``Re
+    d - Re a`` for ``a = diag(A)``, signed zeros included.  An operator
+    keeps its family (:func:`derived`).
 
     Raises:
-        DimensionMismatch: if ``op`` is not square.
+        DimensionMismatch: if ``t`` is not square.
     """
-    if not isinstance(op, (AntilinearOperator, RealLinearOperator)):
-        op = coerce(op)
-    family, lin_diag, qr, qi = derived(op, "shift_base", lambda: _shift_base(op))
-    n = lin_diag.shape[0]
-    # the diagonal of op.shifted(lam).lin for each lam, from the same expression
-    d = lin_diag - np.asarray(lams)[:, None] * np.ones(n)
-    diags = np.empty((len(d), 4, n))
+    family, qr, qi = derived(t, "shift_base", lambda: _shift_base(t))
+    d = 0.0 - np.asarray(lams)[:, None] * np.ones(qr.shape[0])
+    diags = np.empty((len(d), 4, qr.shape[0]))
     np.add(d.real, qr, out=diags[:, 0])
     np.subtract(qi, d.imag, out=diags[:, 1])
     np.add(d.imag, qi, out=diags[:, 2])
@@ -343,35 +250,16 @@ def _shifted_diagonals(op: Composable, lams) -> tuple:
     return family, diags
 
 
-def realify_shifted(op: Composable, lam: complex) -> np.ndarray:
-    """``realify(coerce(op).shifted(lam))``, bitwise.
+def realify_shifted(t: AntilinearOperator, lam: complex) -> np.ndarray:
+    """The realification of ``t - lam``, a new array on every call.
 
     An operator is realified once (:func:`derived`); each shift copies that
     matrix and rewrites only the 4n entries on the diagonals of its four
-    blocks (:func:`_shifted_diagonals`).
+    blocks (:func:`_shifted_diagonals`).  ``lam`` is not checked for
+    finiteness, so a non-finite ``lam`` gives non-finite diagonals.
 
     Raises:
-        DimensionMismatch: if ``op`` is not square.
+        DimensionMismatch: if ``t`` is not square.
     """
-    family, diags = _shifted_diagonals(op, [lam])
+    family, diags = _shifted_diagonals(t, [lam])
     return family.fill(np.empty_like(family.r0), diags[0])
-
-
-def unrealify(r) -> RealLinearOperator:
-    """Inverse of :func:`realify`; every real matrix of even dims is valid."""
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] % 2 or r.shape[1] % 2:
-        raise DimensionMismatch(f"realified matrix must have even dims, got {r.shape}")
-    m, n = r.shape[0] // 2, r.shape[1] // 2
-    r11, r12 = r[:m, :n], r[:m, n:]
-    r21, r22 = r[m:, :n], r[m:, n:]
-    lin = 0.5 * (r11 + r22) + 0.5j * (r21 - r12)
-    anti = 0.5 * (r11 - r22) + 0.5j * (r21 + r12)
-    return RealLinearOperator(lin, anti)
-
-
-def op_norm(op: Composable) -> float:
-    """Operator norm of a real-linear map (largest singular value of its
-    realification)."""
-    return spectral_norm(realify(op))
-

@@ -377,12 +377,14 @@ def samples_for_radii(
     gives them): 8 points on each circle, 4 on each between-circle midpoint
     circle, and ``random_count`` uniform random points in a bounding disk.
     Uniform sampling alone almost never lands on the measure-zero spectrum,
-    so the on-circle points are what exercises the member branch.
+    so the on-circle points are what exercises the member branch.  A
+    circle of radius at most ``DEDUP_ATOL`` is the origin and gets the one
+    point 0, as in :func:`~antilin.spectra.spectrum_crosscheck`.
     """
     radii = list(radii)
     samples: list[complex] = []
     for r in radii:
-        if r <= 1e-9:
+        if r <= DEDUP_ATOL:
             samples.append(0j)
             continue
         for k in range(8):

@@ -153,7 +153,7 @@ def minimal_span(p: ExtensionProblem, cap: Optional[int] = None) -> SpanResult:
     ``i + j`` reaches the cap (2 * ambient dimension by default, never the
     binding constraint in practice; ``hit_cap`` flags if it ever is).  The
     powers of N and N# are built one degree at a time inside the loop, so
-    a run that stabilizes at degree k composes 2 (k + 1) powers at most,
+    a run that stabilizes at degree k forms 2 (k + 1) powers at most,
     and the cap only bounds the loop: it allocates nothing.
 
     Raises:

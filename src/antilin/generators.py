@@ -10,7 +10,7 @@ The normal kinds realize the commutation ``T T# = T# T`` constructively:
 * ``twisted_normal``:     V A0 V.T for unitary V and diagonal A0 (unitary
                           congruence preserves antilinear normality),
 * ``multiplication``:     diag(conj(phi)), the coordinate multiplication
-                          operator composed with entrywise conjugation.
+                          operator after entrywise conjugation.
 
 ``nonnormal`` rejection-samples until the normality residual clearly exceeds
 1e-3, ``nilpotent`` is strictly upper triangular (spectrum {0}), and

@@ -13,8 +13,10 @@ kinds:
 
 ``meta`` holds ``{seed, generator, description}``.  Complex numbers are
 stored as [re, im] pairs to avoid any locale or formatting ambiguity.  A
-file that nests too deeply for the decoder or for the digest's recursive
-render is an :class:`~antilin.errors.InvalidOperatorFile`, not a crash.
+file that nests too deeply for the decoder is an
+:class:`~antilin.errors.InvalidOperatorFile`, not a crash.  The canonical
+render walks its input with an explicit stack, so every file the decoder
+accepts has a digest.
 
 Canonical JSON (sorted keys, floats rendered with %.17g, no whitespace) is
 used both for emitted files and for content digests, so identical content
@@ -31,7 +33,8 @@ every float finite and every int within ``|int| <= 2**53``.
   That rendering is exact: ``"%.17g" % x`` is ``f"{x:.17g}"`` for a finite
   float, and an int in that range converts to float exactly and has at
   most 16 digits, so ``%.17g`` prints it as ``str(int)`` does.  Anything
-  else (bools, numpy scalars, tuples, larger ints) takes the recursive path.
+  else (bools, numpy scalars, tuples, larger ints) is rendered item by
+  item.
 * :func:`matrix_from_entries` builds the matrix from such a list of pairs
   with ``np.array(flat, dtype=float).view(complex)``.  Reading the (re, im)
   pairs as the two halves of complex128 is bit-exact, signed zeros included
@@ -114,23 +117,49 @@ def canonical_json(obj) -> str:
 
 def _canonical(obj, admitted: set) -> str:
     """:func:`canonical_json`, where ``admitted`` holds the ``id`` of each
-    list in ``obj`` that :func:`_numeric_rows` has already admitted."""
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        inner = ",".join(
-            f"{json.dumps(str(k), ensure_ascii=True)}:{_canonical(v, admitted)}"
-            for k, v in items
-        )
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        flat = None
-        if type(obj) is list:
-            flat = [x for r in obj for x in r] if id(obj) in admitted else _numeric_rows(obj)
-        if flat is not None:
-            row = "[" + ",".join(["%.17g"] * len(obj[0])) + "]"
-            return "[" + ",".join([row] * len(obj)) % tuple(flat) + "]"
-        return "[" + ",".join(_canonical(v, admitted) for v in obj) + "]"
-    return _canon_scalar(obj)
+    list in ``obj`` that :func:`_numeric_rows` has already admitted.
+
+    The containers are walked depth first with an explicit stack, so no
+    depth of nesting exhausts the interpreter's recursion limit.  A frame
+    holds one container's ``(text, item)`` pairs not yet rendered, each
+    text written before its item, and the text that closes the container.
+    """
+    out = []
+    stack = [(iter([("", obj)]), "")]
+    while stack:
+        pairs, close = stack[-1]
+        step = next(pairs, None)
+        if step is None:
+            out.append(close)
+            stack.pop()
+            continue
+        text, value = step
+        out.append(text)
+        if isinstance(value, dict):
+            items = sorted(value.items())
+            keys = [json.dumps(str(k), ensure_ascii=True) + ":" for k, _ in items]
+            stack.append(_frame("{", keys, [v for _, v in items], "}"))
+        elif isinstance(value, (list, tuple)):
+            flat = None
+            if type(value) is list:
+                flat = ([x for r in value for x in r] if id(value) in admitted
+                        else _numeric_rows(value))
+            if flat is not None:
+                row = "[" + ",".join(["%.17g"] * len(value[0])) + "]"
+                out.append("[" + ",".join([row] * len(value)) % tuple(flat) + "]")
+            else:
+                stack.append(_frame("[", [""] * len(value), value, "]"))
+        else:
+            out.append(_canon_scalar(value))
+    return "".join(out)
+
+
+def _frame(opening: str, keys: list, values, closing: str) -> tuple:
+    """A frame of :func:`_canonical` for a container: item i is preceded
+    by ``opening`` (i = 0) or ``","`` and by ``keys[i]``, and an empty
+    container renders as ``opening + closing``."""
+    texts = [("," if i else opening) + key for i, key in enumerate(keys)]
+    return zip(texts, values), closing if texts else opening + closing
 
 
 def entries_from_matrix(a) -> list:
@@ -237,11 +266,7 @@ def parse_payload(payload: dict) -> LoadedOperator:
 
     import hashlib   # loads OpenSSL's _hashlib: importing the CLI does not need it
 
-    try:
-        text = _canonical(payload, admitted)
-    except RecursionError as exc:
-        raise InvalidOperatorFile("the file nests too deeply to digest") from exc
-    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    digest = hashlib.sha256(_canonical(payload, admitted).encode("ascii")).hexdigest()
     return LoadedOperator(kind=kind, obj=obj, digest=digest)
 
 

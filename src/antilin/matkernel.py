@@ -268,22 +268,23 @@ def is_singular(m, tol: float = SING_TOL) -> bool:
       ``D_k x_k``.  z has its zeros where D_k sits, so each entry still sums
       the 2h products of one row of m_k with x_k, and the computed residual
       is within ``gamma_{2h+1} |m_k| |x_k|`` of the exact one: inside c2.
-    - A distance.  ``m_k - R m_0 R = (z - R z R) + (D_k - R D_0 R)``.  As
-      ``z - J z J = -J (J z + z J)``, the first term is ``(1 - q) z - s R
-      (J z + z J)``, of norm at most ``|1 - q| ||z||_F + |s| (|c| + |s|)
-      L`` with the family's law defect ``L = ||J z + z J||_F``.  L is 0 for
-      an antilinear operator, whose realification anticommutes with J (and
-      so does z).  The second term is block diagonal on the coordinate
-      pairs ``(i, h + i)``, so its norm is the largest of its h 2 x 2
-      blocks ``B_k,i - rho B_0,i rho`` (``rho`` the 2 x 2 rotation).  ``P =
-      fl(rho B rho)`` is ``c^2 B + cs (J B + B J) + s^2 J B J``, formed as
-      one product of the flattened B with a 4 x 4 map whose entries are
-      single coefficients ``c^2``, ``+-cs`` and ``+-s^2``, each rounded
-      once.  So each entry carries at most five roundings on terms bounded
-      by the entries of ``|rho| |B| |rho|``, ``||P - rho B rho||_2 <=
-      gamma_5 (|c| + |s|)^2 F_0``, and ``gamma_5 < 2.6 eps``.  So::
+    - A distance.  ``m_k - R m_0 R = (z - R z R) + (D_k - R D_0 R)``.  The
+      family is the realification of an antilinear operator, whose blocks
+      ``[[a, b], [b, -a]]`` hold equal floats in both copies of ``b`` and
+      exactly negated ones in ``a`` and ``-a``.  So z anticommutes with J
+      exactly, ``R z R = q z``, and the first term is ``(1 - q) z``, of
+      norm at most ``|1 - q| ||z||_F``.  The second term is block diagonal
+      on the coordinate pairs ``(i, h + i)``, so its norm is the largest of
+      its h 2 x 2 blocks ``B_k,i - rho B_0,i rho`` (``rho`` the 2 x 2
+      rotation).  ``P = fl(rho B rho)`` is ``c^2 B + cs (J B + B J) + s^2
+      J B J``, formed as one product of the flattened B with a 4 x 4 map
+      whose entries are single coefficients ``c^2``, ``+-cs`` and
+      ``+-s^2``, each rounded once.  So each entry carries at most five
+      roundings on terms bounded by the entries of ``|rho| |B| |rho|``,
+      ``||P - rho B rho||_2 <= gamma_5 (|c| + |s|)^2 F_0``, and ``gamma_5
+      < 2.6 eps``.  So::
 
-          dist_k = 2 (|1 - q^| + 4 eps) ||z||_F + 2 |s| (|c| + |s|) L
+          dist_k = 2 (|1 - q^| + 4 eps) ||z||_F
                    + 2 max_i ||fl(B_k,i - P_i)||_F + 8 eps (|c| + |s|)^2 F_0
 
       bounds ``||m_k - R m_0 R||_2``: the factors 2 cover the rounding of
@@ -306,8 +307,8 @@ def is_singular(m, tol: float = SING_TOL) -> bool:
       difference) is the bound compared with need_k.
 
     No phase is decided by the phase law alone: the witness residual and
-    the distance are computed from phase k's own entries, so a phase that
-    breaks the law fails them and runs its own bracket.  The transfer
+    the distance are computed from phase k's own entries, so a phase whose
+    diagonals break the law fails them and runs its own bracket.  The transfer
     applies where the bracket does, for phase 0 and for phase k.
     """
     m = np.asarray(m, dtype=float)
@@ -393,7 +394,7 @@ class _Bracket:
 class _ShiftFamily:
     """The real 2h x 2h matrices that equal ``r0`` except on the diagonals
     of their four h x h blocks: the realified scalar shifts of one square
-    operator (:func:`~antilin.antiop.realify_shifted`).
+    antilinear operator (:func:`~antilin.antiop.realify_shifted`).
 
     A member is given by its 4h diagonal entries ``diag``, rows ``(a, b,
     f, e)`` for the blocks ``[[a, b], [f, e]]``.  ``z`` is ``r0`` with
@@ -422,22 +423,17 @@ class _ShiftFamily:
         h = self.r0.shape[0] // 2
         z = self.fill(np.empty_like(self.r0), np.zeros((4, h)))
         colsq = np.einsum("ij,ij->j", z, z)
-        # J z + z J = [[b - f, -(a + e)], [a + e, b - f]] for z = [[a, b], [f, e]]
-        defect = math.sqrt(2.0) * math.hypot(
-            np.linalg.norm(z[:h, :h] + z[h:, h:]), np.linalg.norm(z[:h, h:] - z[h:, :h]))
         for a in (z, colsq):
             a.setflags(write=False)
-        return _Zeroed(z, math.sqrt(float(colsq.sum())), colsq, defect)
+        return _Zeroed(z, math.sqrt(float(colsq.sum())), colsq)
 
 
 class _Zeroed(NamedTuple):
-    """A family's ``z`` with ``||z||_F``, its squared column norms and its
-    law defect ``||J z + z J||_F``."""
+    """A family's ``z`` with ``||z||_F`` and its squared column norms."""
 
     z: np.ndarray
     fro: float
     colsq: np.ndarray
-    defect: float
 
 
 # rows (c^2, cs, s^2) -> the 4 x 4 map of a 2 x 2 block B = [[a, b], [f, e]],
@@ -515,7 +511,6 @@ class _Circle:
         diff = self.diags[1:] - rotate @ self.diags[0]
         blocks = np.sqrt(np.einsum("kjh,kjh->kh", diff, diff).max(axis=1, initial=0.0))
         return (2.0 * (np.abs(1.0 - (c * c + s * s)) + 4.0 * _EPS) * zeroed.fro
-                + 2.0 * np.abs(s) * w * zeroed.defect
                 + 2.0 * blocks + 8.0 * _EPS * w * w * self.fro[0])
 
     def needs(self, tol: float) -> np.ndarray:

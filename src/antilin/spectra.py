@@ -1,4 +1,4 @@
-"""Spectra of antilinear and real-linear operators.
+"""Spectra of antilinear operators.
 
 For a square antilinear operator the spectrum is a union of circles centered
 at the origin: if ``A conj(x) = lambda x`` has a nonzero solution then the
@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .antiop import AntilinearOperator, Composable, _shifted_diagonals, realify_shifted
+from .antiop import AntilinearOperator, _shifted_diagonals, realify_shifted
 from .errors import DimensionMismatch
 from .matkernel import SING_TOL, _Circle, _phase_verdicts, is_singular
 
@@ -57,9 +57,7 @@ class SpectrumDescription(NamedTuple):
     ``clamped`` records eigenvalues of ``A conj(A)`` whose slightly negative
     real part was clamped to zero.  ``eigenvalues`` holds every eigenvalue
     of ``A conj(A)`` the radii were read from, in LAPACK order.  The
-    spectrum is pure point spectrum (:data:`CLASSIFICATION_NOTE`).  General
-    real-linear operators carry no circle structure; only the membership
-    oracle :func:`is_in_spectrum` applies.
+    spectrum is pure point spectrum (:data:`CLASSIFICATION_NOTE`).
     """
 
     radii: tuple
@@ -105,18 +103,19 @@ def antilinear_spectrum(t: AntilinearOperator, tol: float = SING_TOL) -> Spectru
     )
 
 
-def is_in_spectrum(op: Composable, lam: complex, tol: float = SING_TOL) -> bool:
-    """Definitional membership: ``op - lam`` is not bijective.
+def is_in_spectrum(t: AntilinearOperator, lam: complex, tol: float = SING_TOL) -> bool:
+    """Definitional membership: the real-linear map ``t - lam`` is not
+    bijective.
 
-    ``lam`` subtracts from the linear part only.  The verdict is that of
-    comparing the smallest singular value of ``realify(op - lam)`` against
-    ``tol * (1 + ||realify(op - lam)||)``; :func:`~antilin.matkernel.is_singular`
-    proves it from a Cholesky/solve bracket and runs that SVD only when the
-    bracket cannot decide.  The matrix comes from
-    :func:`~antilin.antiop.realify_shifted`: an immutable operator is
-    realified once, and each probe patches only the shifted diagonals.
+    The verdict is that of comparing the smallest singular value of
+    ``realify(t - lam)`` against ``tol * (1 + ||realify(t - lam)||)``;
+    :func:`~antilin.matkernel.is_singular` proves it from a Cholesky/solve
+    bracket and runs that SVD only when the bracket cannot decide.  The
+    matrix comes from :func:`~antilin.antiop.realify_shifted`: an immutable
+    operator is realified once, and each probe patches only the shifted
+    diagonals.
     """
-    return is_singular(realify_shifted(op, lam), tol)
+    return is_singular(realify_shifted(t, lam), tol)
 
 
 class CrosscheckPoint(NamedTuple):

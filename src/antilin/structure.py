@@ -32,7 +32,7 @@ from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .antiop import AntilinearOperator, _Frozen, _parity_product, derived, op_norm
+from .antiop import AntilinearOperator, _Frozen, _parity_product, _realify_pair, derived
 from .errors import DimensionMismatch, NotNormal
 from .matkernel import Factored, pinv, psd_sqrt, ranked_svd, spectral_norm
 from .reporting import BASE_TOLERANCES, scaled_bound
@@ -216,7 +216,8 @@ def power_commute(t: AntilinearOperator, n: int) -> float:
 
     ``T^n`` and ``(T#)^n`` are canonical matrices of parity ``n mod 2``,
     so both compositions are linear; the residual is the operator norm of
-    their difference.
+    their difference, read as the largest singular value of its
+    realification.
 
     Raises:
         NotNormal: when the operator fails :func:`is_normal`.
@@ -234,7 +235,7 @@ def power_commute(t: AntilinearOperator, n: int) -> float:
         sn = _parity_product(letters[1], sn)
     lhs, _ = _parity_product(tn, sn)
     rhs, _ = _parity_product(sn, tn)
-    return op_norm(lhs - rhs)
+    return spectral_norm(_realify_pair(lhs - rhs, 0))
 
 
 class MpResult(_Frozen):

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from antilin.antiop import AntilinearOperator, realify, unrealify
+from antilin.antiop import AntilinearOperator, realify
 from antilin.blockops import (
     SELECTORS,
     complement,
@@ -46,6 +46,7 @@ from conftest import (
     random_unit,
     shift_operator,
 )
+from pq_algebra import unrealify
 
 SHIFT = AntilinearOperator([[0.0, 1.0], [0.0, 0.0]])
 DIAG2I = AntilinearOperator(np.diag([2.0, 1j]))

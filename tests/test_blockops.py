@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from antilin.antiop import (
-    AntilinearOperator,
-    RealLinearOperator,
-    compose,
-    realify,
-    realify_shifted,
-    unrealify,
-)
+from antilin.antiop import AntilinearOperator, realify_shifted
 from antilin.blockops import (
     SELECTORS,
     BlockAntilinearMatrix,
@@ -24,6 +17,7 @@ from antilin.matkernel import SING_TOL, is_singular, spectral_norm
 from antilin.spectra import antilinear_spectrum, is_in_spectrum
 
 from conftest import random_block
+from pq_algebra import RealLinearOperator, compose, realify, unrealify
 
 GOLDEN_LO = (np.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_HI = (np.sqrt(5.0) + 1.0) / 2.0
@@ -248,6 +242,15 @@ def test_flatten_consistency(rng):
         member = is_in_spectrum(flat, mu)
         predicted = bool(radii and np.min(np.abs(np.array(radii) - abs(mu))) <= 1e-7)
         assert member == predicted
+
+
+def test_a_circle_within_dedup_atol_is_sampled_once_at_the_origin(rng):
+    # the origin rule of spectrum_crosscheck: a radius r <= DEDUP_ATOL = 1e-7
+    # is the point 0, then 8 points on the unit circle and 4 on each of the
+    # two gap circles (none below a circle at the origin)
+    samples = samples_for_radii([5e-8, 1.0], rng, random_count=0)
+    assert samples[0] == 0j and len(samples) == 17
+    np.testing.assert_allclose(np.abs(samples[1:9]), 1.0)
 
 
 @pytest.mark.parametrize("dual, primal, n, m", [("S1", "S2", 2, 3), ("T1", "T2", 3, 3)])

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driven through the console entry point."""
 
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -525,22 +526,28 @@ def test_adjoint_pairing_checks_the_package_adjoint(tmp_path, monkeypatch, capsy
 
 
 def test_deeply_nested_file_exit_2(tmp_path):
-    # arrays nested past the decoder's recursion limit, and a meta that the
-    # decoder accepts but the digest's recursive render cannot: one line
-    # each, not a RecursionError traceback
+    # arrays nested past the decoder's recursion limit: one line, not a
+    # RecursionError traceback
     deep_array = tmp_path / "deep-array.json"
     deep_array.write_text("[" * 100000 + "]" * 100000)
+    res = run_cli("inspect", "--input", str(deep_array))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.splitlines() == [f"error: {deep_array} nests too deeply to decode"]
+
+
+@pytest.mark.parametrize("command", OPERATOR_COMMANDS)
+def test_deeply_nested_meta_is_digested(tmp_path, command, capsys):
+    # a meta that the decoder accepts is rendered for the digest at any depth
     deep_meta = tmp_path / "deep-meta.json"
+    nest = "[" * 900 + "]" * 900
     payload = {"schema": SCHEMA, "kind": "antilinear", "dims": [1, 1],
                "entries": [[1.0, 0.0]], "meta": {"nested": "NEST"}}
-    deep_meta.write_text(json.dumps(payload).replace('"NEST"', "[" * 900 + "]" * 900))
-    for path, message in (
-        (deep_array, f"error: {deep_array} nests too deeply to decode"),
-        (deep_meta, "error: the file nests too deeply to digest"),
-    ):
-        res = run_cli("inspect", "--input", str(path))
-        assert (res.returncode, res.stdout) == (2, "")
-        assert res.stderr.splitlines() == [message]
+    deep_meta.write_text(json.dumps(payload).replace('"NEST"', nest))
+    canonical = ('{"dims":[1,1],"entries":[[1,0]],"kind":"antilinear","meta":{"nested":'
+                 + nest + '},"schema":"' + SCHEMA + '"}')
+    code, out, err = _main(capsys, command, "--input", str(deep_meta))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["input_digest"] == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")

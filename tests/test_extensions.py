@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from antilin.antiop import AntilinearOperator, compose, op_norm
+from antilin.antiop import AntilinearOperator
 from antilin.errors import DimensionMismatch, NotNormal
 from antilin.extensions import (
     ExtensionProblem,
@@ -12,6 +12,7 @@ from antilin.extensions import (
 from antilin.generators import crandn, haar_unitary
 
 from conftest import NORMAL_FAMILIES, normal_instance, shift_operator
+from pq_algebra import compose, op_norm
 
 DIAG23 = AntilinearOperator(np.diag([2.0, 3.0]))
 E1 = np.array([[1.0], [0.0]])

@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from antilin.antiop import (
-    AntilinearOperator,
-    RealLinearOperator,
-    _shifted_diagonals,
-    realify_shifted,
-)
+from antilin.antiop import AntilinearOperator, _shifted_diagonals, realify_shifted
 from antilin.errors import DimensionMismatch, NotHermitian, NotPsd, NotSymmetric
 from antilin.generators import crandn, haar_unitary
 from antilin.matkernel import (
     SING_TOL,
     _Circle,
+    _ShiftFamily,
     _first_phase,
     _phase_verdicts,
     is_singular,
@@ -27,6 +23,8 @@ from antilin.matkernel import (
     spectral_norm,
     takagi,
 )
+
+import pq_algebra as pq
 
 
 def takagi_valid(fac, b, rtol=1e-9):
@@ -432,30 +430,6 @@ class TestPhaseVerdicts:
         assert _phase_verdicts(circle, tol, False) == expected
         assert calls == ["svd"] * 8
 
-    @pytest.mark.parametrize("singular_first", [False, True])
-    def test_a_real_linear_circle_decides_every_phase_on_its_own(self, monkeypatch, rng,
-                                                                  singular_first):
-        # a non-scalar linear part breaks the phase law: the law defect is
-        # nonzero, no phase is proved from phase 0, and each gets the
-        # verdict of its own matrix.  (op - 0.8) x0 = 0 makes phase 0
-        # singular on the first radius.
-        h, r = 6, 0.8
-        lin, anti = 0.3 * crandn(rng, h, h), crandn(rng, h, h) / np.sqrt(h)
-        x0 = crandn(rng, h)
-        x0 /= np.linalg.norm(x0)
-        lin -= np.outer(lin @ x0 + anti @ np.conj(x0) - r * x0, np.conj(x0))
-        op = RealLinearOperator(lin, anti)
-        built = []
-        original = _Circle.matrix
-        monkeypatch.setattr(_Circle, "matrix", lambda c, k: built.append(k) or original(c, k))
-        for radius in (r, 2.5):
-            circle, mats = _circle(op, radius)
-            assert circle.family.zeroed.defect > 0.1
-            built.clear()
-            verdicts = _phase_verdicts(circle, SING_TOL, singular_first)
-            assert verdicts == [_svd_verdict(m) for m in mats]
-            assert verdicts[0] == (radius == r) and built == list(range(8))
-
 
 def _exact(m) -> list:
     return [[Fraction(float(x)) for x in row] for row in np.asarray(m)]
@@ -478,24 +452,31 @@ def _positive_definite(g) -> bool:
     return True
 
 
+def _pq_circle(op, radius, angles):
+    """:func:`_circle` for a (P, Q) pair of ``pq_algebra`` with a diagonal
+    linear part, whose shifts also move only the block diagonals: each
+    phase's diagonals are read off its realification."""
+    mats = [pq.realify(op.shifted(radius * np.exp(1j * theta))) for theta in angles]
+    h = op.dim_in
+    diags = np.array([[m[:h, :h].diagonal(), m[:h, h:].diagonal(),
+                       m[h:, :h].diagonal(), m[h:, h:].diagonal()] for m in mats])
+    family = _ShiftFamily(mats[0])
+    return _Circle(family, diags, angles, np.empty_like(family.r0)), mats
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-40, 1e40])
 def test_distance_covers_the_rotated_first_phase(rng, scale):
     # ||m_k - R_k m_0 R_k||_2 <= dist_k in exact arithmetic, checked as
     # dist_k^2 I - X^T X > 0 for X = m_k - R_k m_0 R_k: for an antilinear
-    # operator (no law defect), a diagonal linear part (a defect on the
-    # block diagonals only), a linear part off the diagonal (the law
-    # defect alone) and a full one
+    # operator, and for one plus a diagonal linear part, which breaks the
+    # phase law on the block diagonals only
     h = 4
     anti = scale * crandn(rng, h, h)
-    off = scale * crandn(rng, h, h)
-    np.fill_diagonal(off, 0.0)
-    ops = (AntilinearOperator(anti),
-           RealLinearOperator(np.diag(scale * crandn(rng, h)), anti),
-           RealLinearOperator(off, anti),
-           RealLinearOperator(scale * crandn(rng, h, h), anti))
     angles = ANGLES + [1.0, -2.5, 3.0]
-    for op in ops:
-        circle, mats = _circle(op, scale * 0.7, angles)
+    diagonal = pq.RealLinearOperator(np.diag(scale * crandn(rng, h)), anti)
+    for op, (circle, mats) in (
+            ("antilinear", _circle(AntilinearOperator(anti), scale * 0.7, angles)),
+            ("diagonal linear part", _pq_circle(diagonal, scale * 0.7, angles))):
         m0 = _exact(mats[0])
         for k, dist in enumerate(circle.distances(), start=1):
             c, s = circle.c[k - 1], circle.s[k - 1]
@@ -506,7 +487,7 @@ def test_distance_covers_the_rotated_first_phase(rng, scale):
             xtx = _matmul([list(col) for col in zip(*x)], x)
             d2 = Fraction(float(dist)) ** 2
             g = [[(d2 if i == j else 0) - xtx[i][j] for j in range(2 * h)] for i in range(2 * h)]
-            assert _positive_definite(g), (type(op), k)
+            assert _positive_definite(g), (op, k)
 
 
 def test_numerical_rank(rng):

@@ -1,4 +1,5 @@
-"""Properties of the real-linear (P, Q) algebra at d = 1-6, drawn by hypothesis.
+"""Properties of the real-linear (P, Q) algebra of ``pq_algebra`` and of the
+package's parity products at d = 1-6, drawn by hypothesis.
 
 Each property holds bitwise, or within a bound derived from the standard
 model of floating-point arithmetic: ``fl(x op y) = (x op y)(1 + d)`` with
@@ -12,14 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from antilin.antiop import (
-    AntilinearOperator,
-    RealLinearOperator,
-    _parity_product,
-    compose,
-    realify,
-    unrealify,
-)
+from antilin.antiop import AntilinearOperator, _parity_product
+
+from pq_algebra import RealLinearOperator, compose, realify, unrealify
 
 U = 2.0**-53
 DIMS = st.integers(1, 6)

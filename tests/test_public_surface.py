@@ -20,11 +20,10 @@ EXPORTED = {
     "check_extension": ("p",),
     "check_polar_commutation": ("t",),
     "complement": ("blk", "selector", "mu", "tol"),
-    "compose": ("f", "g"),
     "correspondence_scan": ("blk", "samples", "tol"),
     "gram": ("t",),
     "identity_suite": ("t", "tol"),
-    "is_in_spectrum": ("op", "lam", "tol"),
+    "is_in_spectrum": ("t", "lam", "tol"),
     "is_normal": ("t",),
     "is_selfadjoint": ("t",),
     "is_singular": ("m", "tol"),
@@ -34,17 +33,15 @@ EXPORTED = {
     "moore_penrose": ("t",),
     "nr_disk": ("t",),
     "nr_value": ("t", "x"),
-    "op_norm": ("op",),
     "pinv": ("a",),
     "polar": ("t",),
     "power_commute": ("t", "n"),
     "psd_sqrt": ("h",),
     "rank_link": ("blk", "tol"),
-    "realify": ("op",),
+    "realify": ("t",),
     "singularity": ("m", "tol"),
     "spectrum_crosscheck": ("t", "phases", "tol"),
     "takagi": ("b",),
-    "unrealify": ("r",),
     "witness_disk": ("t", "target"),
     "witness_segment": ("t", "x1", "x2", "lam"),
     "word_span_oracle": ("p", "max_len"),

@@ -13,7 +13,7 @@ import importlib
 import numpy as np
 import pytest
 
-from antilin.antiop import AntilinearOperator, RealLinearOperator
+from antilin.antiop import AntilinearOperator
 from antilin.blockops import BlockAntilinearMatrix, complement
 from antilin.extensions import ExtensionProblem
 from antilin.matkernel import ranked_svd
@@ -42,7 +42,6 @@ def _frozen_instances() -> dict:
     op = AntilinearOperator(np.diag([2.0, 1j]))
     return {
         "AntilinearOperator": (op, "canon"),
-        "RealLinearOperator": (RealLinearOperator(np.eye(2), np.zeros((2, 2))), "lin"),
         "BlockAntilinearMatrix": (BlockAntilinearMatrix(op, op, op, op), "a"),
         "ExtensionProblem": (ExtensionProblem(op, np.eye(2)[:, :1]), "embed"),
         "MpResult": (moore_penrose(op), "dagger"),

@@ -3,7 +3,7 @@ import pytest
 
 import antilin.matkernel as matkernel
 import antilin.spectra as spectra
-from antilin.antiop import AntilinearOperator, RealLinearOperator, realify_shifted
+from antilin.antiop import AntilinearOperator, realify_shifted
 from antilin.errors import DimensionMismatch
 from antilin.generators import KINDS, gen_payload
 from antilin.io import parse_payload
@@ -54,8 +54,12 @@ class TestMembershipOracle:
         assert not is_in_spectrum(t, 0.5)
 
     def test_scalar_real_linear(self):
-        op = RealLinearOperator(np.array([[-4.0 / 3.0]]), np.array([[1.0 / 3.0]]))
-        assert not is_in_spectrum(op, 0.0)
+        # T - 4/3 for T = (1/3) conj is the map x -> -4/3 x + 1/3 conj(x),
+        # whose realification diag(-1, -5/3) is invertible
+        t = AntilinearOperator([[1.0 / 3.0]])
+        np.testing.assert_allclose(realify_shifted(t, 4.0 / 3.0), np.diag([-1.0, -5.0 / 3.0]))
+        assert not is_in_spectrum(t, 4.0 / 3.0)
+        assert is_in_spectrum(t, -1.0 / 3.0)
 
     def test_zero_operator(self):
         assert is_in_spectrum(AntilinearOperator(np.zeros((2, 2))), 0.0)

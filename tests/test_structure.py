@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from antilin.antiop import AntilinearOperator
+from antilin.antiop import AntilinearOperator, _parity_product
 from antilin.errors import NotNormal
 from antilin.generators import KINDS, crandn, gen_operator, symmetric_unitary
 from antilin.matkernel import pinv, psd_sqrt, ranked_svd, spectral_norm
@@ -29,6 +29,7 @@ from conftest import (
     random_rank_deficient,
     shift_operator,
 )
+from pq_algebra import op_norm
 
 SHIFT = AntilinearOperator([[0, 1], [0, 0]])
 DIAG2I = AntilinearOperator(np.diag([2.0, 1j]))
@@ -215,6 +216,19 @@ class TestPowerCommute:
             spectral_norm(left - right), abs=1e-12
         )
 
+    def test_residual_is_the_realified_norm_bitwise(self):
+        # twisted_normal d=4 seed 2 at n=2: the complex spectral norm of the
+        # residual matrix differs from its realified norm in the last bits,
+        # and the residual is the realified one
+        t = gen_operator("twisted_normal", 4, 2)
+        letters = (t.canon, 1), (t.adjoint().canon, 1)
+        tn = sn = (np.eye(4), 0)
+        for _ in range(2):
+            tn, sn = _parity_product(letters[0], tn), _parity_product(letters[1], sn)
+        diff = _parity_product(tn, sn)[0] - _parity_product(sn, tn)[0]
+        assert spectral_norm(diff) != op_norm(diff)
+        assert power_commute(t, 2) == op_norm(diff)
+
     def test_rejects(self):
         with pytest.raises(NotNormal):
             power_commute(SHIFT, 2)
@@ -292,7 +306,7 @@ class TestIdentitySuite:
         assert suite.classification_consistent
 
     def test_shift_projector_mismatch(self):
-        from antilin.antiop import compose
+        from pq_algebra import compose
 
         suite = identity_suite(SHIFT)
         assert max(suite.residuals.values()) <= 1e-10

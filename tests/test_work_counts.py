@@ -34,12 +34,13 @@ import antilin.matkernel as matkernel
 import antilin.numrange as numrange
 import antilin.spectra as spectra
 import antilin.structure as structure
-from antilin.antiop import AntilinearOperator, RealLinearOperator, realify, realify_shifted
+from antilin.antiop import AntilinearOperator, realify, realify_shifted
 from antilin.blockops import Pivot, correspondence_scan, rank_link
 from antilin.cli import main
 from antilin.extensions import ExtensionProblem, minimal_span
 from antilin.matkernel import spectral_norm
 
+import pq_algebra as pq
 from conftest import normal_instance, random_block, write_block_file
 
 
@@ -221,9 +222,9 @@ def test_scan_inverts_b_and_f_once(rng, monkeypatch):
     # by the LAPACK inputs: F and B once each, A - mu and E - mu once per mu
     blk = random_block(rng, 3, 3)
     samples = [0.3 + 0.1j, -1.0, 0.5j, 2.0 - 1.0j]
-    a, b, f, e = (RealLinearOperator.from_antilinear(x) for x in (blk.a, blk.b, blk.f, blk.e))
-    expected = [realify(f), realify(b)] + [
-        realify(x.shifted(mu)) for mu in samples for x in (a, e)
+    a, b, f, e = (pq.RealLinearOperator.from_antilinear(x) for x in (blk.a, blk.b, blk.f, blk.e))
+    expected = [pq.realify(f), pq.realify(b)] + [
+        pq.realify(x.shifted(mu)) for mu in samples for x in (a, e)
     ]
     inverted = []
     _counting(monkeypatch, np.linalg, "inv", inverted, lambda m, *r, **k: _digest(m))

@@ -110,9 +110,10 @@ MISUSE = (
     ("block-3x5", OPERATOR_COMMANDS, []),
     ("twisted_normal-16-s0", ("block",), []),
 )
-# files no run should crash on, each under inspect (exit 2): arrays nested past
-# the decoder's recursion limit, a meta the decoder accepts but the digest's
-# recursive render cannot, and entries whose squared norm overflows a float
+# files no run should crash on, each under inspect: arrays nested past the
+# decoder's recursion limit (exit 2), a meta nested 900 deep, which the decoder
+# accepts and the digest renders (exit 0), and entries whose squared norm
+# overflows a float (exit 2)
 EXTREME = (
     ("raw-deep-array", "[" * 100000 + "]" * 100000),
     ("raw-deep-meta", RAW_TEMPLATE % (
