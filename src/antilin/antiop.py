@@ -30,18 +30,14 @@ Representations
   ``realify(f o g) = realify(f) realify(g)``, so a resolvent, which is
   real-linear but not complex-linear, is the inverse of a realified matrix,
   and the block complements of :mod:`antilin.blockops` are computed on
-  realified matrices throughout.
-
-  A scalar shift ``T - lam`` is the real-linear map ``x -> A conj(x) - lam
-  x``.  Its linear part ``-lam I`` is diagonal, so it moves only the
-  diagonals of the four blocks: :func:`realify_shifted` realifies an
-  operator once and patches those 4n entries per shift.
+  realified matrices throughout.  :func:`realify_shifted` realifies a
+  scalar shift ``T - lam``.
 
 All value types are immutable and every operation is a pure function, so
 everything here is safe to share across threads.  Because an operator never
 changes, whatever is computed from it can be kept for its lifetime:
 :func:`derived` keeps such values on an operator (its realification, its
-shift base and its factorizations).
+shift family and its factorizations).
 Composite results that are not operators, such as a block matrix or a
 Moore-Penrose result, keep their own derived fields with
 ``functools.cached_property``.
@@ -107,8 +103,13 @@ class AntilinearOperator(_Frozen):
         return self.canon @ np.conj(x)
 
     def adjoint(self) -> "AntilinearOperator":
-        """Adjoint under the pairing conj(<T x, y>) = <x, T# y>."""
-        return AntilinearOperator(self.canon.T)
+        """Adjoint under the pairing conj(<T x, y>) = <x, T# y>: ``self``
+        when the canonical matrix equals its transpose bit for bit, so T#
+        shares what :func:`derived` keeps on T."""
+        a = self.canon
+        if a.shape[0] == a.shape[1] and a.tobytes() == a.T.tobytes():
+            return self
+        return AntilinearOperator(a.T)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AntilinearOperator({self.dim_out}x{self.dim_in})"
@@ -195,24 +196,6 @@ def realify(t: AntilinearOperator) -> np.ndarray:
     return _realify_pair(t.canon, 1)
 
 
-def _shift_base(t: AntilinearOperator):
-    """``(family, Re diag(A), Im diag(A))`` for a square ``t``, the arrays
-    read-only: a shift moves only the diagonal of the linear part, so only
-    the diagonals of the four blocks of ``realify(t)`` move with it, and the
-    shifts form one :class:`~antilin.matkernel._ShiftFamily` around
-    ``realify(t)``.
-
-    Raises:
-        DimensionMismatch: if ``t`` is not square.
-    """
-    if t.dim_in != t.dim_out:
-        raise DimensionMismatch("scalar shift requires a square operator")
-    diagonals = (t.canon.real.diagonal().copy(), t.canon.imag.diagonal().copy())
-    for a in diagonals:
-        a.setflags(write=False)
-    return (_ShiftFamily(_realified(t)),) + diagonals
-
-
 def _realified(t: AntilinearOperator) -> np.ndarray:
     """``realify(t)``, made once per operator (:func:`derived`) and
     read-only, so every reader of one operator shares one matrix."""
@@ -225,41 +208,23 @@ def _realified(t: AntilinearOperator) -> np.ndarray:
     return derived(t, "realified", compute)
 
 
-def _shifted_diagonals(t: AntilinearOperator, lams) -> tuple:
-    """``(family, diags)``: the family of realified shifts of ``t`` and,
-    for each ``lam`` in ``lams``, the 4n entries ``diags[k]`` (shape ``(4,
-    n)``) on the diagonals of the four blocks of the realification of ``t -
-    lam``, so ``family.fill(out, diags[k])`` is that matrix.
-
-    The linear part of ``t - lam`` has the diagonal ``d = 0.0 - lam * 1.0``
-    (a zero diagonal minus the scalar times the identity's), and the blocks'
-    diagonals are ``Re d + Re a``, ``Im a - Im d``, ``Im d + Im a`` and ``Re
-    d - Re a`` for ``a = diag(A)``, signed zeros included.  An operator
-    keeps its family (:func:`derived`).
+def _shift_family(t: AntilinearOperator) -> _ShiftFamily:
+    """The realified scalar shifts of ``t``
+    (:class:`~antilin.matkernel._ShiftFamily`), made once per operator
+    (:func:`derived`).
 
     Raises:
         DimensionMismatch: if ``t`` is not square.
     """
-    family, qr, qi = derived(t, "shift_base", lambda: _shift_base(t))
-    d = 0.0 - np.asarray(lams)[:, None] * np.ones(qr.shape[0])
-    diags = np.empty((len(d), 4, qr.shape[0]))
-    np.add(d.real, qr, out=diags[:, 0])
-    np.subtract(qi, d.imag, out=diags[:, 1])
-    np.add(d.imag, qi, out=diags[:, 2])
-    np.subtract(d.real, qr, out=diags[:, 3])
-    return family, diags
+    return derived(t, "shift_family", lambda: _ShiftFamily(_realified(t), t.canon.diagonal()))
 
 
 def realify_shifted(t: AntilinearOperator, lam: complex) -> np.ndarray:
-    """The realification of ``t - lam``, a new array on every call.
-
-    An operator is realified once (:func:`derived`); each shift copies that
-    matrix and rewrites only the 4n entries on the diagonals of its four
-    blocks (:func:`_shifted_diagonals`).  ``lam`` is not checked for
-    finiteness, so a non-finite ``lam`` gives non-finite diagonals.
+    """The realification of ``t - lam``, a new array on every call: a
+    member of the operator's :func:`_shift_family`.  ``lam`` is not checked
+    for finiteness, so a non-finite ``lam`` gives non-finite entries.
 
     Raises:
         DimensionMismatch: if ``t`` is not square.
     """
-    family, diags = _shifted_diagonals(t, [lam])
-    return family.fill(np.empty_like(family.r0), diags[0])
+    return _shift_family(t).member(lam)

@@ -392,22 +392,57 @@ class _Bracket:
 
 
 class _ShiftFamily:
-    """The real 2h x 2h matrices that equal ``r0`` except on the diagonals
-    of their four h x h blocks: the realified scalar shifts of one square
-    antilinear operator (:func:`~antilin.antiop.realify_shifted`).
+    """The realified scalar shifts ``realify(T - lam)`` of one square
+    antilinear operator T, from ``r0 = realify(T)`` (2h x 2h) and the
+    diagonal ``q`` of T's canonical matrix A
+    (:func:`~antilin.antiop.realify_shifted`).
 
-    A member is given by its 4h diagonal entries ``diag``, rows ``(a, b,
-    f, e)`` for the blocks ``[[a, b], [f, e]]``.  ``z`` is ``r0`` with
-    those diagonals zeroed; it and its norms are made on first use
-    (:attr:`zeroed`) and kept, read-only, for the family's lifetime."""
+    ``T - lam`` is the real-linear map ``x -> A conj(x) - lam x``.  Its
+    linear part ``-lam I`` is diagonal, so a shift differs from ``r0`` only
+    on the diagonals of its four h x h blocks ``[[a, b], [f, e]]``: a
+    member is given by those 4h entries, the rows ``(a, b, f, e)`` of its
+    ``diag``.  With ``d = 0.0 - lam * 1.0``, the linear part's diagonal (a
+    zero diagonal minus the scalar times the identity's), they are ``Re d +
+    Re q``, ``Im q - Im d``, ``Im d + Im q`` and ``Re d - Re q``, signed
+    zeros included: the IEEE sums that realify ``-lam I`` and A together.
 
-    def __init__(self, r0: np.ndarray):
+    ``z`` is ``r0`` with those diagonals zeroed; it and its norms are made
+    on first use and kept, read-only, for the family's lifetime.
+
+    Raises:
+        DimensionMismatch: if ``r0`` is not square.
+    """
+
+    def __init__(self, r0: np.ndarray, q: np.ndarray):
+        if r0.shape[0] != r0.shape[1]:
+            raise DimensionMismatch("scalar shift requires a square operator")
         h = r0.shape[0] // 2
         step, half = 2 * h + 1, 2 * h * h
-        self.r0 = r0
+        self.r0, self.q = r0, q
         # the block diagonals as strided views of the flat matrix
         self.slices = (slice(0, half, step), slice(h, half, step),
                        slice(half, None, step), slice(half + h, None, step))
+
+    def diagonals(self, lams) -> np.ndarray:
+        """The ``diag`` of each member ``lam`` in ``lams``, shape
+        ``(len(lams), 4, h)``."""
+        qr, qi = self.q.real, self.q.imag
+        d = 0.0 - np.asarray(lams)[:, None] * np.ones(qr.shape[0])
+        diags = np.empty((len(d), 4, qr.shape[0]))
+        np.add(d.real, qr, out=diags[:, 0])
+        np.subtract(qi, d.imag, out=diags[:, 1])
+        np.add(d.imag, qi, out=diags[:, 2])
+        np.subtract(d.real, qr, out=diags[:, 3])
+        return diags
+
+    def member(self, lam) -> np.ndarray:
+        """``realify(T - lam)``, a new array."""
+        return self.fill(np.empty_like(self.r0), self.diagonals([lam])[0])
+
+    def circle(self, lams, angles, out: np.ndarray) -> "_Circle":
+        """The members ``lams`` as the phases ``angles`` of a
+        :class:`_Circle` built in ``out``."""
+        return _Circle(self, self.diagonals(lams), angles, out)
 
     def fill(self, out: np.ndarray, diag) -> np.ndarray:
         """Member ``diag`` written into the C-ordered ``out``."""
@@ -418,22 +453,17 @@ class _ShiftFamily:
         return out
 
     @cached_property
-    def zeroed(self) -> "_Zeroed":
-        """``z`` and its norms."""
-        h = self.r0.shape[0] // 2
-        z = self.fill(np.empty_like(self.r0), np.zeros((4, h)))
-        colsq = np.einsum("ij,ij->j", z, z)
-        for a in (z, colsq):
-            a.setflags(write=False)
-        return _Zeroed(z, math.sqrt(float(colsq.sum())), colsq)
+    def z(self) -> np.ndarray:
+        z = self.fill(np.empty_like(self.r0), np.zeros((4, self.r0.shape[0] // 2)))
+        z.setflags(write=False)
+        return z
 
-
-class _Zeroed(NamedTuple):
-    """A family's ``z`` with ``||z||_F`` and its squared column norms."""
-
-    z: np.ndarray
-    fro: float
-    colsq: np.ndarray
+    @cached_property
+    def z_norms(self) -> tuple:
+        """``||z||_F`` and the squared column norms of ``z``."""
+        colsq = np.einsum("ij,ij->j", self.z, self.z)
+        colsq.setflags(write=False)
+        return math.sqrt(float(colsq.sum())), colsq
 
 
 # rows (c^2, cs, s^2) -> the 4 x 4 map of a 2 x 2 block B = [[a, b], [f, e]],
@@ -463,7 +493,7 @@ class _Circle:
         # diagonals, column h + i holds b_i and e_i
         sq = diags * diags
         cols = sq[:, :2] + sq[:, 2:]
-        cols += family.zeroed.colsq.reshape(2, -1)
+        cols += family.z_norms[1].reshape(2, -1)
         self.fro = np.sqrt(cols.sum(axis=(1, 2)))
         self.colmax = np.sqrt(cols.max(axis=(1, 2), initial=0.0))
 
@@ -482,7 +512,7 @@ class _Circle:
     def witnessed(self, x: np.ndarray, tol: float) -> np.ndarray:
         """Which phases after the first the rotated vectors ``R_k^T x``
         prove singular."""
-        z = self.family.zeroed.z
+        z = self.family.z
         h = z.shape[0] // 2
         # row k: R_k^T x = c x - s J x, with -J x = (v, -u) for x = (u, v)
         pair = np.empty((2, 2 * h))
@@ -503,14 +533,14 @@ class _Circle:
     def distances(self) -> np.ndarray:
         """dist_k of every phase after the first: a bound on ``||m_k - R_k
         m_0 R_k||_2``."""
-        zeroed, c, s = self.family.zeroed, self.c, self.s
+        c, s = self.c, self.s
         w = np.abs(c) + np.abs(s)
         # fl(rho B_0 rho) of every block and phase, from one product with
         # each phase's 4 x 4 map of single coefficients
         rotate = (np.stack([c * c, c * s, s * s], axis=1) @ _ROTATION_BASIS).reshape(-1, 4, 4)
         diff = self.diags[1:] - rotate @ self.diags[0]
         blocks = np.sqrt(np.einsum("kjh,kjh->kh", diff, diff).max(axis=1, initial=0.0))
-        return (2.0 * (np.abs(1.0 - (c * c + s * s)) + 4.0 * _EPS) * zeroed.fro
+        return (2.0 * (np.abs(1.0 - (c * c + s * s)) + 4.0 * _EPS) * self.family.z_norms[0]
                 + 2.0 * blocks + 8.0 * _EPS * w * w * self.fro[0])
 
     def needs(self, tol: float) -> np.ndarray:

@@ -35,9 +35,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .antiop import AntilinearOperator, _shifted_diagonals, realify_shifted
+from .antiop import AntilinearOperator, _shift_family, realify_shifted
 from .errors import DimensionMismatch
-from .matkernel import SING_TOL, _Circle, _phase_verdicts, is_singular
+from .matkernel import SING_TOL, _phase_verdicts, is_singular
 
 DEDUP_ATOL = 1e-7
 
@@ -191,15 +191,16 @@ def spectrum_crosscheck(
         gap_radii.extend([0.0, 0.5])
 
     points = []
-    buffer = np.empty((2 * t.dim_in, 2 * t.dim_in))   # every circle builds its phases here
+    family = _shift_family(t)
+    buffer = np.empty_like(family.r0)   # every circle builds its phases here
     for r, expected in [(r, True) for r in member_radii] + [
         (r, False) for r in gap_radii
     ]:
         angles = [0.0] if r <= DEDUP_ATOL else [
             2.0 * np.pi * k / phases for k in range(phases)
         ]
-        family, diags = _shifted_diagonals(t, [r * np.exp(1j * theta) for theta in angles])
-        verdicts = _phase_verdicts(_Circle(family, diags, angles, buffer), tol, expected)
+        circle = family.circle([r * np.exp(1j * theta) for theta in angles], angles, buffer)
+        verdicts = _phase_verdicts(circle, tol, expected)
         for theta, member in zip(angles, verdicts):
             points.append(
                 CrosscheckPoint(

@@ -333,7 +333,8 @@ def identity_suite(
 
     # each short-lived operand is dropped after its last read, and with it
     # the factors antiop.derived keeps on it (keyed weakly): T# and (T#)+
-    # below, T+ and its SVD at the end, where T++ is read once
+    # below (unless T is symmetric, so that T# is T), T+ and its SVD at the
+    # end, where T++ is read once
     ts = t.adjoint()
     ds = moore_penrose(ts).dagger
     res["modulus_dagger_right"] = spectral_norm(modulus(d) - pinv(modulus(ts)))

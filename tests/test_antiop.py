@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-import antilin.antiop as antiop
+import antilin.matkernel as matkernel
 from antilin.antiop import (
     AntilinearOperator,
     _realify_pair,
@@ -261,11 +261,12 @@ class TestRealifyBitwise:
         with pytest.raises(DimensionMismatch):
             realify_shifted(random_antilinear(rng, 3, 5), 0.5)
 
-    def test_base_dies_with_its_operator(self, monkeypatch):
-        bases = []
-        original = antiop._shift_base
-        monkeypatch.setattr(antiop, "_shift_base", lambda t: bases.append(1) or original(t))
-        for _ in range(2):   # a new operator object never inherits a base
+    def test_family_dies_with_its_operator(self, monkeypatch):
+        families = []
+        original = matkernel._ShiftFamily.__init__
+        monkeypatch.setattr(matkernel._ShiftFamily, "__init__",
+                            lambda *a: families.append(1) or original(*a))
+        for _ in range(2):   # a new operator object never inherits a family
             t = AntilinearOperator(np.eye(3) + 0.1j)
             for lam in (0.0, 1.0, 2.0j):
                 realify_shifted(t, lam)
@@ -273,7 +274,7 @@ class TestRealifyBitwise:
             del t
             gc.collect()
             assert ref() is None
-        assert len(bases) == 2
+        assert len(families) == 2
 
 
 class TestFactoredForm:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from antilin.antiop import AntilinearOperator, _shifted_diagonals, realify_shifted
+from antilin.antiop import AntilinearOperator, _shift_family, realify_shifted
 from antilin.errors import DimensionMismatch, NotHermitian, NotPsd, NotSymmetric
 from antilin.generators import crandn, haar_unitary
 from antilin.matkernel import (
@@ -311,9 +311,21 @@ def _circle(op, radii, angles=ANGLES):
     phase's own matrix ``realify_shifted(op, lam_k)``."""
     radii = np.broadcast_to(radii, (len(angles),))
     lams = [r * np.exp(1j * theta) for r, theta in zip(radii, angles)]
-    family, diags = _shifted_diagonals(op, lams)
-    circle = _Circle(family, diags, angles, np.empty_like(family.r0))
+    family = _shift_family(op)
+    circle = family.circle(lams, angles, np.empty_like(family.r0))
     return circle, [realify_shifted(op, lam) for lam in lams]
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.7])
+def test_circle_phases_are_the_members_bitwise(rng, radius):
+    # phase k, built in the circle's buffer, is the member realify_shifted
+    # makes alone, bit for bit: signed zeros included
+    anti = crandn(rng, 5, 5)
+    anti[[0, 2], [0, 2]] = [complex(-0.0, 1.0), complex(2.0, -0.0)]
+    for angles in ([0.0], ANGLES):
+        circle, mats = _circle(AntilinearOperator(anti), radius, angles)
+        for k, m in enumerate(mats):
+            assert circle.matrix(k).tobytes() == m.tobytes(), (angles, k)
 
 
 def _kernel_calls(monkeypatch) -> list:
@@ -460,7 +472,8 @@ def _pq_circle(op, radius, angles):
     h = op.dim_in
     diags = np.array([[m[:h, :h].diagonal(), m[:h, h:].diagonal(),
                        m[h:, :h].diagonal(), m[h:, h:].diagonal()] for m in mats])
-    family = _ShiftFamily(mats[0])
+    # the phases' own diagonals replace the family's rule
+    family = _ShiftFamily(mats[0], op.anti.diagonal())
     return _Circle(family, diags, angles, np.empty_like(family.r0)), mats
 
 

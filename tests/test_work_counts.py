@@ -9,8 +9,9 @@ eigensolve per spectrum, no
 second factoring of the same matrix in ``rank_link`` or ``block``, the
 mu-independent pivots inverted once per block, each complement of a
 ``block`` run evaluated once, no operator's matrix factored twice by
-``identities`` or ``inspect``, the Moore-Penrose residuals computed only
-where they are read, normality decided once per invocation, no
+``identities`` or ``inspect`` (a symmetric one is its own adjoint), the
+Moore-Penrose residuals computed only where they are read, normality
+decided once per invocation, no
 guard SVD of an exactly zero symmetry defect (so no SVD in ``numrange``),
 and a span basis that projects with matrix products.  None of the savings may come from a cache
 that outlives its operator.
@@ -38,6 +39,7 @@ from antilin.antiop import AntilinearOperator, realify, realify_shifted
 from antilin.blockops import Pivot, correspondence_scan, rank_link
 from antilin.cli import main
 from antilin.extensions import ExtensionProblem, minimal_span
+from antilin.io import load_operator
 from antilin.matkernel import spectral_norm
 
 import pq_algebra as pq
@@ -142,8 +144,8 @@ def test_spectrum_realifies_once_and_member_probes_run_no_cholesky(tmp_path, mon
     # Cholesky on each gap circle; the other phases are proved without one
     monkeypatch.chdir(tmp_path)
     path = _gen("twisted_normal", 16)
-    bases, realifies, circles, solves, choleskys, svds = [], [], [], [], [], []
-    _counting(monkeypatch, antiop, "_shift_base", bases, lambda op: id(op))
+    families, realifies, circles, solves, choleskys, svds = [], [], [], [], [], []
+    _counting(monkeypatch, matkernel._ShiftFamily, "__init__", families)
     _counting(monkeypatch, antiop, "realify", realifies)
     # (phases, prediction) of each circle, then the prediction of the
     # circle each kernel runs in
@@ -155,7 +157,7 @@ def test_spectrum_realifies_once_and_member_probes_run_no_cholesky(tmp_path, mon
     with contextlib.redirect_stdout(out):
         assert main(["spectrum", "--input", path]) == 0
     summary = json.loads(out.getvalue())["summary"]
-    assert len(bases) == 1 and len(realifies) == 1   # one operator, one realification
+    assert len(families) == 1 and len(realifies) == 1   # one operator, one realification
     members = [k for k, expected in circles if expected]
     gaps = [k for k, expected in circles if not expected]
     assert members == [8] * 16 and sum(members) == summary["members_tested"]
@@ -185,16 +187,16 @@ def test_no_realification_carries_over_between_invocations(tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     op = _gen("nonnormal", 5)
     blk = _gen("block", 3, path="blk.json", dim2=2)
-    # one base per shifted operator: the spectrum's operator; the block's
-    # flattening (all its flat probes share it), A and E
+    # one shift family per shifted operator: the spectrum's operator; the
+    # block's flattening (all its flat probes share it), A and E
     for argv, per_run in ((["spectrum", "--input", op], 1), (["block", "--input", blk], 3)):
         counts = []
         for _ in range(2):
-            bases = []
+            families = []
             with monkeypatch.context() as m:
-                _counting(m, antiop, "_shift_base", bases)
+                _counting(m, matkernel._ShiftFamily, "__init__", families)
                 _run(argv)
-            counts.append(len(bases))
+            counts.append(len(families))
         assert counts == [per_run, per_run], argv
 
 
@@ -346,6 +348,20 @@ def test_no_matrix_factored_twice(tmp_path, monkeypatch):
         repeated = [c[:2] for c, k in Counter(calls).items() if k > 1]
         assert repeated == [], n
         assert realifies.count((2 * n, 2 * n)) == 1, n
+
+
+def test_a_symmetric_operator_shares_its_factorization_with_its_adjoint(tmp_path, monkeypatch):
+    # T# of a symmetric T is T itself, so the ranked SVD that the identity
+    # suite reads for T and for T# runs once
+    monkeypatch.chdir(tmp_path)
+    path = _gen("selfadjoint", 8)
+    canon = load_operator(path).obj.canon
+    assert np.array_equal(canon, canon.T)
+    svds = _kernel_inputs(monkeypatch, names=("svd",))
+    _run(["identities", "--input", path])
+    digest = hashlib.sha256(np.ascontiguousarray(canon).tobytes()).hexdigest()
+    full = [c for c in svds if c[4] == digest and ("compute_uv", False) not in c[3]]
+    assert len(full) == 1
 
 
 def test_identities_computes_no_unread_mp_residuals(tmp_path, monkeypatch):
