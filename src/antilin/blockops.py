@@ -16,9 +16,12 @@ realify(f) realify(g)``, so these are the realifications of
   ``T2(mu) = B - (A - mu) F^{-1} (E - mu)``    (pivot F),
   ``T1(mu) = F - (E - mu) B^{-1} (A - mu)``    (pivot B).
 
-S1 and T1 of ``[[A, B], [F, E]]`` are S2 and T2 of the swapped matrix
-``[[E, F], [B, A]]``, so the code states each formula once, in its S2 or T2
-form, and evaluates S1 and T1 on the blocks read in the order E, F, B, A.
+All four are one formula: each is the Schur complement of ``M - mu =
+[[A - mu, B], [F, E - mu]]`` with respect to one pivot block.  With the
+realified blocks ``m`` of ``M - mu`` and the pivot ``P = m[p][q]`` (S2 at
+``(0, 0)``, S1 at ``(1, 1)``, T2 at ``(1, 0)``, T1 at ``(0, 1)``), the
+complement is ``m[1-p][1-q] - m[1-p][q] P^{-1} m[p][1-q]``, and the
+selectors differ only by their pivot block.
 
 Each complement comes with a factorization of the full block matrix into
 unitriangular outer factors and a diagonal or antidiagonal middle factor;
@@ -194,20 +197,16 @@ class ComplementResult(NamedTuple):
         return self.pivot.min_singular
 
 
-def _oriented(blk: BlockAntilinearMatrix, selector: str) -> tuple:
-    """``(schur, swapped, (a, b, f, e))`` for a selector.
+# selector -> the pivot block (p, q) of M - mu = [[A - mu, B], [F, E - mu]]
+_PIVOT_BLOCKS = {"S2": (0, 0), "S1": (1, 1), "T2": (1, 0), "T1": (0, 1)}
+# the name of each block of M - mu as a pivot
+_PIVOT_NAMES = (("A - mu", "B"), ("F", "E - mu"))
 
-    ``schur`` tells a Schur complement (S2, S1) from a quadratic one (T2,
-    T1).  S1 and T1 of ``[[A, B], [F, E]]`` are S2 and T2 of ``[[E, F],
-    [B, A]]``, so for them ``swapped`` is true and the blocks come back in
-    the order ``(e, f, b, a)``; the complement formulas are then written
-    once, in their S2 and T2 form.
-    """
-    if selector not in SELECTORS:
-        raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
-    swapped = selector in ("S1", "T1")
-    blocks = (blk.e, blk.f, blk.b, blk.a) if swapped else (blk.a, blk.b, blk.f, blk.e)
-    return selector[0] == "S", swapped, blocks
+
+def _shifted_blocks(blk: BlockAntilinearMatrix, mu: complex) -> list:
+    """The realified blocks ``m`` of ``M - mu``, as ``[[A - mu, B], [F, E - mu]]``."""
+    return [[realify_shifted(blk.a, mu), _realified(blk.b)],
+            [_realified(blk.f), realify_shifted(blk.e, mu)]]
 
 
 def complement(
@@ -216,7 +215,9 @@ def complement(
     mu: complex,
     tol: float = SING_TOL,
 ) -> ComplementResult:
-    """Evaluate the selected complement of ``blk`` at ``mu``.
+    """Evaluate the selected complement of ``blk`` at ``mu``: the Schur
+    complement of ``M - mu`` with respect to the selector's pivot block, as
+    the module docstring states.
 
     The pivot is ``A - mu``, ``E - mu``, ``F`` or ``B``.  F and B do not
     depend on mu, and a block keeps one :class:`Pivot` for each, so each is
@@ -230,16 +231,16 @@ def complement(
         ValueError: when ``selector`` is not one of :data:`SELECTORS`, or
             the complement overflows (a shift too large for the blocks).
     """
+    if selector not in _PIVOT_BLOCKS:
+        raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
     mu = complex(mu)
-    schur, swapped, (a, b, f, e) = _oriented(blk, selector)
-    if schur:
-        pivot = Pivot("E - mu" if swapped else "A - mu", realify_shifted(a, mu))
-    else:
-        pivot = blk._pivots["B" if swapped else "F"]
+    p, q = _PIVOT_BLOCKS[selector]
+    m = _shifted_blocks(blk, mu)
+    name = _PIVOT_NAMES[p][q]
+    pivot = Pivot(name, m[p][q]) if p == q else blk._pivots[name]
     inv = pivot.inverse(tol)
     with np.errstate(over="ignore", invalid="ignore"):
-        real = (realify_shifted(e, mu) - _realified(f) @ (inv @ _realified(b)) if schur
-                else _realified(b) - realify_shifted(a, mu) @ (inv @ realify_shifted(e, mu)))
+        real = m[1 - p][1 - q] - m[1 - p][q] @ (inv @ m[p][1 - q])
     if not np.isfinite(real).all():
         raise ValueError(f"complement {selector} at mu = {mu} has non-finite entries")
     real.setflags(write=False)
@@ -248,11 +249,15 @@ def complement(
     )
 
 
-def _layout(x11, x12, x21, x22, swapped: bool) -> np.ndarray:
-    """The 2x2 block matrix ``[[x11, x12], [x21, x22]]`` of an oriented
-    frame, laid out in the frame of ``[[A, B], [F, E]]``: the swapped
-    frame ``[[E, F], [B, A]]`` sits there as ``[[x22, x21], [x12, x11]]``."""
-    return np.block([[x22, x21], [x12, x11]] if swapped else [[x11, x12], [x21, x22]])
+def _layout(sizes: tuple, blocks: dict, unit: bool) -> np.ndarray:
+    """The 2x2 block matrix in the frame of ``[[A, B], [F, E]]`` (block
+    sizes ``sizes``) with ``blocks`` at their ``(row, column)`` positions,
+    and elsewhere identity diagonal blocks when ``unit`` and zero blocks."""
+    def block(i, j):
+        if (i, j) in blocks:
+            return blocks[i, j]
+        return np.eye(sizes[i]) if unit and i == j else np.zeros((sizes[i], sizes[j]))
+    return np.block([[block(i, j) for j in (0, 1)] for i in (0, 1)])
 
 
 def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -> float:
@@ -261,32 +266,21 @@ def factorization_residual(blk: BlockAntilinearMatrix, comp: ComplementResult) -
     ``M = [[realify(A - mu), realify(B)], [realify(F), realify(E - mu)]]``
     and the factors are realified the same way.
 
-    The Schur complements S2/S1 sit in a diagonal middle factor, the
-    quadratic complements T2/T1 in an antidiagonal one; the outer factors
-    are unitriangular with real-linear off-diagonal entries.  In finite
-    dimension the identity is exact, so the residual is pure floating-point
-    noise.
+    With the pivot block ``P = m[p][q]`` of the selector, ``L`` is the
+    identity with ``m[1-p][q] P^{-1}`` in block ``(1-p, p)``, ``mid`` holds
+    ``P`` in block ``(p, q)`` and the complement in ``(1-p, 1-q)``, and
+    ``R`` is the identity with ``P^{-1} m[p][1-q]`` in block ``(q, 1-q)``:
+    the middle factor is diagonal for the Schur complements S2/S1 and
+    antidiagonal for the quadratic complements T2/T1.  In finite dimension
+    the identity is exact, so the residual is pure floating-point noise.
     """
-    schur, swapped, (a, b, f, e) = _oriented(blk, comp.selector)
-    mu, inv = comp.mu, comp.pivot_inverse
-    ra, rb, rf, re = realify_shifted(a, mu), _realified(b), _realified(f), realify_shifted(e, mu)
-    i_n, i_m = np.eye(ra.shape[0]), np.eye(re.shape[0])
-    z_nm, z_mn = np.zeros(rb.shape), np.zeros(rf.shape)
-    # (x11, x12, x21, x22) of the left, middle and right factors of S2 or T2
-    if schur:
-        factors = (
-            (i_n, z_nm, rf @ inv, i_m),
-            (ra, z_nm, z_mn, comp.real),
-            (i_n, inv @ rb, z_mn, i_m),
-        )
-    else:
-        factors = (
-            (i_n, ra @ inv, z_mn, i_m),
-            (np.zeros(ra.shape), comp.real, rf, np.zeros(re.shape)),
-            (i_n, inv @ re, z_mn, i_m),
-        )
-    left, mid, right = (_layout(*x, swapped) for x in factors)
-    return spectral_norm(_layout(ra, rb, rf, re, swapped) - left @ (mid @ right))
+    p, q = _PIVOT_BLOCKS[comp.selector]
+    m, inv = _shifted_blocks(blk, comp.mu), comp.pivot_inverse
+    sizes = (m[0][0].shape[0], m[1][1].shape[0])
+    left = _layout(sizes, {(1 - p, p): m[1 - p][q] @ inv}, unit=True)
+    mid = _layout(sizes, {(p, q): m[p][q], (1 - p, 1 - q): comp.real}, unit=False)
+    right = _layout(sizes, {(q, 1 - q): inv @ m[p][1 - q]}, unit=True)
+    return spectral_norm(np.block(m) - left @ (mid @ right))
 
 
 class ScanEntry(NamedTuple):

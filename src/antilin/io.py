@@ -35,7 +35,7 @@ every float finite and every int within ``|int| <= 2**53``.
   most 16 digits, so ``%.17g`` prints it as ``str(int)`` does.  Anything
   else (bools, numpy scalars, tuples, larger ints) is rendered item by
   item.
-* :func:`matrix_from_entries` builds the matrix from such a list of pairs
+* :func:`_matrix_from_entries` builds the matrix from such a list of pairs
   with ``np.array(flat, dtype=float).view(complex)``.  Reading the (re, im)
   pairs as the two halves of complex128 is bit-exact, signed zeros included
   (``re + 1j*im`` is not).  Any other list goes through the per-entry loop,
@@ -168,13 +168,10 @@ def entries_from_matrix(a) -> list:
     return a.reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
-def matrix_from_entries(entries, rows: int, cols: int, where: str) -> np.ndarray:
-    return _matrix_from_entries(entries, rows, cols, where, set())
-
-
 def _matrix_from_entries(entries, rows: int, cols: int, where: str, admitted: set) -> np.ndarray:
-    """:func:`matrix_from_entries`; the ``id`` of a list the bulk path
-    admits is added to ``admitted``, for :func:`_canonical`."""
+    """The ``rows x cols`` complex matrix of an entries list (``where``
+    names it in errors); the ``id`` of a list the bulk path admits is added
+    to ``admitted``, for :func:`_canonical`."""
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InvalidOperatorFile(
             f"{where}: expected {rows * cols} [re, im] entries, got "

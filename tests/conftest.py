@@ -88,19 +88,21 @@ def random_block(rng, n, m):
     )
 
 
-def write_block_file(path, f) -> str:
-    """A 3x3 block file with Gaussian A, B and E (seed 0) and the given F,
-    in the canonical layout ``antilin gen`` writes."""
+def write_block_file(path, x, name="f") -> str:
+    """A 3x3 block file with block ``name`` set to ``x`` and the other three
+    Gaussian (seed 0, drawn in the order a, b, f, e), in the canonical
+    layout ``antilin gen`` writes."""
     from antilin.io import SCHEMA, dump_payload, entries_from_matrix
 
     rng = np.random.default_rng(0)
-    a, b, e = (crandn(rng, 3, 3) / np.sqrt(3.0) for _ in range(3))
+    blocks = {k: x if k == name else crandn(rng, 3, 3) / np.sqrt(3.0) for k in "abfe"}
     payload = {
         "schema": SCHEMA,
         "kind": "block",
         "dims": [3, 3],
-        "blocks": {k: entries_from_matrix(x) for k, x in zip("abfe", (a, b, f, e))},
-        "meta": {"seed": 0, "generator": "manual", "description": "block with a given F"},
+        "blocks": {k: entries_from_matrix(v) for k, v in blocks.items()},
+        "meta": {"seed": 0, "generator": "manual",
+                 "description": f"block with a given {name.upper()}"},
     }
     dump_payload(payload, str(path))
     return str(path)

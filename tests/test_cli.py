@@ -296,6 +296,26 @@ def test_nonfinite_or_negative_number_flag_exit_2(command, flag, value, diag2i_f
 
 @pytest.mark.parametrize(
     "command, flag, value",
+    [
+        ("block", "--mu", "abc"),
+        ("block", "--mu", "1;x"),
+        ("numrange", "--target", "1"),
+        ("numrange", "--target", "a,b"),
+    ],
+)
+def test_unparsable_number_flag_exit_2(command, flag, value, diag2i_file, block_file):
+    # rejected while parsing: one line naming the flag, no report, no traceback
+    source = block_file if command == "block" else diag2i_file
+    res = run_cli(command, "--input", source, flag, value)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0], res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
     [("numrange", "--target", "-0.1,0.05"), ("block", "--mu", "-1;2"), ("block", "--mu", "-0.5j")],
 )
 def test_value_beginning_with_minus_parses_in_either_spelling(
@@ -484,6 +504,20 @@ def test_block_tol_zero_names_a_pivot_lu_finds_singular(tmp_path, capsys):
     reasons = {line.split(": ", 1)[1] for line in skipped}
     assert len(reasons) == 1 and reasons.pop().startswith("pivot F is numerically singular")
     assert {line.split(" at ")[0] for line in skipped} == {"T2"}
+
+
+def test_block_with_a_singular_at_zero_skips_the_rank_link(tmp_path, capsys):
+    # A = 0 is invertible at every sampled mu but not at 0, where the rank
+    # link pivots: the link is skipped with its reason, the rest still runs
+    path = write_block_file(tmp_path / "a0.json", np.zeros((3, 3), dtype=complex), name="a")
+    code, out, err = _main(capsys, "block", "--input", path)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["summary"]["skipped"] == [
+        "rank_link: pivot A is numerically singular (min singular value 0.000e+00)"]
+    assert not [c for c in report["checks"] if c["name"].startswith("rank_link")]
+    assert "rank_flat" not in report["summary"]
+    assert "f_relative_bound" not in report["summary"]
 
 
 def test_block_lists_each_skipped_complement_once(tmp_path, capsys):

@@ -20,11 +20,11 @@ from antilin.generators import (
 )
 from antilin.io import (
     SCHEMA,
+    _matrix_from_entries,
     canonical_json,
     dump_payload,
     entries_from_matrix,
     load_operator,
-    matrix_from_entries,
     parse_payload,
 )
 from antilin.matkernel import spectral_norm
@@ -189,7 +189,7 @@ class TestOperatorFiles:
 # ---------------------------------------------------------------- bulk paths
 #
 # The element-by-element implementations that ``canonical_json`` and
-# ``matrix_from_entries`` used before their bulk branches, kept as the
+# ``_matrix_from_entries`` used before their bulk branches, kept as the
 # reference: the bulk branches must give the same bytes, the same arrays
 # (bit for bit) and the same error text.
 
@@ -320,7 +320,7 @@ class TestBulkPaths:
         a[2, 2] = complex(5e-324, -1e-310)
         entries = entries_from_matrix(a)
         entries[3] = [7, -(2**53)]   # ints are valid entries
-        got = matrix_from_entries(entries, 5, 4, "entries")
+        got = _matrix_from_entries(entries, 5, 4, "entries", set())
         want = _reference_matrix(entries, 5, 4)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -333,7 +333,7 @@ class TestBulkPaths:
         assert entries == [[float(z.real), float(z.imag)] for z in a.ravel()]
         assert all(type(x) is float for pair in entries for x in pair)
         assert entries_from_matrix(a.T) == [[float(z.real), float(z.imag)] for z in a.T.ravel()]
-        assert matrix_from_entries(entries, 3, 2, "e").tobytes() == a.tobytes()
+        assert _matrix_from_entries(entries, 3, 2, "e", set()).tobytes() == a.tobytes()
 
     @pytest.mark.parametrize(
         "bad",
@@ -345,7 +345,7 @@ class TestBulkPaths:
         entries = [[1.0, 2.0]] * 6
         entries = entries[:position] + [bad] + entries[position + 1:]
         with pytest.raises(InvalidOperatorFile) as got:
-            matrix_from_entries(entries, 2, 3, "blocks.b")
+            _matrix_from_entries(entries, 2, 3, "blocks.b", set())
         with pytest.raises(InvalidOperatorFile) as want:
             _reference_matrix(entries, 2, 3, "blocks.b")
         assert str(got.value) == str(want.value)
@@ -376,5 +376,5 @@ class TestBulkPaths:
         entries = [[1.0, 0.0]] * 4
         entries[position] = [0, 10**400]
         with pytest.raises(InvalidOperatorFile) as err:
-            matrix_from_entries(entries, 2, 2, "entries")
+            _matrix_from_entries(entries, 2, 2, "entries", set())
         assert str(err.value) == f"entries: entry {position} is not finite"

@@ -76,6 +76,7 @@ SINGULAR_PIVOT_BLOCKS = (
     ("block-b-zero", "b", "zeros"),
     ("block-f-ones", "f", "ones"),
     ("block-a-eye", "a", "eye"),   # A - mu is singular at mu = 1
+    ("block-a-zero", "a", "zeros"),  # A is singular at mu = 0: no rank link
 )
 SINGULAR_PIVOT_FLAGS = ([], ["--mu", "1;0.3+0.1j"], ["--tol", "0"])
 # operator files written as raw JSON text under inspect, so the loader's
