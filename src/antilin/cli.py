@@ -243,7 +243,9 @@ def cmd_numrange(t: AntilinearOperator, args, report: Report, tols: dict) -> Non
             x2 /= np.linalg.norm(x2)
             lam = float(rng.uniform())
             res = witness_segment(t, x1, x2, lam)
-            worst = max(worst, abs(res.value - res.target))
+            # the target is formed here, not read back from the witness
+            target = lam * nr_value(t, x1) + (1 - lam) * nr_value(t, x2)
+            worst = max(worst, abs(res.value - target))
             fallbacks += int(res.used_fallback)
         report.add("convexity_witness", worst)
         report.summary["convexity_fallback_rate"] = fallbacks / tuples

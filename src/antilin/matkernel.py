@@ -58,9 +58,11 @@ GUARD_RTOL = 1e-10
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of the matrix ``a``, ``s[0]`` of
-    :func:`singular_values` (0.0 for an empty matrix)."""
-    s = singular_values(a)
-    return float(s[0]) if s.size else 0.0
+    :func:`singular_values`; 0.0 without an SVD for an empty or all-zero
+    matrix, where LAPACK returns exactly 0.0 too."""
+    if not np.any(a):
+        return 0.0
+    return float(singular_values(a)[0])
 
 
 def _require_square(a: np.ndarray, what: str = "matrix") -> None:

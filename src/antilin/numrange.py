@@ -17,7 +17,8 @@ The Takagi factorization of the symmetric part is computed once per
 operator object: :func:`nr_disk`, :func:`witness_disk` and the fallback of
 :func:`witness_segment` share it through :func:`antiop.derived`, the
 per-operator cache keyed weakly on the (immutable) operator, so an entry
-lives exactly as long as the operator it describes.
+lives exactly as long as the operator it describes.  A convexity witness
+factors only the 2 x 2 compression to its own two vectors.
 
 The sampling oracle :func:`sample_sup` bounds the radius without that
 factorization.  It draws, normalizes, multiplies and reduces the samples in
@@ -139,26 +140,23 @@ class WitnessResult(NamedTuple):
     target: complex
     used_fallback: bool
     degenerate: bool
-    t_param: Optional[float]
 
 
 def witness_segment(t: AntilinearOperator, x1, x2, lam: float) -> WitnessResult:
-    """Witness for ``lam * w(x1) + (1 - lam) * w(x2)`` by the direct
-    intermediate-value construction.
+    """Witness for ``lam * w(x1) + (1 - lam) * w(x2)`` from the compression
+    of ``T`` to span{x1, x2}.
 
-    With ``a1 = w(x1) != a2 = w(x2)``, ``c = Re<x1, x2>`` and
-
-    ``beta = (<T x1, x2> + <T x2, x1> - 2 a2 c) / (a1 - a2)``,
-    ``r(s) = -s c + sqrt(s^2 c^2 - s^2 + 1)``,
-    ``S3(s) = s^2 + beta r(s) s``,
-
-    a root ``s'`` of ``Re S3 = lam`` on [0, 1] is found by bisection
-    (bracket width 1e-12) and accepted when ``|Im S3(s')| <= 1e-8 * (1 +
-    |beta|)``; the witness is then ``s' x1 + r(s') x2``, unit by
-    construction.  When no admissible root exists, or the achieved value
-    misses the target by more than ``WITNESS_ATOL``, the closed-form
-    :func:`witness_disk` with the same target is used instead and the
-    fallback is recorded in the result.
+    The Toeplitz-Hausdorff reduction to two dimensions: with ``Q`` the
+    orthonormal columns of the QR of ``[x1 | x2]`` (two of them even when
+    ``x2`` is parallel to ``x1``), ``w(Q c) = conj(c).T B2 conj(c)`` for the
+    2 x 2 compression ``B2 = Q* A conj(Q)``.  Its range is a disk that holds
+    ``w(x1)`` and ``w(x2)``, hence the target, so :func:`witness_disk` of
+    ``B2`` gives ``c`` in closed form, and the witness is ``Q c / ||Q c||``,
+    verified with :func:`nr_value` on the full space.  Only when that value
+    misses the target by more than ``WITNESS_ATOL``, or rounding puts the
+    target just outside the compressed disk, is the full-space
+    :func:`witness_disk` used instead, and the fallback is recorded in the
+    result.
 
     Degenerate inputs with ``a1 = a2`` return ``x1`` directly (every convex
     combination equals ``a1``).
@@ -174,73 +172,24 @@ def witness_segment(t: AntilinearOperator, x1, x2, lam: float) -> WitnessResult:
     target = lam * a1 + (1.0 - lam) * a2
 
     if abs(a1 - a2) <= 1e-12 * (1.0 + abs(a1) + abs(a2)):
-        return WitnessResult(
-            vector=x1.copy(), value=a1, target=target,
-            used_fallback=False, degenerate=True, t_param=None,
-        )
+        return WitnessResult(x1.copy(), a1, target, used_fallback=False, degenerate=True)
 
-    c = float(np.real(np.vdot(x2, x1)))  # Re<x1, x2> in the package convention
-    t12 = complex(np.vdot(x2, t.apply(x1)))   # <T x1, x2>
-    t21 = complex(np.vdot(x1, t.apply(x2)))   # <T x2, x1>
-    beta = (t12 + t21 - 2.0 * a2 * c) / (a1 - a2)
-
-    # r_of, s3 and f take a scalar or an array of s, elementwise the same
-    # floating-point operations either way
-    def r_of(s):
-        rad = s * s * c * c - s * s + 1.0
-        return -s * c + np.sqrt(np.maximum(rad, 0.0))
-
-    def s3(s):
-        return s * s + beta * r_of(s) * s
-
-    def f(s):
-        return np.real(s3(s)) - lam
-
-    # locate the first grid cell that holds a zero or a sign change of
-    # Re S3 - lam on [0, 1], then bisect it
-    grid = np.linspace(0.0, 1.0, 1025)
-    vals = f(grid)
-    zero = vals[:-1] == 0.0
-    hits = np.flatnonzero(zero | (vals[:-1] * vals[1:] < 0.0))
-    bracket = None
-    if hits.size:
-        k = hits[0]
-        bracket = (grid[k], grid[k] if zero[k] else grid[k + 1])
-    elif vals[-1] == 0.0:
-        bracket = (grid[-1], grid[-1])
-
-    t_param: Optional[float] = None
-    if bracket is not None:
-        lo, hi = bracket
-        f_lo = f(lo)
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            f_mid = f(mid)
-            if f_lo * f_mid <= 0.0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        t_param = 0.5 * (lo + hi)
-
-    if t_param is not None:
-        if abs(float(np.imag(s3(t_param)))) <= 1e-8 * (1.0 + abs(beta)):
-            x = t_param * x1 + r_of(t_param) * x2
-            nrm = np.linalg.norm(x)
-            if nrm > 0.0:
-                x = x / nrm
-                value = nr_value(t, x)
-                if abs(value - target) <= WITNESS_ATOL:
-                    return WitnessResult(
-                        vector=x, value=value, target=target,
-                        used_fallback=False, degenerate=False,
-                        t_param=float(t_param),
-                    )
+    q, _ = np.linalg.qr(np.stack([x1, x2], axis=1))
+    # witness_disk factors the exactly symmetric part of B2 (_takagi_of)
+    b2 = q.conj().T @ t.canon @ np.conj(q)
+    try:
+        c = witness_disk(AntilinearOperator(b2), target)
+    except OutsideRange:   # rounding put the target just beyond the compressed disk
+        pass
+    else:
+        x = q @ c
+        x = x / np.linalg.norm(x)
+        value = nr_value(t, x)
+        if abs(value - target) <= WITNESS_ATOL:
+            return WitnessResult(x, value, target, used_fallback=False, degenerate=False)
 
     vec = witness_disk(t, target)
-    return WitnessResult(
-        vector=vec, value=nr_value(t, vec), target=target,
-        used_fallback=True, degenerate=False, t_param=t_param,
-    )
+    return WitnessResult(vec, nr_value(t, vec), target, used_fallback=True, degenerate=False)
 
 
 def _abs_values(b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -20,8 +20,9 @@ projector is ``U_T U_T#`` with matrix ``U_c U_c*``.
 
 Each operator is factored once per object (:func:`antiop.derived`): the
 ranked SVD that :func:`polar`, :func:`moore_penrose` and the range projector
-share (:func:`factored`), the modulus, the spectral norm of the canonical
-matrix (:func:`canon_norm`) and the normality verdict (:func:`is_normal`).
+share (:func:`factored`), the modulus and its pseudoinverse, the
+Moore-Penrose dagger, the spectral norm of the canonical matrix
+(:func:`canon_norm`) and the normality verdict (:func:`is_normal`).
 The pseudoinverse and psd square-root oracles keep their own factorizations.
 """
 
@@ -275,25 +276,35 @@ def moore_penrose(t: AntilinearOperator) -> MpResult:
     Orthonormal bases of ``N(T)^perp = conj(row(A))`` and ``R(T) = col(A)``
     are taken from the SVD, the antilinear restriction of T between them is
     inverted in coordinates, and the inverse is extended by zero on
-    ``R(T)^perp``.  The checks against the ``conj(pinv(A))`` oracle and the
-    projector identities are :attr:`MpResult.residuals`, computed on first
-    read.
+    ``R(T)^perp``.  The dagger is built once per operator object
+    (:func:`antiop.derived`).  The checks against the ``conj(pinv(A))``
+    oracle and the projector identities are :attr:`MpResult.residuals`,
+    computed on first read.
     """
-    a = t.canon
-    m, n = a.shape
-    f = factored(t)
-    w, vh, r = f.w, f.vh, f.rank
+    def compute() -> AntilinearOperator:
+        a = t.canon
+        m, n = a.shape
+        f = factored(t)
+        w, vh, r = f.w, f.vh, f.rank
 
-    v = vh.conj().T
-    qn = v[:, :r].conj()          # orthonormal basis of N(T)^perp
-    wr = w[:, :r]                 # orthonormal basis of R(T)
-    if r > 0:
-        # antilinear restriction in coordinates: b = rmat conj(a)
-        rmat = wr.conj().T @ a @ v[:, :r]
-        dag = qn @ np.linalg.inv(rmat).conj() @ wr.T
-    else:
-        dag = np.zeros((n, m), dtype=complex)
-    return MpResult(dagger=AntilinearOperator(dag), source=t)
+        v = vh.conj().T
+        qn = v[:, :r].conj()          # orthonormal basis of N(T)^perp
+        wr = w[:, :r]                 # orthonormal basis of R(T)
+        if r > 0:
+            # antilinear restriction in coordinates: b = rmat conj(a)
+            rmat = wr.conj().T @ a @ v[:, :r]
+            dag = qn @ np.linalg.inv(rmat).conj() @ wr.T
+        else:
+            dag = np.zeros((n, m), dtype=complex)
+        return AntilinearOperator(dag)
+
+    # the dagger, not the result, is kept: a result refers back to t
+    return MpResult(dagger=derived(t, "dagger", compute), source=t)
+
+
+def _modulus_dagger(t: AntilinearOperator) -> np.ndarray:
+    """``pinv(|T|)``, computed once per operator object (read-only)."""
+    return derived(t, "modulus_dagger", lambda: _read_only(pinv(modulus(t))))
 
 
 class IdentitySuiteResult(NamedTuple):
@@ -328,16 +339,16 @@ def identity_suite(
     a = t.canon
     square = t.dim_in == t.dim_out
     d = moore_penrose(t).dagger
-    modulus_dagger = pinv(modulus(t))
+    modulus_dagger = _modulus_dagger(t)
     res: Dict[str, float] = {}
 
     # each short-lived operand is dropped after its last read, and with it
     # the factors antiop.derived keeps on it (keyed weakly): T# and (T#)+
-    # below (unless T is symmetric, so that T# is T), T+ and its SVD at the
-    # end, where T++ is read once
+    # below, unless T is symmetric, so that T# is T and shares T+ and
+    # pinv(|T|); T+ is kept on T
     ts = t.adjoint()
     ds = moore_penrose(ts).dagger
-    res["modulus_dagger_right"] = spectral_norm(modulus(d) - pinv(modulus(ts)))
+    res["modulus_dagger_right"] = spectral_norm(modulus(d) - _modulus_dagger(ts))
     if square:
         range_gap = spectral_norm(
             factored(t).range_projector() - factored(ts).range_projector()

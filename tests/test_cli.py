@@ -14,6 +14,7 @@ import pytest
 
 import antilin.__main__ as entry_module
 import antilin.cli as cli
+import antilin.numrange as numrange
 from antilin.generators import KINDS, crandn, symmetric_unitary
 from antilin.io import SCHEMA, canonical_json, entries_from_matrix, load_operator
 
@@ -208,6 +209,17 @@ class TestNumrangeCommand:
             "circle_modulus_spread",
             "circle_zero_gap",
         }
+
+    def test_witness_for_another_lam_fails(self, diag2i_file, monkeypatch, capsys):
+        # the span is symmetric in x1 and x2, so the mutant that matters
+        # swaps the weights; the report's target is formed by the CLI
+        original = numrange.witness_segment
+        monkeypatch.setattr(
+            numrange, "witness_segment", lambda t, x1, x2, lam: original(t, x1, x2, 1.0 - lam)
+        )
+        code, out, _ = _main(capsys, "numrange", "--input", diag2i_file)
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert (code, failed) == (1, ["convexity_witness"])
 
 
 class TestBlockCommand:
@@ -440,6 +452,30 @@ def test_numrange_lower_bound_holds_for_scaled_conjugations(tmp_path, tmp_path_f
         code, out, err = _main(capsys, "numrange", "--input", path)
         assert code == 0, out
         assert json.loads(out)["overall_pass"]
+
+
+@pytest.fixture(scope="module")
+def zero_file(tmp_path_factory):
+    return _write_operator(tmp_path_factory, "antilinear", np.zeros((4, 4), dtype=complex))
+
+
+# T = 0: a rank-0 dagger, a numerical range that is the point 0 (every
+# convexity tuple is degenerate) and a span that stops growing at degree 0
+ZERO_SUMMARY = {
+    "inspect": {"numerical_range_radius": 0, "spectrum_radii": [0]},
+    "identities": {"projector_gap": 0, "range_gap": 0},
+    "spectrum": {"radii": [0]},
+    "numrange": {"radius": 0, "convexity_fallback_rate": 0},
+    "extension": {"g_dim": 2, "is_minimal": False, "stabilized_degree": 0},
+}
+
+
+@pytest.mark.parametrize("command", OPERATOR_COMMANDS)
+def test_zero_operator(command, zero_file, capsys):
+    code, out, err = _main(capsys, command, "--input", zero_file)
+    assert code == 0, err
+    summary = json.loads(out)["summary"]
+    assert {k: summary[k] for k in ZERO_SUMMARY[command]} == ZERO_SUMMARY[command]
 
 
 @pytest.mark.parametrize(

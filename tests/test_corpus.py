@@ -50,8 +50,8 @@ def _compare_records(rows) -> int:
 def test_compare_reports_lists_its_invocations_with_the_extreme_inputs_last():
     rows = list(corpus.compare_rows())
     extreme = len(corpus.EXTREME)
-    assert _compare_records(rows[:-extreme]) == 603
-    assert _compare_records(rows) == 606
+    assert _compare_records(rows[:-extreme]) == 609
+    assert _compare_records(rows) == 612
     assert [path for path, _, _ in rows[-extreme:]] == [
         "ops/raw-deep-array.json", "ops/raw-deep-meta.json", "ops/raw-huge-entries.json"]
 

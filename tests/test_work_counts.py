@@ -1,7 +1,8 @@
 """An invocation computes only what it uses.
 
 These tests pin the amount of work, not its result: one Takagi
-factorization per operator in ``numrange``, one realification per
+factorization per operator in ``numrange`` (and one of each convexity
+tuple's 2 x 2 compression), one realification per
 operator in ``spectrum``, one factorization and one built phase matrix
 per spectrum circle (a solve on a member circle, a Cholesky on a gap),
 span powers built only up to the degree ``minimal_span`` reaches, one
@@ -9,10 +10,11 @@ eigensolve per spectrum, no
 second factoring of the same matrix in ``rank_link`` or ``block``, the
 mu-independent pivots inverted once per block, each complement of a
 ``block`` run evaluated once, no operator's matrix factored twice by
-``identities`` or ``inspect`` (a symmetric one is its own adjoint), the
+``identities`` or ``inspect`` (a symmetric one is its own adjoint and
+shares its dagger and ``pinv(|T|)`` with it), the
 Moore-Penrose residuals computed only where they are read, normality
 decided once per invocation, no
-guard SVD of an exactly zero symmetry defect (so no SVD in ``numrange``),
+SVD of an exactly zero matrix (so no SVD in ``numrange``),
 and a span basis that projects with matrix products.  None of the savings may come from a cache
 that outlives its operator.
 """
@@ -70,12 +72,14 @@ def _gen(kind, dim, seed=0, path="op.json", dim2=None):
 
 
 def test_numrange_factors_takagi_once(tmp_path, monkeypatch):
+    # one n x n factorization of the operator, and one 2 x 2 compression
+    # per convexity tuple (25, none of them degenerate here)
     monkeypatch.chdir(tmp_path)
     path = _gen("nonnormal", 6)
     calls = []
-    _counting(monkeypatch, numrange, "takagi", calls)
+    _counting(monkeypatch, numrange, "takagi", calls, record=np.shape)
     _run(["numrange", "--input", path, "--target", "0.1,0.05"])
-    assert len(calls) == 1
+    assert Counter(calls) == {(6, 6): 1, (2, 2): 25}
 
 
 def test_no_takagi_cache_across_invocations(tmp_path, monkeypatch):
@@ -85,10 +89,10 @@ def test_no_takagi_cache_across_invocations(tmp_path, monkeypatch):
     for _ in range(2):
         calls = []
         with monkeypatch.context() as m:
-            _counting(m, numrange, "takagi", calls)
+            _counting(m, numrange, "takagi", calls, record=np.shape)
             _run(["numrange", "--input", path])
-        counts.append(len(calls))
-    assert counts == [1, 1]
+        counts.append(Counter(calls))
+    assert counts == [{(5, 5): 1, (2, 2): 25}] * 2
 
 
 def test_takagi_cache_does_not_keep_the_operator(rng):
@@ -377,6 +381,28 @@ def test_identities_computes_no_unread_mp_residuals(tmp_path, monkeypatch):
     assert len(svds) == 24
 
 
+def test_identities_on_a_symmetric_operator_shares_the_adjoint_work(tmp_path, monkeypatch):
+    # T# is T, so T+ and pinv(|T|) serve T# too: one pinv, one dagger
+    # inverse and the modulus of (T#)+ fewer than the nonnormal case above,
+    # and the differences that are exactly zero take no SVD
+    monkeypatch.chdir(tmp_path)
+    path = _gen("selfadjoint", 8)
+    pinvs = []
+    _counting(monkeypatch, structure, "pinv", pinvs)
+    calls = _kernel_inputs(monkeypatch, names=("svd", "eigh", "inv"))
+    _run(["identities", "--input", path])
+    assert len(pinvs) == 3
+    assert Counter(c[0] for c in calls) == {"svd": 18, "eigh": 3, "inv": 2}
+
+
+def test_spectral_norm_of_zero_runs_no_svd(monkeypatch):
+    calls = _kernel_inputs(monkeypatch, names=("svd",))
+    for zero in (np.zeros((3, 3)), np.zeros((2, 5), dtype=complex), np.full((2, 2), -0.0)):
+        assert spectral_norm(zero) == 0.0
+    assert calls == []
+    assert spectral_norm(np.eye(2)) == 1.0 and len(calls) == 1
+
+
 def test_mp_residuals_computed_once_on_first_read(rng, monkeypatch):
     t = AntilinearOperator(rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
     pinvs = []
@@ -404,14 +430,16 @@ def test_guards_run_no_svd_on_an_exactly_zero_difference(rng, monkeypatch):
 
 
 def test_numrange_runs_no_svd(tmp_path, monkeypatch):
-    # takagi gets the exactly symmetric part; the oracle is sampling
+    # takagi gets the exactly symmetric part, of the operator once and of
+    # each tuple's 2 x 2 compression; the oracle is sampling
     monkeypatch.chdir(tmp_path)
     for kind in ("selfadjoint", "nonnormal"):
         path = _gen(kind, 16, path=f"{kind}.json")
         with monkeypatch.context() as m:
             calls = _kernel_inputs(m)
             assert _run(["numrange", "--input", path]) == 0
-        assert [c[0] for c in calls] == ["eigh"], kind
+        assert Counter((c[0], c[1]) for c in calls) == {
+            ("eigh", (32, 32)): 1, ("eigh", (4, 4)): 25}, kind
 
 
 def test_normality_decided_once_per_invocation(tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
 """Working-set pins: what the d = 128 subcommands hold at once.
 
 ``sample_sup`` keeps its output and one block of columns, and
-``identity_suite`` drops each short-lived operator (T#, (T#)+, T++) with the
-factors ``antiop.derived`` keeps on it after its last read.
+``identity_suite`` drops each short-lived operator (T#, (T#)+) with the
+factors ``antiop.derived`` keeps on it after its last read.  T+ is kept on T
+(so that T# = T shares it), with its own factors and T++.
 """
 
 import tracemalloc
@@ -51,8 +52,9 @@ def _cached_matrices(exclude) -> int:
 
 def test_identity_suite_frees_the_factors_of_its_temporaries(monkeypatch):
     # every residual is one spectral norm; at none of them do the cached
-    # factors of T#, T+ and (T#)+ exceed T#'s SVD and modulus plus the
-    # modulus of T+ (the whole-suite lifetimes held seven matrices)
+    # factors of T#, T+ and (T#)+ exceed what T# keeps (its SVD, modulus,
+    # dagger (T#)+ and pinv(|T#|)) plus the modulus of T+, and once T# is
+    # dropped only T+'s modulus, SVD and dagger T++ remain
     t = random_antilinear(np.random.default_rng(1), 8)
     before = list(antiop._DERIVED.keys())   # operators other tests left alive
     held = []
@@ -64,7 +66,9 @@ def test_identity_suite_frees_the_factors_of_its_temporaries(monkeypatch):
 
     monkeypatch.setattr(structure, "spectral_norm", recording)
     structure.identity_suite(t)
-    assert len(held) == 9 and max(held) <= 4
+    assert len(held) == 9 and max(held) <= 6 and max(held[2:]) <= 4
     added = [op for op in antiop._DERIVED.keys() if not any(op is b for b in before)]
-    assert added == [t]
-    assert set(antiop._DERIVED[t]) == {"factored", "modulus"}
+    dagger = structure.moore_penrose(t).dagger
+    assert added == [t, dagger]
+    assert set(antiop._DERIVED[t]) == {"factored", "modulus", "dagger", "modulus_dagger"}
+    assert set(antiop._DERIVED[dagger]) == {"factored", "modulus", "dagger"}

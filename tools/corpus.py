@@ -17,7 +17,8 @@ The source is one of
 Listing rows runs nothing (``tests/test_corpus.py`` checks the tables in
 seconds); :func:`run` is the one in-process runner.  To add an input, add
 a table entry or a row to the tool's listing, compare_reports rows after
-the last one so the old records keep their order.  A new generator kind
+the last one but before the extreme inputs, which stay last, so the old
+records keep their order.  A new generator kind
 reaches both grids through ``antilin.generators.KINDS``.
 """
 
@@ -68,6 +69,10 @@ WRITTEN = (
     ("rect-3x5", "antilinear", (3, 5), 0),
     ("rect-6x2", "antilinear", (6, 2), 0),
 )
+# the zero operator, a 4x4 file gen cannot write, under every operator
+# subcommand: a rank-0 dagger, a zero-radius disk witness, degenerate
+# convexity tuples and a span that stops growing at degree 0
+ZERO = ("zero-4", (4, 4))
 # 3x3 block files gen cannot write, each with one singular square pivot:
 # (stem, block, its matrix); the other blocks are Gaussian.  Each runs
 # under block with each of SINGULAR_PIVOT_FLAGS, so the skips are compared
@@ -219,6 +224,8 @@ def compare_rows():
     yield op("twisted_normal-16-s0"), None, runs(
         op("twisted_normal-16-s0"), ("inspect", "spectrum"), "--seed", "-1")
     yield None, None, [gen_argv("selfadjoint", 2, -1)]
+    stem, dims = ZERO
+    yield op(stem), partial(zero_payload, dims), runs(op(stem), OPERATOR_COMMANDS)
     for stem, text in EXTREME:
         yield op(stem), text, runs(op(stem), ("inspect",))
 
@@ -238,6 +245,17 @@ def operator_payload(kind: str, dims: tuple, seed: int) -> dict:
     meta = {"seed": seed, "generator": generator, "description": "compare_reports input"}
     return {"schema": SCHEMA, "kind": kind, "dims": list(dims),
             "entries": entries_from_matrix(a), "meta": meta}
+
+
+def zero_payload(dims: tuple) -> dict:
+    """The all-zero operator-file payload of :data:`ZERO`."""
+    import numpy as np
+
+    from antilin.io import SCHEMA, entries_from_matrix
+
+    meta = {"seed": 0, "generator": "zeros", "description": "the zero operator"}
+    return {"schema": SCHEMA, "kind": "antilinear", "dims": list(dims),
+            "entries": entries_from_matrix(np.zeros(dims, dtype=complex)), "meta": meta}
 
 
 def singular_pivot_payload(name: str, fill: str) -> dict:
